@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .errors import OracleDiverged, FuelExhausted, PtqError
-from .lam import App, Lam, LamTerm, Var, is_value, lam_alpha_eq, lam_str, reduces_in_one_beta
+from .lam import App, Lam, LamTerm, Var, lam_alpha_eq, lam_str, reduces_in_one_beta
 from .lambda_eval import EvalOrder, Strategy, eval_small, step_lambda
 from .machine import RuleTag, classify, step
 from .measure import control_length
 from .readback import readback
-from .syntax import Arrow, Base, ETerm, PApp, STAR, Term, Type, alpha_eq, sort_of, term_str
+from .syntax import Arrow, Base, ETerm, PApp, STAR, Type, alpha_eq, term_str
 from .translate import ptq_translate, ptq_translate_e
 from .typecheck import E_OK, LamEnv, TypeEnv, infer_lambda_box, infer_ptq
 
@@ -190,7 +190,10 @@ def run_checked(
 
     Checks, per step: the judgment G |> *:tA |- u survives; control steps
     keep the readback fixed up to alpha while Beta steps advance it by one
-    beta step; control steps drop control_length by exactly one.
+    beta step; control steps drop control_length by exactly one. Each
+    state's readback and control_length are computed once and carried to
+    the next step. A rule in `disable` counts as a normal form, which lets
+    the self-tests check that a broken machine is caught.
     """
     env = TypeEnv(gamma, ("star", anchor_ty))
     chain = [u]
@@ -202,9 +205,10 @@ def run_checked(
     except PtqError as exc:
         report.fail(f"initial term failed to check: {exc}", "subject-reduction")
     current = u
+    rb_before = len_before = None
     for _ in range(fuel):
-        nxt = step(current, disable=disable)
-        if nxt is None:
+        nxt = step(current)
+        if nxt is None or nxt[1] in disable:
             return chain
         after, tag = nxt
         try:
@@ -217,8 +221,10 @@ def run_checked(
                 f"subject reduction broke after {tag.value}: {exc}",
                 "subject-reduction",
             )
-        rb_before = readback(current)
+        if rb_before is None:
+            rb_before = readback(current)
         rb_after = readback(after)
+        len_after = None
         if tag.rule_class == "control":
             if not lam_alpha_eq(rb_before, rb_after):
                 report.fail(
@@ -226,23 +232,23 @@ def run_checked(
                     f"{lam_str(rb_before)} to {lam_str(rb_after)}",
                     "rb-soundness",
                 )
-            before_len = control_length(current)
-            after_len = control_length(after)
-            if after_len != before_len - 1:
+            if len_before is None:
+                len_before = control_length(current)
+            len_after = control_length(after)
+            if len_after != len_before - 1:
                 report.fail(
                     f"control step {tag.value} took control_length "
-                    f"{before_len} to {after_len}",
+                    f"{len_before} to {len_after}",
                     "control-length",
                 )
-        else:
-            if not reduces_in_one_beta(rb_before, rb_after):
-                report.fail(
-                    f"Beta step is not one beta step on readbacks: "
-                    f"{lam_str(rb_before)} to {lam_str(rb_after)}",
-                    "rb-soundness",
-                )
+        elif not reduces_in_one_beta(rb_before, rb_after):
+            report.fail(
+                f"Beta step is not one beta step on readbacks: "
+                f"{lam_str(rb_before)} to {lam_str(rb_after)}",
+                "rb-soundness",
+            )
         chain.append(after)
-        current = after
+        current, rb_before, len_before = after, rb_after, len_after
     report.fail(f"machine fuel exhausted after {fuel} steps", "fuel")
     return chain
 

@@ -13,6 +13,12 @@ Beta is the only rule that mirrors a beta step of the lambda calculus after
 readback; the other four are control steps and leave the readback unchanged.
 A jump application is always a redex. `* ; \\(x, k). u` and `t ; x` are
 normal.
+
+Every rule maps t-closed terms to t-closed terms: the payload of a k rule is
+the redex's own t-closed test, and the bound k of a body is that body's only
+open position. So t-closure is checked once, where a term enters (`classify`,
+`step`, `normalize`, `control_prefix`), and the loops behind those entries
+apply the rules without walking the spine again.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Collection, Optional
+from typing import Callable, Optional
 
 from .errors import NotTClosed
 from .syntax import (
@@ -29,13 +35,12 @@ from .syntax import (
     Pair,
     PairLam,
     PApp,
-    PVar,
     QApp,
     Star,
     XLam,
+    _subst,
     is_t_closed,
     parse_eterm,
-    subst_k,
     subst_pvar,
     term_str,
 )
@@ -57,6 +62,8 @@ CONTROL_RULES = frozenset(t for t in RuleTag if t is not RuleTag.BETA)
 
 DEFAULT_FUEL = 10**6
 
+_K_TARGET = ("k",)  # the substitution target of the test variable
+
 
 def _require_t_closed(u: ETerm) -> None:
     if not is_t_closed(u):
@@ -66,6 +73,10 @@ def _require_t_closed(u: ETerm) -> None:
 def classify(u: ETerm) -> Optional[RuleTag]:
     """The redex rule of u, or None when u is normal."""
     _require_t_closed(u)
+    return _classify(u)
+
+
+def _classify(u: ETerm) -> Optional[RuleTag]:
     match u:
         case QApp():
             return RuleTag.QAPP
@@ -84,30 +95,27 @@ def classify(u: ETerm) -> Optional[RuleTag]:
     raise TypeError(f"not a computation: {u!r}")
 
 
-def step(
-    u: ETerm, *, disable: Collection[RuleTag] = ()
-) -> Optional[tuple[ETerm, RuleTag]]:
-    """One reduction step, or None on a normal form.
-
-    `disable` suppresses rules; it exists for harness self-tests that verify
-    a broken machine is caught, and is not part of the calculus.
-    """
+def step(u: ETerm) -> Optional[tuple[ETerm, RuleTag]]:
+    """One reduction step, or None on a normal form."""
     tag = classify(u)
-    if tag is None or tag in disable:
-        return None
+    return None if tag is None else (_contract(u, tag), tag)
+
+
+def _contract(u: ETerm, tag: RuleTag) -> ETerm:
+    # a k payload is the redex's own test, t-closed because u is
     match tag:
         case RuleTag.KSTAR:
-            result = subst_k(u.proof.body, Star())
+            return _subst(u.proof.body, _K_TARGET, Star())
         case RuleTag.KPAIR:
-            result = subst_k(u.proof.body, u.test)
+            return _subst(u.proof.body, _K_TARGET, u.test)
         case RuleTag.BETA:
             lam: PairLam = u.proof
-            result = subst_k(subst_pvar(lam.body, lam.x, u.test.fst), u.test.snd)
+            body = subst_pvar(lam.body, lam.x, u.test.fst)
+            return _subst(body, _K_TARGET, u.test.snd)
         case RuleTag.PSUBST:
-            result = subst_pvar(u.test.body, u.test.x, u.proof)
+            return subst_pvar(u.test.body, u.test.x, u.proof)
         case RuleTag.QAPP:
-            result = subst_k(u.fn.body, u.test)
-    return result, tag
+            return _subst(u.fn.body, _K_TARGET, u.test)
 
 
 @dataclass(frozen=True)
@@ -147,7 +155,6 @@ def normalize(
     u: ETerm,
     fuel: int = DEFAULT_FUEL,
     *,
-    disable: Collection[RuleTag] = (),
     on_step: Optional[Callable[[ETerm, RuleTag, ETerm], None]] = None,
 ) -> NormalizeResult:
     """Reduce to normal form, recording the full trace.
@@ -159,15 +166,15 @@ def normalize(
     steps: list[TraceStep] = []
     current = u
     for _ in range(fuel):
-        nxt = step(current, disable=disable)
-        if nxt is None:
+        tag = _classify(current)
+        if tag is None:
             return NormalizeResult(Trace(u, tuple(steps), True), False)
-        result, tag = nxt
+        result = _contract(current, tag)
         if on_step is not None:
             on_step(current, tag, result)
         steps.append(TraceStep(tag, result))
         current = result
-    if step(current, disable=disable) is None:
+    if _classify(current) is None:
         return NormalizeResult(Trace(u, tuple(steps), True), False)
     return NormalizeResult(Trace(u, tuple(steps), False), True)
 
@@ -175,12 +182,13 @@ def normalize(
 def control_prefix(u: ETerm, fuel: int = DEFAULT_FUEL) -> tuple[ETerm, int]:
     """Apply control rules only, stopping at the first Beta redex or normal
     form. Returns the reached term and the number of control steps."""
+    _require_t_closed(u)
     current = u
     for n in range(fuel):
-        tag = classify(current)
+        tag = _classify(current)
         if tag is None or tag is RuleTag.BETA:
             return current, n
-        current, _ = step(current)
+        current = _contract(current, tag)
     return current, fuel
 
 

@@ -7,6 +7,10 @@ more than the number of control steps the machine takes before the first
 Beta step or normal form; that law is what makes the measure a termination
 certificate.
 
+The measure is defined on t-closed terms, and `measure` checks that once, at
+entry. Inside a binder body the bound k is the body's hole, so it denotes
+what * denotes and bodies are read as they stand, never rebuilt.
+
 Valuations map program variables to naturals. The exported `o` maps every
 variable to zero; user-supplied mappings must be total on the free variables.
 """
@@ -31,9 +35,8 @@ from .syntax import (
     Term,
     XLam,
     free_pvars,
-    is_t_closed,
     sort_of,
-    t_close,
+    spine,
     term_str,
 )
 
@@ -71,19 +74,13 @@ def measure(
     """
     if sigma is None:
         sigma = o
-    else:
+    elif not isinstance(sigma, ZeroDefault):
         missing = sorted(free_pvars(term) - set(sigma))
-        if missing and not isinstance(sigma, ZeroDefault):
+        if missing:
             raise MissingVariableMeasure(", ".join(missing))
-    if sort_of(term) in ("t", "e") and not is_t_closed(term):
+    if spine(term) == "k":
         raise NotTClosed(term_str(term))
     return _measure(term, sigma)
-
-
-def _close(body: ETerm) -> ETerm:
-    from .syntax import spine
-
-    return t_close(body) if spine(body) == "k" else body
 
 
 def _measure(term: Term, sigma: Mapping[str, int]):
@@ -96,17 +93,15 @@ def _measure(term: Term, sigma: Mapping[str, int]):
         case PairLam():
             return 0
         case KLam(_, body):
-            return _measure(_close(body), sigma)(identity)
-        case Star():
+            return _measure(body, sigma)(identity)
+        case Star() | KVar():
             return lambda f: lambda n: f(n)
         case Pair():
             return lambda f: lambda n: n
         case XLam(x, _, body):
-            closed = _close(body)
-            return lambda f: lambda n: _measure(closed, _extend(sigma, x, n))(f)
+            return lambda f: lambda n: _measure(body, _extend(sigma, x, n))(f)
         case QLam(_, body):
-            closed = _close(body)
-            return lambda f: _measure(closed, sigma)(f)
+            return lambda f: _measure(body, sigma)(f)
         case PApp(test, proof):
             tden = _measure(test, sigma)
             pden = _measure(proof, sigma)
@@ -115,8 +110,6 @@ def _measure(term: Term, sigma: Mapping[str, int]):
             qden = _measure(fn, sigma)
             tden = _measure(test, sigma)
             return lambda f: qden(tden(f)) + 1
-        case KVar():
-            raise NotTClosed("the measure is defined on t-closed terms only")
     raise TypeError(f"not a term: {term!r}")
 
 

@@ -6,6 +6,10 @@ composition outer[inner/[]] is the gluing operation: the pair case stacks an
 application around the hole, binders close over it, and the two application
 forms plug the program or jump image into the test image.
 
+Readback is defined on t-closed terms, and `readback` checks that once, at
+entry. Inside a binder body the bound k is the body's hole, just as * is at
+the top, so the walk reads k and * alike and reads bodies as they stand.
+
 Control steps of the machine leave the readback fixed up to alpha; the Beta
 step becomes exactly one beta step.
 """
@@ -13,7 +17,7 @@ step becomes exactly one beta step.
 from __future__ import annotations
 
 from .errors import IllTyped, NotTClosed
-from .lam import App, HOLE, Hole, Lam, LamTerm, Var, lam_subst, plug_hole
+from .lam import App, HOLE, Lam, LamTerm, Var, lam_subst, plug_hole
 from .syntax import (
     KLam,
     KVar,
@@ -28,7 +32,6 @@ from .syntax import (
     XLam,
     sort_of,
     spine,
-    t_close,
     term_str,
 )
 from .typecheck import (
@@ -45,35 +48,31 @@ def hole_compose(outer: LamTerm, inner: LamTerm) -> LamTerm:
     return plug_hole(outer, inner)
 
 
-def _closed_body(body) :
-    return t_close(body) if spine(body) == "k" else body
-
-
 def readback(term: Term) -> LamTerm:
     """The lambda image of a term; test/computation input must be t-closed."""
+    if spine(term) == "k":
+        raise NotTClosed(term_str(term))
+    return _rb(term)
+
+
+def _rb(term: Term) -> LamTerm:
     match term:
-        case Star():
+        case Star() | KVar():
             return HOLE
-        case KVar():
-            raise NotTClosed("readback is defined on t-closed terms only")
         case PVar(name):
             return Var(name)
         case Pair(fst, snd):
-            return hole_compose(readback(snd), App(HOLE, readback(fst)))
+            return hole_compose(_rb(snd), App(HOLE, _rb(fst)))
         case PairLam(x, xty, _, body):
-            return Lam(x, xty, readback(_closed_body(body)))
+            return Lam(x, xty, _rb(body))
         case XLam(x, _, body):
-            return lam_subst(readback(_closed_body(body)), x, HOLE)
+            return lam_subst(_rb(body), x, HOLE)
         case KLam(_, body) | QLam(_, body):
-            return readback(_closed_body(body))
+            return _rb(body)
         case PApp(test, proof):
-            if spine(test) == "k":
-                raise NotTClosed(term_str(term))
-            return hole_compose(readback(test), readback(proof))
+            return hole_compose(_rb(test), _rb(proof))
         case QApp(fn, test):
-            if spine(test) == "k":
-                raise NotTClosed(term_str(term))
-            return hole_compose(readback(test), readback(fn))
+            return hole_compose(_rb(test), _rb(fn))
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -82,19 +81,17 @@ def readback_judgment(j: Judgment) -> LamJudgment:
 
     Programs and jumps keep their carrier type. A test subject t:tB under an
     anchor of carrier A becomes G, []:B |- rbk(t[*/k]) : A; a computation
-    under an anchor of carrier A becomes G |- rbk(u[*/k]) : A.
+    under an anchor of carrier A becomes G |- rbk(u[*/k]) : A. Reading k as
+    the hole gives rbk(t[*/k]) without building t[*/k].
     """
     res: CheckResult = check_judgment(j)
     if not res.ok:
         raise IllTyped(str(res.error))
     gamma = tuple(j.env.gamma)
-    subject = j.subject
-    sort = sort_of(subject)
+    sort = sort_of(j.subject)
+    image = _rb(j.subject)
     if sort in ("p", "q"):
-        return LamJudgment(LamEnv(gamma, None), readback(subject), j.claimed.carrier)
-    closed = t_close(subject) if spine(subject) == "k" else subject
+        return LamJudgment(LamEnv(gamma, None), image, j.claimed.carrier)
     _, aty = j.env.anchor
-    if sort == "t":
-        env = LamEnv(gamma, j.claimed.carrier)
-        return LamJudgment(env, readback(closed), aty)
-    return LamJudgment(LamEnv(gamma, None), readback(closed), aty)
+    hole_ty = j.claimed.carrier if sort == "t" else None
+    return LamJudgment(LamEnv(gamma, hole_ty), image, aty)

@@ -217,38 +217,8 @@ def spine(term: Term) -> str:
     raise TypeError(f"not a term: {term!r}")
 
 
-@dataclass(frozen=True)
-class FreeInfo:
-    pvars: frozenset[str]
-    test: str  # 'none' | 'k' | 'star'
-
-
-def free_info(term: Term) -> FreeInfo:
-    return FreeInfo(free_pvars(term), spine(term))
-
-
 def is_t_closed(term: Term) -> bool:
     return spine(term) != "k"
-
-
-def all_names(term: Term) -> frozenset[str]:
-    """Every program variable name occurring in the term, bound or free."""
-    match term:
-        case PVar(name):
-            return frozenset((name,))
-        case PairLam(x, _, _, body) | XLam(x, _, body):
-            return all_names(body) | {x}
-        case KLam(_, body) | QLam(_, body):
-            return all_names(body)
-        case Star() | KVar():
-            return frozenset()
-        case Pair(fst, snd):
-            return all_names(fst) | all_names(snd)
-        case PApp(test, proof):
-            return all_names(test) | all_names(proof)
-        case QApp(fn, test):
-            return all_names(fn) | all_names(test)
-    raise TypeError(f"not a term: {term!r}")
 
 
 # ---------------------------------------------------------------------------

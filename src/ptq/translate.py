@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .errors import PtqError, ReservedBaseType, UncurriedNeedsPairs
+from .errors import PtqError, ReservedBaseType
 from .lam import (
     App,
     Lam,
@@ -189,13 +189,6 @@ def _cbv(m: LamTerm, types: _Types, scope, fresh: _Fresh) -> QLam:
     raise TypeError(f"not a lambda term: {m!r}")
 
 
-def _aux_cbn(m: LamTerm, types: _Types, scope, fresh: _Fresh) -> PTerm:
-    # on values this coincides with the call-by-name translation itself
-    if not is_value(m):
-        raise TypeError("aux translation is defined on values")
-    return _cbn(m, types, scope, fresh)
-
-
 def _aux_cbv(m: LamTerm, types: _Types, scope, fresh: _Fresh) -> PTerm:
     match m:
         case Var(name):
@@ -215,7 +208,9 @@ def aux_translate(
     types = _Types(m, env)
     fresh = _Fresh(m)
     if strategy is Strategy.CBN:
-        return _aux_cbn(m, types, (), fresh)
+        if not is_value(m):
+            raise TypeError("aux translation is defined on values")
+        return _cbn(m, types, (), fresh)
     return _aux_cbv(m, types, (), fresh)
 
 
@@ -237,7 +232,7 @@ def ptq_translate_e(
 
 def _var_cbn(m: LamTerm, types: _Types, fresh: _Fresh) -> ETerm:
     if is_value(m):
-        return PApp(STAR, _aux_cbn(m, types, (), fresh))
+        return PApp(STAR, _cbn(m, types, (), fresh))
     return star_compose(
         Pair(_cbn(m.arg, types, (), fresh), STAR), _var_cbn(m.fn, types, fresh)
     )
@@ -275,15 +270,12 @@ def plotkin_translate(
     order: EvalOrder = EvalOrder.FUNCTION_FIRST,
     pairing: str = Pairing.CURRIED,
     env: Optional[Mapping[str, Type]] = None,
-    target_grammar: str = "pairs",
 ) -> LamTerm:
-    """Plain-lambda CPS. CbN ignores the order; uncurried pairing needs the
-    pair-extended target grammar and produces unannotated terms."""
+    """Plain-lambda CPS. CbN ignores the order; uncurried pairing produces
+    unannotated terms in the pair-extended grammar."""
     require_plain(m, "translation")
     if pairing not in (Pairing.CURRIED, Pairing.UNCURRIED):
         raise ValueError(f"unknown pairing {pairing!r}")
-    if pairing == Pairing.UNCURRIED and target_grammar == "plain":
-        raise UncurriedNeedsPairs("uncurried output uses pairs")
     types = _Types(m, env)
     fresh = _Fresh(m)
     if strategy is Strategy.CBN:

@@ -131,6 +131,10 @@ class TestReadback:
         code, out, _ = run(capsys, "readback", "--judgment", "|> * : tB |- * : tB")
         assert code == 0 and out.strip() == "[]:B |- [] : B"
 
+    def test_open_term_is_exit_1(self, capsys):
+        code, out, err = run(capsys, "readback", r"\x:A. k ; x")
+        assert code == 1 and out == "" and err.startswith("error:")
+
 
 class TestMeasure:
     def test_e_term(self, capsys):

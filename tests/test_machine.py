@@ -83,9 +83,6 @@ class TestStep:
     def test_normal(self):
         assert step(T("* ; x")) is None
 
-    def test_disable(self):
-        assert step(T(r"<y, *> ; \k:A. k ; x"), disable={RuleTag.KPAIR}) is None
-
 
 class TestNormalize:
     def test_golden_run(self):

@@ -6,16 +6,32 @@ from ptq import (
     HOLE,
     Hole,
     IllTyped,
+    KLam,
     NotTClosed,
+    PApp,
+    Pair,
+    PairLam,
+    QApp,
+    QLam,
+    Strategy,
+    XLam,
     hole_compose,
+    identity,
     lam_alpha_eq,
     lam_str,
+    measure,
+    normalize,
+    o,
     parse_judgment,
     parse_lam,
     parse_term,
     readback,
     readback_judgment,
+    spine,
+    t_close,
 )
+from ptq.harness import gen_typed_term
+from ptq.translate import ptq_translate_e
 from ptq.typecheck import lam_judgment_str
 
 
@@ -55,8 +71,10 @@ class TestEquations:
         assert lam_alpha_eq(got, L("[] z"))
 
     def test_open_terms_rejected(self):
-        with pytest.raises(NotTClosed):
-            readback(parse_term("k ; x"))
+        # k on the spine of the whole term, under an x-binder or in a pair
+        for text in ["k ; x", r"\x:A. k ; x", "<x, k>"]:
+            with pytest.raises(NotTClosed):
+                readback(parse_term(text))
 
 
 class TestHoleCompose:
@@ -129,3 +147,41 @@ class TestJudgmentReadback:
         j = parse_judgment("x:pX |- x : pA")
         with pytest.raises(IllTyped):
             readback_judgment(j)
+
+
+def _bodies(term):
+    """Every binder body inside term."""
+    stack = [term]
+    while stack:
+        match stack.pop():
+            case PairLam(body=b) | KLam(body=b) | QLam(body=b) | XLam(body=b):
+                yield b
+                stack.append(b)
+            case Pair(fst, snd):
+                stack += [fst, snd]
+            case PApp(test, proof):
+                stack += [test, proof]
+            case QApp(fn, test):
+                stack += [fn, test]
+
+
+class TestOpenBodies:
+    def test_bound_k_reads_as_the_closed_body(self):
+        # reading a body's bound k as its hole agrees with closing the body
+        # by t_close first, for readback and for the measure; the jump form
+        # also feeds the measure a function other than the identity
+        odd = lambda n: 2 * n + 1  # noqa: E731
+        seen = set()
+        for size in range(9):
+            for seed in range(24):
+                m, _ = gen_typed_term(size, 3000 + seed)
+                for strategy in (Strategy.CBN, Strategy.CBV):
+                    run = normalize(ptq_translate_e(m, strategy))
+                    for u in run.trace.terms():
+                        seen.update(b for b in _bodies(u) if spine(b) == "k")
+        assert len(seen) > 500
+        for b in seen:
+            closed = t_close(b)
+            assert lam_alpha_eq(readback(KLam(None, b)), readback(closed))
+            assert measure(KLam(None, b), o) == measure(closed, o)(identity)
+            assert measure(QLam(None, b), o)(odd) == measure(closed, o)(odd)

@@ -12,7 +12,6 @@ from ptq import (
     ReservedBaseType,
     Strategy,
     TypeEnv,
-    UncurriedNeedsPairs,
     alpha_eq,
     aux_translate,
     bracket_list,
@@ -101,6 +100,11 @@ class TestByValue:
             assert isinstance(q.body, PApp)
             assert alpha_eq(q.body.proof, aux_translate(m, CBV))
             assert isinstance(q.body.test, KVar)
+
+    def test_aux_needs_a_value(self):
+        for strat in (CBN, CBV):
+            with pytest.raises(TypeError):
+                aux_translate(L(r"(\x:A. x) y"), strat, {"y": A})
 
 
 class TestETranslations:
@@ -234,9 +238,3 @@ class TestPlotkin:
     def test_uncurried_uses_pairs(self):
         got = plotkin_translate(L(r"\x:X. x"), CBN, pairing=Pairing.UNCURRIED)
         assert "(" in lam_str(got) and "," in lam_str(got)
-
-    def test_uncurried_needs_pair_grammar(self):
-        with pytest.raises(UncurriedNeedsPairs):
-            plotkin_translate(
-                L(r"\x:X. x"), CBN, pairing=Pairing.UNCURRIED, target_grammar="plain"
-            )
