@@ -119,10 +119,9 @@ def lam_subst(m: LamTerm, name: str, payload: LamTerm) -> LamTerm:
         case Lam(x, xty, body):
             if x == name:
                 return m
-            if x in lam_free_vars(payload):
-                x2 = fresh_name(x)
-                body = lam_subst(body, x, Var(x2))
-                x = x2
+            fv = lam_free_vars(payload)
+            if x in fv:
+                x, body = _rename(x, body, fv)
             return Lam(x, xty, lam_subst(body, name, payload))
         case App(fn, arg):
             return App(lam_subst(fn, name, payload), lam_subst(arg, name, payload))
@@ -133,17 +132,26 @@ def lam_subst(m: LamTerm, name: str, payload: LamTerm) -> LamTerm:
         case PairPatLam(x, h, body):
             if name in (x, h):
                 return m
-            fv = lam_free_vars(payload)
-            if x in fv:
-                x2 = fresh_name(x)
-                body = lam_subst(body, x, Var(x2))
-                x = x2
-            if h in fv:
-                h2 = fresh_name(h)
-                body = lam_subst(body, h, Var(h2))
-                h = h2
+            x, h, body = _rename_pair(x, h, body, lam_free_vars(payload))
             return PairPatLam(x, h, lam_subst(body, name, payload))
     raise TypeError(f"not a lambda term: {m!r}")
+
+
+def _rename(x: str, body: LamTerm, avoid: frozenset[str]) -> tuple[str, LamTerm]:
+    """Rebind x in body to the first fresh name free neither in body nor in
+    `avoid` (the payload's free variables, plus a pair binder's other name)."""
+    x2 = fresh_name(x, avoid | lam_free_vars(body))
+    return x2, lam_subst(body, x, Var(x2))
+
+
+def _rename_pair(
+    x: str, h: str, body: LamTerm, fv: frozenset[str]
+) -> tuple[str, str, LamTerm]:
+    if x in fv:
+        x, body = _rename(x, body, fv | {h})
+    if h in fv:
+        h, body = _rename(h, body, fv | {x})
+    return x, h, body
 
 
 def plug_hole(m: LamTerm, payload: LamTerm) -> LamTerm:
@@ -158,9 +166,7 @@ def plug_hole(m: LamTerm, payload: LamTerm) -> LamTerm:
                 return t
             case Lam(x, xty, body):
                 if x in fv and _has_hole(body):
-                    x2 = fresh_name(x)
-                    body = lam_subst(body, x, Var(x2))
-                    x = x2
+                    x, body = _rename(x, body, fv)
                 return Lam(x, xty, go(body))
             case App(fn, arg):
                 return App(go(fn), go(arg))
@@ -168,14 +174,7 @@ def plug_hole(m: LamTerm, payload: LamTerm) -> LamTerm:
                 return PairTerm(go(fst), go(snd))
             case PairPatLam(x, h, body):
                 if _has_hole(body):
-                    if x in fv:
-                        x2 = fresh_name(x)
-                        body = lam_subst(body, x, Var(x2))
-                        x = x2
-                    if h in fv:
-                        h2 = fresh_name(h)
-                        body = lam_subst(body, h, Var(h2))
-                        h = h2
+                    x, h, body = _rename_pair(x, h, body, fv)
                 return PairPatLam(x, h, go(body))
         raise TypeError(f"not a lambda term: {t!r}")
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Container, Iterator, Optional, Union
 
 from .errors import NotTClosed, ParseError, ReservedBaseType, TClosureError
 
@@ -64,13 +64,48 @@ def type_str(ty: Type) -> str:
 # terms
 
 
+class _FreeNames:
+    """The free program names of a term node, computed on first access and
+    stored as an instance attribute of the same name, which shadows this
+    non-data descriptor from then on. This is `functools.cached_property`
+    without its lock and its second frame: filling a deep term recurses one
+    frame per level, as a substitution does."""
+
+    def __get__(self, node, owner=None) -> frozenset[str]:
+        match node:
+            case PApp(a, b) | Pair(a, b) | QApp(a, b):
+                fv = a._fv | b._fv
+            case PVar(name):
+                fv = frozenset((name,))
+            case KVar() | Star():
+                fv = frozenset()
+            case KLam(_, body) | QLam(_, body):
+                fv = body._fv
+            case PairLam(x, _, _, body) | XLam(x, _, body):
+                fv = body._fv - {x}
+            case None:
+                return self
+            case _:
+                raise TypeError(f"not a term: {node!r}")
+        object.__setattr__(node, "_fv", fv)  # the dataclasses are frozen
+        return fv
+
+
+class _Node:
+    """Base of the term nodes. The cached free names are an instance
+    attribute outside the dataclass fields, so equality, hashing, printing
+    and `dataclasses.fields` never see them."""
+
+    _fv = _FreeNames()
+
+
 @dataclass(frozen=True)
-class PVar:
+class PVar(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class PairLam:
+class PairLam(_Node):
     """Program abstraction \\(x:A, k:B). u over an argument and a test."""
 
     x: str
@@ -80,7 +115,7 @@ class PairLam:
 
 
 @dataclass(frozen=True)
-class KLam:
+class KLam(_Node):
     """Program abstraction \\k:A. u over the test alone."""
 
     kty: Optional[Type]
@@ -88,23 +123,23 @@ class KLam:
 
 
 @dataclass(frozen=True)
-class Star:
+class Star(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class KVar:
+class KVar(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Pair:
+class Pair(_Node):
     fst: "PTerm"
     snd: "TTerm"
 
 
 @dataclass(frozen=True)
-class XLam:
+class XLam(_Node):
     """Test abstraction \\x:A. u binding a program variable."""
 
     x: str
@@ -113,7 +148,7 @@ class XLam:
 
 
 @dataclass(frozen=True)
-class QLam:
+class QLam(_Node):
     """Jump abstraction %k:A. u; applied to a test it resumes its body."""
 
     kty: Optional[Type]
@@ -121,7 +156,7 @@ class QLam:
 
 
 @dataclass(frozen=True)
-class PApp:
+class PApp(_Node):
     """Computation t ; p feeding the program p to the test t."""
 
     test: "TTerm"
@@ -129,7 +164,7 @@ class PApp:
 
 
 @dataclass(frozen=True)
-class QApp:
+class QApp(_Node):
     """Computation q ! t resuming the jump q with the test t."""
 
     fn: QLam
@@ -163,12 +198,18 @@ def sort_of(term: Term) -> str:
     raise TypeError(f"not a term: {term!r}")
 
 
-_fresh_counter = itertools.count(1)
+def fresh_name(stem: str, avoid: Container[str]) -> str:
+    """The first of stem_1, stem_2, ... that is not in `avoid`.
 
-
-def fresh_name(stem: str = "x") -> str:
+    Trailing digits and an underscore are stripped from the stem first, so
+    renaming y_1 again tries y_1, y_2, ... The choice depends only on the
+    stem and the names to avoid, never on history or on set iteration order.
+    """
     stem = stem.rstrip("0123456789").rstrip("_") or "x"
-    return f"{stem}_{next(_fresh_counter)}"
+    for i in itertools.count(1):
+        name = f"{stem}_{i}"
+        if name not in avoid:
+            return name
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +217,9 @@ def fresh_name(stem: str = "x") -> str:
 
 
 def free_pvars(term: Term) -> frozenset[str]:
-    match term:
-        case PVar(name):
-            return frozenset((name,))
-        case PairLam(x, _, _, body) | XLam(x, _, body):
-            return free_pvars(body) - {x}
-        case KLam(_, body) | QLam(_, body):
-            return free_pvars(body)
-        case Star() | KVar():
-            return frozenset()
-        case Pair(fst, snd):
-            return free_pvars(fst) | free_pvars(snd)
-        case PApp(test, proof):
-            return free_pvars(test) | free_pvars(proof)
-        case QApp(fn, test):
-            return free_pvars(fn) | free_pvars(test)
-    raise TypeError(f"not a term: {term!r}")
+    if not isinstance(term, _Node):
+        raise TypeError(f"not a term: {term!r}")
+    return term._fv
 
 
 def spine(term: Term) -> str:
@@ -228,51 +256,59 @@ def is_t_closed(term: Term) -> bool:
 # variable, or ('*',) for the spine constant. The k and * payloads must be
 # t-closed, so k-binders never capture anything and only program binders need
 # freshening.
+#
+# Every node caches its free program names (`_Node._fv`), so for a ('p', x)
+# target the walk returns a subterm unchanged, the same object, as soon as x
+# is not free in it. New nodes are built only along the paths to the
+# occurrences of x, successive terms of a machine run share every other
+# subterm, and the cost of a substitution follows the occurrences, not the
+# size of the term. A binder that would capture a free name of the payload
+# is renamed by `fresh_name` against the free names of payload and body,
+# both read from the caches, so the same input always gets the same names.
 
 
 def _avoid(x: str, body: ETerm, payload: Term) -> tuple[str, ETerm]:
-    if x in free_pvars(payload):
-        x2 = fresh_name(x)
-        body = _subst(body, ("p", x), PVar(x2))
-        return x2, body
+    if x in payload._fv:
+        x2 = fresh_name(x, payload._fv | body._fv)
+        return x2, _subst(body, ("p", x), PVar(x2))
     return x, body
 
 
 def _subst(term: Term, target: tuple, payload: Term) -> Term:
     kind = target[0]
+    if kind == "p" and target[1] not in term._fv:
+        return term
+    # most frequent first: match tries the cases in order
     match term:
-        case PVar(name):
-            if kind == "p" and name == target[1]:
-                return payload
-            return term
-        case PairLam(x, xty, kty, body):
-            if kind == "k" or (kind == "p" and x == target[1]):
-                return term
-            x, body = _avoid(x, body, payload)
-            return PairLam(x, xty, kty, _subst(body, target, payload))
+        case PApp(test, proof):
+            return PApp(_subst(test, target, payload), _subst(proof, target, payload))
+        case KVar():
+            return payload if kind == "k" else term
+        case PVar():
+            # past the check above, a p target names this variable
+            return payload if kind == "p" else term
+        case Pair(fst, snd):
+            return Pair(_subst(fst, target, payload), _subst(snd, target, payload))
         case KLam(kty, body):
             if kind == "k":
                 return term
             return KLam(kty, _subst(body, target, payload))
+        case PairLam(x, xty, kty, body):
+            if kind == "k":
+                return term
+            x, body = _avoid(x, body, payload)
+            return PairLam(x, xty, kty, _subst(body, target, payload))
+        case XLam(x, xty, body):
+            x, body = _avoid(x, body, payload)
+            return XLam(x, xty, _subst(body, target, payload))
+        case QApp(fn, test):
+            return QApp(_subst(fn, target, payload), _subst(test, target, payload))
         case QLam(kty, body):
             if kind == "k":
                 return term
             return QLam(kty, _subst(body, target, payload))
         case Star():
             return payload if kind == "*" else term
-        case KVar():
-            return payload if kind == "k" else term
-        case Pair(fst, snd):
-            return Pair(_subst(fst, target, payload), _subst(snd, target, payload))
-        case XLam(x, xty, body):
-            if kind == "p" and x == target[1]:
-                return term
-            x, body = _avoid(x, body, payload)
-            return XLam(x, xty, _subst(body, target, payload))
-        case PApp(test, proof):
-            return PApp(_subst(test, target, payload), _subst(proof, target, payload))
-        case QApp(fn, test):
-            return QApp(_subst(fn, target, payload), _subst(test, target, payload))
     raise TypeError(f"not a term: {term!r}")
 
 

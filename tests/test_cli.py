@@ -1,9 +1,14 @@
 """The command line front end: output shapes and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ptq
 from ptq.cli import main
 
 
@@ -120,6 +125,28 @@ class TestReduce:
     def test_fuel_exhaustion(self, capsys):
         code, _, err = run(capsys, "reduce", "--fuel", "0", r"* ; \k:A. k ; x")
         assert code == 1 and "fuel" in err.lower() or "normal form" in err
+
+    # Beta puts a payload with free y and y_1 under the binder \y, which must
+    # be renamed to a name free in neither: y_1 would capture the payload's y_1
+    RENAMING = (
+        r"<\(q:A,k:A). (\w:A. k ; y_1) ; y, *> ; "
+        r"\(x:A->A, k:A). (\y:A. k ; x) ; v"
+    )
+
+    def test_rename_does_not_capture(self, capsys):
+        code, out, _ = run(capsys, "reduce", self.RENAMING)
+        assert code == 0
+        assert out.strip() == r"* ; (\(q:A, k:A). (\w:A. k ; y_1) ; y)"
+
+    def test_same_trace_in_process_and_across_processes(self, capsys):
+        outs = [run(capsys, "reduce", "--json", self.RENAMING)[1] for _ in range(2)]
+        env = {**os.environ, "PYTHONPATH": str(Path(ptq.__file__).parents[1])}
+        cmd = [sys.executable, "-m", "ptq.cli", "reduce", "--json", self.RENAMING]
+        for _ in range(2):
+            done = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+            outs.append(done.stdout)
+        assert outs[1:] == outs[:1] * 3
+        assert json.loads(outs[0])["steps"][0]["term"].startswith(r"(\y_2:A. ")
 
 
 class TestReadback:

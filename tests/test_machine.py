@@ -1,16 +1,24 @@
 """The five reduction rules, trace bookkeeping, and the replay law."""
 
+import sys
+
 import pytest
 
+import ptq.machine
+import ptq.syntax
 from ptq import (
     FuelExhausted,
     NotTClosed,
     RuleTag,
+    Strategy,
     alpha_eq,
     classify,
     control_prefix,
     normalize,
+    parse_lam,
     parse_term,
+    parse_type,
+    ptq_translate_e,
     star_compose,
     step,
     subst_star,
@@ -151,3 +159,40 @@ class TestReplay:
         after2, tag2 = step(subst_star(u, t))
         assert tag2 is RuleTag.PSUBST
         assert not alpha_eq(after2, subst_star(after, t))
+
+
+class TestSubstitutionCost:
+    """Substitution work per step must not grow with the size of the term:
+    a by-value run of church(n) does about 5n steps, and walking the whole
+    body at each of them makes the run quadratic. Counted, not timed."""
+
+    @staticmethod
+    def church(n):
+        body = "f (" * n + "x" + ")" * n
+        return parse_lam(rf"(\f:A->A. \x:A. {body}) (\y:A. y) z")
+
+    def subst_calls_per_step(self, monkeypatch, n):
+        image = ptq_translate_e(self.church(n), Strategy.CBV, {"z": parse_type("A")})
+        calls = 0
+        inner = ptq.syntax._subst
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return inner(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(ptq.syntax, "_subst", counting)
+            m.setattr(ptq.machine, "_subst", counting)
+            steps = len(normalize(image).trace.steps)
+        return calls / steps
+
+    def test_cbv_calls_per_step_flat(self, monkeypatch):
+        # the counting wrapper doubles the frames of a deep substitution
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 20000))
+        try:
+            per_step = [self.subst_calls_per_step(monkeypatch, n) for n in (50, 100, 200)]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert max(per_step) <= 1.25 * per_step[0], per_step

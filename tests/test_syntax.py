@@ -1,5 +1,7 @@
 """Terms, substitution, closure, composition, alpha equivalence."""
 
+import dataclasses
+
 import pytest
 
 from ptq import (
@@ -17,9 +19,14 @@ from ptq import (
     STAR,
     Star,
     TClosureError,
+    Var,
     XLam,
     alpha_eq,
     free_pvars,
+    hole_compose,
+    lam_alpha_eq,
+    lam_subst,
+    parse_lam,
     is_t_closed,
     parse_term,
     sort_of,
@@ -33,6 +40,7 @@ from ptq import (
     term_str,
     type_str,
 )
+from ptq.syntax import fresh_name
 
 A = Base("A")
 B = Base("B")
@@ -79,6 +87,17 @@ class TestFreeVars:
         # the left x is bound by the test's binder, the right one is free
         assert free_pvars(T(r"(\x:A. * ; x) ; x")) == {"x"}
 
+    def test_cache_is_not_a_field(self):
+        # a node caches its free names, but equality, hashing, printing and
+        # the dataclass fields look only at the term
+        text = r"<\(x:A, k:A). k ; y, *> ; z"
+        cached, fresh = T(text), T(text)
+        assert free_pvars(cached) == {"y", "z"}
+        assert "_fv" in vars(cached) and "_fv" not in vars(fresh)
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert repr(cached) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(cached)] == ["test", "proof"]
+
 
 class TestSubstitution:
     def test_pvar(self):
@@ -92,6 +111,18 @@ class TestSubstitution:
         got = term_str(u)
         assert "y" in free_pvars(u)
         assert not alpha_eq(u, T(r"\y:A. <y, *> ; y")), got
+
+    def test_renamed_binder_avoids_the_body(self):
+        # y_1 is free in the body, so the renamed binder must not take it
+        u = subst_pvar(T(r"\y:A. <y_1, *> ; x"), "x", T("y"))
+        assert alpha_eq(u, T(r"\z:A. <y_1, *> ; y"))
+        assert term_str(u) == r"\y_2:A. <y_1, *> ; y"
+
+    def test_untouched_subterms_are_shared(self):
+        u = T(r"<\(y:A, k:A). k ; y, *> ; x")
+        assert subst_pvar(u, "z", T("w")) is u
+        out = subst_pvar(u, "x", T("w"))
+        assert out.test is u.test and out.proof == PVar("w")
 
     def test_k_payload(self):
         u = subst_k(T("k ; x"), T("<y, *>"))
@@ -108,6 +139,26 @@ class TestSubstitution:
     def test_k_payload_must_be_closed(self):
         with pytest.raises(NotTClosed):
             subst_k(T("k ; x"), T("<y, k>"))
+
+
+class TestFreshNames:
+    def test_first_name_not_avoided(self):
+        assert fresh_name("x", frozenset()) == "x_1"
+        assert fresh_name("y_1", {"y_1", "y"}) == "y_2"
+        assert fresh_name("x0", {"x_1", "x_2"}) == "x_3"
+
+    def test_lam_subst_avoids_the_body(self):
+        got = lam_subst(parse_lam(r"\y. x y_1"), "x", Var("y"))
+        assert lam_alpha_eq(got, parse_lam(r"\z. y y_1"))
+
+    def test_plug_hole_avoids_the_body(self):
+        got = hole_compose(parse_lam(r"\y. [] y_1"), Var("y"))
+        assert lam_alpha_eq(got, parse_lam(r"\z. y y_1"))
+
+    def test_pair_binder_avoids_its_partner(self):
+        # renaming x must skip x_1, the other binder of the pair pattern
+        got = lam_subst(parse_lam(r"\(x, x_1). z x x_1"), "z", Var("x"))
+        assert lam_alpha_eq(got, parse_lam(r"\(a, b). x a b"))
 
 
 class TestClosure:

@@ -33,7 +33,10 @@ from ptq import (
 
 A = Base("A")
 
-NAMES = st.sampled_from(["x", "y", "z", "w"])
+# x_1, y_1 and y_2 are the names a renamed binder takes, so they test that a
+# fresh name is fresh against the term as well as against the payload
+NAME_LIST = ["x", "y", "z", "w", "x_1", "y_1", "y_2"]
+NAMES = st.sampled_from(NAME_LIST)
 
 
 def pterms(depth):
@@ -79,6 +82,9 @@ CLOSED_T = tterms(3, "star")
 OPEN_T = tterms(3, "k")
 CLOSED_E = eterms(3, "star")
 P = pterms(3)
+# deep enough that a binder's body can hold two free names, the shape in
+# which a renamed binder can capture a name of its own body
+DEEP_E = eterms(5, "star")
 
 
 @settings(max_examples=200, derandomize=True)
@@ -132,6 +138,33 @@ def test_star_compose_neutral(t):
 def test_subst_removes_free_occurrences(u, x, p):
     out = subst_pvar(u, x, p)
     assert x not in free_pvars(out) - free_pvars(p)
+
+
+def substitutions(u, p):
+    """u[q/x] for every name x and for q = p and every single name: a random
+    payload alone rarely meets a binder above an occurrence of x."""
+    for x in NAME_LIST:
+        for q in [p, *map(PVar, NAME_LIST)]:
+            yield x, q, subst_pvar(u, x, q)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(DEEP_E, P)
+def test_subst_free_names_exact(u, p):
+    # a captured name of the payload, or a renamed binder that takes a free
+    # name of u, breaks this equation
+    for x, q, out in substitutions(u, p):
+        brought = free_pvars(q) if x in free_pvars(u) else frozenset()
+        assert free_pvars(out) == (free_pvars(u) - {x}) | brought
+
+
+@settings(max_examples=200, derandomize=True)
+@given(DEEP_E, P)
+def test_subst_free_names_not_stale(u, p):
+    # the reparsed term has fresh nodes with nothing cached
+    for x in NAME_LIST:
+        out = subst_pvar(u, x, p)
+        assert free_pvars(out) == free_pvars(parse_term(term_str(out)))
 
 
 @settings(max_examples=200, derandomize=True)
