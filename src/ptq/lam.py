@@ -121,7 +121,7 @@ def lam_subst(m: LamTerm, name: str, payload: LamTerm) -> LamTerm:
                 return m
             fv = lam_free_vars(payload)
             if x in fv:
-                x, body = _rename(x, body, fv)
+                x, body = _rename(x, body, fv | {name})
             return Lam(x, xty, lam_subst(body, name, payload))
         case App(fn, arg):
             return App(lam_subst(fn, name, payload), lam_subst(arg, name, payload))
@@ -132,25 +132,29 @@ def lam_subst(m: LamTerm, name: str, payload: LamTerm) -> LamTerm:
         case PairPatLam(x, h, body):
             if name in (x, h):
                 return m
-            x, h, body = _rename_pair(x, h, body, lam_free_vars(payload))
+            fv = lam_free_vars(payload)
+            x, h, body = _rename_pair(x, h, body, fv, frozenset((name,)))
             return PairPatLam(x, h, lam_subst(body, name, payload))
     raise TypeError(f"not a lambda term: {m!r}")
 
 
 def _rename(x: str, body: LamTerm, avoid: frozenset[str]) -> tuple[str, LamTerm]:
     """Rebind x in body to the first fresh name free neither in body nor in
-    `avoid` (the payload's free variables, plus a pair binder's other name)."""
+    `avoid`: the payload's free variables, the name being substituted for
+    (else the renamed binder would capture its occurrences) and a pair
+    binder's other name."""
     x2 = fresh_name(x, avoid | lam_free_vars(body))
     return x2, lam_subst(body, x, Var(x2))
 
 
 def _rename_pair(
-    x: str, h: str, body: LamTerm, fv: frozenset[str]
+    x: str, h: str, body: LamTerm, fv: frozenset[str], avoid: frozenset[str]
 ) -> tuple[str, str, LamTerm]:
+    """Rename whichever of the pair binders x, h is free in the payload (fv)."""
     if x in fv:
-        x, body = _rename(x, body, fv | {h})
+        x, body = _rename(x, body, fv | avoid | {h})
     if h in fv:
-        h, body = _rename(h, body, fv | {x})
+        h, body = _rename(h, body, fv | avoid | {x})
     return x, h, body
 
 
@@ -174,7 +178,7 @@ def plug_hole(m: LamTerm, payload: LamTerm) -> LamTerm:
                 return PairTerm(go(fst), go(snd))
             case PairPatLam(x, h, body):
                 if _has_hole(body):
-                    x, h, body = _rename_pair(x, h, body, fv)
+                    x, h, body = _rename_pair(x, h, body, fv, frozenset())
                 return PairPatLam(x, h, go(body))
         raise TypeError(f"not a lambda term: {t!r}")
 

@@ -265,6 +265,8 @@ def is_t_closed(term: Term) -> bool:
 # size of the term. A binder that would capture a free name of the payload
 # is renamed by `fresh_name` against the free names of payload and body,
 # both read from the caches, so the same input always gets the same names.
+# The new name is never a ('p', x) target: the walk reaches a binder only
+# when x is free in its body, so avoiding the body's names avoids x.
 
 
 def _avoid(x: str, body: ETerm, payload: Term) -> tuple[str, ETerm]:
@@ -278,37 +280,36 @@ def _subst(term: Term, target: tuple, payload: Term) -> Term:
     kind = target[0]
     if kind == "p" and target[1] not in term._fv:
         return term
-    # most frequent first: match tries the cases in order
     match term:
-        case PApp(test, proof):
-            return PApp(_subst(test, target, payload), _subst(proof, target, payload))
-        case KVar():
-            return payload if kind == "k" else term
         case PVar():
             # past the check above, a p target names this variable
             return payload if kind == "p" else term
-        case Pair(fst, snd):
-            return Pair(_subst(fst, target, payload), _subst(snd, target, payload))
-        case KLam(kty, body):
-            if kind == "k":
-                return term
-            return KLam(kty, _subst(body, target, payload))
         case PairLam(x, xty, kty, body):
             if kind == "k":
                 return term
             x, body = _avoid(x, body, payload)
             return PairLam(x, xty, kty, _subst(body, target, payload))
-        case XLam(x, xty, body):
-            x, body = _avoid(x, body, payload)
-            return XLam(x, xty, _subst(body, target, payload))
-        case QApp(fn, test):
-            return QApp(_subst(fn, target, payload), _subst(test, target, payload))
+        case KLam(kty, body):
+            if kind == "k":
+                return term
+            return KLam(kty, _subst(body, target, payload))
         case QLam(kty, body):
             if kind == "k":
                 return term
             return QLam(kty, _subst(body, target, payload))
         case Star():
             return payload if kind == "*" else term
+        case KVar():
+            return payload if kind == "k" else term
+        case Pair(fst, snd):
+            return Pair(_subst(fst, target, payload), _subst(snd, target, payload))
+        case XLam(x, xty, body):
+            x, body = _avoid(x, body, payload)
+            return XLam(x, xty, _subst(body, target, payload))
+        case PApp(test, proof):
+            return PApp(_subst(test, target, payload), _subst(proof, target, payload))
+        case QApp(fn, test):
+            return QApp(_subst(fn, target, payload), _subst(test, target, payload))
     raise TypeError(f"not a term: {term!r}")
 
 

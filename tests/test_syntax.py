@@ -22,6 +22,7 @@ from ptq import (
     Var,
     XLam,
     alpha_eq,
+    beta_contractions,
     free_pvars,
     hole_compose,
     lam_alpha_eq,
@@ -159,6 +160,20 @@ class TestFreshNames:
         # renaming x must skip x_1, the other binder of the pair pattern
         got = lam_subst(parse_lam(r"\(x, x_1). z x x_1"), "z", Var("x"))
         assert lam_alpha_eq(got, parse_lam(r"\(a, b). x a b"))
+
+    def test_lam_subst_avoids_the_target(self):
+        # renaming y must skip y_1, the name being substituted for, or the
+        # renamed binder captures the payload put in for y_1
+        got = lam_subst(parse_lam(r"\y. y"), "y_1", Var("y"))
+        assert lam_alpha_eq(got, parse_lam(r"\z. z"))
+
+    def test_pair_binder_avoids_the_target(self):
+        got = lam_subst(parse_lam(r"\(y, h). y h"), "y_1", Var("y"))
+        assert lam_alpha_eq(got, parse_lam(r"\(a, b). a b"))
+
+    def test_beta_keeps_the_identity(self):
+        (got,) = beta_contractions(parse_lam(r"(\y_1. \y. y) y"))
+        assert lam_alpha_eq(got, parse_lam(r"\z. z"))
 
 
 class TestClosure:

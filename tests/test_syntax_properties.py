@@ -8,19 +8,24 @@ formed by construction.
 from hypothesis import given, settings, strategies as st
 
 from ptq import (
+    App,
     Base,
     KLam,
     KVar,
+    Lam,
     PApp,
     Pair,
     PairLam,
+    PairPatLam,
     PVar,
     QApp,
     QLam,
     STAR,
+    Var,
     XLam,
     alpha_eq,
     free_pvars,
+    lam_subst,
     is_t_closed,
     sort_of,
     parse_term,
@@ -30,6 +35,7 @@ from ptq import (
     t_open,
     term_str,
 )
+from ptq.lam import lam_free_vars
 
 A = Base("A")
 
@@ -165,6 +171,32 @@ def test_subst_free_names_not_stale(u, p):
     for x in NAME_LIST:
         out = subst_pvar(u, x, p)
         assert free_pvars(out) == free_pvars(parse_term(term_str(out)))
+
+
+def lamterms(depth):
+    var = NAMES.map(Var)
+    if depth <= 0:
+        return var
+    sub = lamterms(depth - 1)
+    binders = st.tuples(NAMES, NAMES).filter(lambda xh: xh[0] != xh[1])
+    return st.one_of(
+        var,
+        st.builds(Lam, NAMES, st.none(), sub),
+        st.builds(App, sub, sub),
+        st.builds(lambda xh, body: PairPatLam(*xh, body), binders, sub),
+    )
+
+
+@settings(max_examples=200, derandomize=True)
+@given(lamterms(4), lamterms(1))
+def test_lam_subst_free_names_exact(m, p):
+    # the lambda side of test_subst_free_names_exact: a renamed binder that
+    # takes the name being substituted for, or a free name of m, breaks it
+    for x in NAME_LIST:
+        for q in [p, *map(Var, NAME_LIST)]:
+            brought = lam_free_vars(q) if x in lam_free_vars(m) else frozenset()
+            expected = (lam_free_vars(m) - {x}) | brought
+            assert lam_free_vars(lam_subst(m, x, q)) == expected
 
 
 @settings(max_examples=200, derandomize=True)
