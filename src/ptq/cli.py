@@ -288,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--pairing",
-        choices=[Pairing.CURRIED, Pairing.UNCURRIED],
-        default=Pairing.CURRIED,
+        choices=[p.value for p in Pairing],
+        default=Pairing.CURRIED.value,
         help="continuation calling convention of the CPS output",
     )
     p.add_argument("--env", help='free variable types, e.g. "x:A, y:A -> B"')

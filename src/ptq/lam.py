@@ -113,29 +113,32 @@ def lam_all_names(m: LamTerm) -> frozenset[str]:
 
 def lam_subst(m: LamTerm, name: str, payload: LamTerm) -> LamTerm:
     """Capture-avoiding m[payload/name]."""
-    match m:
-        case Var(x):
-            return payload if x == name else m
-        case Lam(x, xty, body):
-            if x == name:
-                return m
-            fv = lam_free_vars(payload)
-            if x in fv:
-                x, body = _rename(x, body, fv | {name})
-            return Lam(x, xty, lam_subst(body, name, payload))
-        case App(fn, arg):
-            return App(lam_subst(fn, name, payload), lam_subst(arg, name, payload))
-        case Hole():
-            return m
-        case PairTerm(fst, snd):
-            return PairTerm(lam_subst(fst, name, payload), lam_subst(snd, name, payload))
-        case PairPatLam(x, h, body):
-            if name in (x, h):
-                return m
-            fv = lam_free_vars(payload)
-            x, h, body = _rename_pair(x, h, body, fv, frozenset((name,)))
-            return PairPatLam(x, h, lam_subst(body, name, payload))
-    raise TypeError(f"not a lambda term: {m!r}")
+    fv = lam_free_vars(payload)
+
+    def go(t: LamTerm) -> LamTerm:
+        match t:
+            case Var(x):
+                return payload if x == name else t
+            case Lam(x, xty, body):
+                if x == name:
+                    return t
+                if x in fv:
+                    x, body = _rename(x, body, fv | {name})
+                return Lam(x, xty, go(body))
+            case App(fn, arg):
+                return App(go(fn), go(arg))
+            case Hole():
+                return t
+            case PairTerm(fst, snd):
+                return PairTerm(go(fst), go(snd))
+            case PairPatLam(x, h, body):
+                if name in (x, h):
+                    return t
+                x, h, body = _rename_pair(x, h, body, fv, frozenset((name,)))
+                return PairPatLam(x, h, go(body))
+        raise TypeError(f"not a lambda term: {t!r}")
+
+    return go(m)
 
 
 def _rename(x: str, body: LamTerm, avoid: frozenset[str]) -> tuple[str, LamTerm]:

@@ -144,7 +144,10 @@ class Trace:
 @dataclass(frozen=True)
 class NormalizeResult:
     trace: Trace
-    exhausted: bool
+
+    @property
+    def exhausted(self) -> bool:
+        return not self.trace.normal
 
     @property
     def final(self) -> ETerm:
@@ -168,15 +171,13 @@ def normalize(
     for _ in range(fuel):
         tag = _classify(current)
         if tag is None:
-            return NormalizeResult(Trace(u, tuple(steps), True), False)
+            return NormalizeResult(Trace(u, tuple(steps), True))
         result = _contract(current, tag)
         if on_step is not None:
             on_step(current, tag, result)
         steps.append(TraceStep(tag, result))
         current = result
-    if _classify(current) is None:
-        return NormalizeResult(Trace(u, tuple(steps), True), False)
-    return NormalizeResult(Trace(u, tuple(steps), False), True)
+    return NormalizeResult(Trace(u, tuple(steps), _classify(current) is None))
 
 
 def control_prefix(u: ETerm, fuel: int = DEFAULT_FUEL) -> tuple[ETerm, int]:

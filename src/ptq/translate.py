@@ -9,11 +9,15 @@ orders.
 When the source is fully annotated and well typed (given types for its free
 variables), every binder of the image is annotated so the result checks
 without any inference beyond the typing rules; otherwise the image is left
-unannotated and still reduces fine.
+unannotated and still reduces fine. One inference at the root decides which;
+below it, each clause returns its source subterm's type next to the image,
+read off the same walk: a variable's from the env, an abstraction's as the
+arrow to its body's, an application's as the codomain of its function's.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import Mapping, Optional
 
 from .errors import PtqError, ReservedBaseType
@@ -46,14 +50,13 @@ from .syntax import (
     TTerm,
     Type,
     XLam,
-    star_compose,
 )
 from .typecheck import LamEnv, infer_lambda_box
 
 O = Base("o")
 
 
-class Pairing:
+class Pairing(str, Enum):
     CURRIED = "curried"
     UNCURRIED = "uncurried"
 
@@ -95,33 +98,48 @@ def _tr_ty(ty: Type, strategy: Strategy, form: str) -> Type:
 
 
 # ---------------------------------------------------------------------------
-# typing support shared by both presentations
+# source types along the walk
+#
+# `env` maps the variables in scope to their types, or is None when the source
+# is untyped; then every type below is None as well.
+
+_Env = Optional[dict[str, Type]]
 
 
-class _Types:
-    """Resolves source subterm types, or answers None throughout when the
-    source is not fully annotated and well typed under the given env."""
+def _typed_env(m: LamTerm, env: Optional[Mapping[str, Type]]) -> _Env:
+    """The root env when m is fully annotated and well typed under it, else
+    None. The only inference: the clauses read every other type off their walk."""
+    env = dict(env or {})
+    try:
+        infer_lambda_box(LamEnv(tuple(env.items()), None), m)
+    except PtqError:
+        return None
+    return env
 
-    def __init__(self, root: LamTerm, env: Optional[Mapping[str, Type]]):
-        base = tuple((env or {}).items())
-        try:
-            infer_lambda_box(LamEnv(base, None), root)
-            self.typed = True
-        except PtqError:
-            self.typed = False
-        self.base = base
 
-    def of(self, m: LamTerm, scope: tuple[tuple[str, Type], ...]) -> Optional[Type]:
-        if not self.typed:
-            return None
-        return infer_lambda_box(LamEnv(self.base + scope, None), m)
+def _bind(env: _Env, x: str, ty: Optional[Type]) -> _Env:
+    return None if env is None else {**env, x: ty}
+
+
+def _lookup(env: _Env, name: str) -> Optional[Type]:
+    return None if env is None else env[name]
+
+
+def _arrow(dom: Optional[Type], cod: Optional[Type]) -> Optional[Type]:
+    return None if cod is None else Arrow(dom, cod)
+
+
+def _dom(fty: Optional[Type]) -> Optional[Type]:
+    return None if fty is None else fty.dom
+
+
+def _cod(fty: Optional[Type]) -> Optional[Type]:
+    return None if fty is None else fty.cod
 
 
 class _Fresh:
-    def __init__(self, *roots: LamTerm):
-        self.used = set()
-        for r in roots:
-            self.used |= lam_all_names(r)
+    def __init__(self, root: LamTerm):
+        self.used = set(lam_all_names(root))
         self.counts: dict[str, int] = {}
 
     def __call__(self, stem: str) -> str:
@@ -140,6 +158,8 @@ class _Fresh:
 
 # ---------------------------------------------------------------------------
 # calculus presentation
+#
+# Each clause returns the image of its source subterm and that subterm's type.
 
 
 def ptq_translate(
@@ -147,56 +167,46 @@ def ptq_translate(
 ):
     """Call by name yields a program term, call by value a jump term."""
     require_plain(m, "translation")
-    types = _Types(m, env)
-    fresh = _Fresh(m)
+    env, fresh = _typed_env(m, env), _Fresh(m)
     if strategy is Strategy.CBN:
-        return _cbn(m, types, (), fresh)
-    return _cbv(m, types, (), fresh)
+        return _cbn(m, env, fresh)[0]
+    return _cbv(m, env, fresh)[0]
 
 
-def _cbn(m: LamTerm, types: _Types, scope, fresh: _Fresh) -> PTerm:
+def _cbn(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[PTerm, Optional[Type]]:
     match m:
         case Var(name):
-            return PVar(name)
+            return PVar(name), _lookup(env, name)
         case Lam(x, xty, body):
-            inner = scope + ((x, xty),)
-            bty = types.of(body, inner)
-            return PairLam(x, xty, bty, PApp(K, _cbn(body, types, inner, fresh)))
-        case App():
-            ty = types.of(m, scope)
-            return KLam(
-                ty,
-                PApp(
-                    Pair(_cbn(m.arg, types, scope, fresh), K),
-                    _cbn(m.fn, types, scope, fresh),
-                ),
-            )
-    raise TypeError(f"not a lambda term: {m!r}")
-
-
-def _cbv(m: LamTerm, types: _Types, scope, fresh: _Fresh) -> QLam:
-    ty = types.of(m, scope)
-    match m:
-        case Var(name):
-            return QLam(ty, PApp(K, PVar(name)))
-        case Lam():
-            return QLam(ty, PApp(K, _aux_cbv(m, types, scope, fresh)))
+            img, bty = _cbn(body, _bind(env, x, xty), fresh)
+            return PairLam(x, xty, bty, PApp(K, img)), _arrow(xty, bty)
         case App(fn, arg):
-            aty = types.of(arg, scope)
-            z = fresh("x")
-            inner = QApp(_cbv(fn, types, scope, fresh), Pair(PVar(z), K))
-            return QLam(ty, QApp(_cbv(arg, types, scope, fresh), XLam(z, aty, inner)))
+            arg_img, _ = _cbn(arg, env, fresh)
+            fn_img, fty = _cbn(fn, env, fresh)
+            ty = _cod(fty)
+            return KLam(ty, PApp(Pair(arg_img, K), fn_img)), ty
     raise TypeError(f"not a lambda term: {m!r}")
 
 
-def _aux_cbv(m: LamTerm, types: _Types, scope, fresh: _Fresh) -> PTerm:
+def _cbv(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[QLam, Optional[Type]]:
+    if is_value(m):
+        img, ty = _aux_cbv(m, env, fresh)
+        return QLam(ty, PApp(K, img)), ty
+    z = fresh("x")
+    fn_img, fty = _cbv(m.fn, env, fresh)
+    arg_img, _ = _cbv(m.arg, env, fresh)
+    ty = _cod(fty)
+    cont = XLam(z, _dom(fty), QApp(fn_img, Pair(PVar(z), K)))
+    return QLam(ty, QApp(arg_img, cont)), ty
+
+
+def _aux_cbv(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[PTerm, Optional[Type]]:
     match m:
         case Var(name):
-            return PVar(name)
+            return PVar(name), _lookup(env, name)
         case Lam(x, xty, body):
-            bty = types.of(body, scope + (((x, xty),) if xty else ()))
-            inner = QApp(_cbv(body, types, scope + ((x, xty),), fresh), K)
-            return PairLam(x, xty, bty, inner)
+            img, bty = _cbv(body, _bind(env, x, xty), fresh)
+            return PairLam(x, xty, bty, QApp(img, K)), _arrow(xty, bty)
     raise TypeError("aux translation is defined on values")
 
 
@@ -205,13 +215,12 @@ def aux_translate(
 ) -> PTerm:
     """The program-term image of a value."""
     require_plain(m, "translation")
-    types = _Types(m, env)
-    fresh = _Fresh(m)
+    env, fresh = _typed_env(m, env), _Fresh(m)
     if strategy is Strategy.CBN:
         if not is_value(m):
             raise TypeError("aux translation is defined on values")
-        return _cbn(m, types, (), fresh)
-    return _aux_cbv(m, types, (), fresh)
+        return _cbn(m, env, fresh)[0]
+    return _aux_cbv(m, env, fresh)[0]
 
 
 def ptq_translate_e(
@@ -223,33 +232,32 @@ def ptq_translate_e(
     reaches exactly this term by control steps.
     """
     require_plain(m, "translation")
-    types = _Types(m, env)
-    fresh = _Fresh(m)
+    env, fresh = _typed_env(m, env), _Fresh(m)
     if strategy is Strategy.CBN:
-        return _var_cbn(m, types, fresh)
-    return _var_cbv(m, types, fresh)
+        return _var_cbn(m, env, fresh, STAR)
+    return _var_cbv(m, env, fresh, STAR)
 
 
-def _var_cbn(m: LamTerm, types: _Types, fresh: _Fresh) -> ETerm:
+# Down the application spine, each argument joins the test `cont` that the
+# head value is finally run against.
+
+
+def _var_cbn(m: LamTerm, env: _Env, fresh: _Fresh, cont: TTerm) -> ETerm:
     if is_value(m):
-        return PApp(STAR, _cbn(m, types, (), fresh))
-    return star_compose(
-        Pair(_cbn(m.arg, types, (), fresh), STAR), _var_cbn(m.fn, types, fresh)
-    )
+        return PApp(cont, _cbn(m, env, fresh)[0])
+    return _var_cbn(m.fn, env, fresh, Pair(_cbn(m.arg, env, fresh)[0], cont))
 
 
-def _var_cbv(m: LamTerm, types: _Types, fresh: _Fresh) -> ETerm:
+def _var_cbv(m: LamTerm, env: _Env, fresh: _Fresh, cont: TTerm) -> ETerm:
     if is_value(m):
-        return PApp(STAR, _aux_cbv(m, types, (), fresh))
+        return PApp(cont, _aux_cbv(m, env, fresh)[0])
     fn, arg = m.fn, m.arg
     if is_value(arg):
-        return star_compose(
-            Pair(_aux_cbv(arg, types, (), fresh), STAR), _var_cbv(fn, types, fresh)
-        )
-    aty = types.of(arg, ())
+        return _var_cbv(fn, env, fresh, Pair(_aux_cbv(arg, env, fresh)[0], cont))
     z = fresh("x")
-    cont = XLam(z, aty, QApp(_cbv(fn, types, (), fresh), Pair(PVar(z), STAR)))
-    return star_compose(cont, _var_cbv(arg, types, fresh))
+    fn_img, fty = _cbv(fn, env, fresh)
+    cont = XLam(z, _dom(fty), QApp(fn_img, Pair(PVar(z), cont)))
+    return _var_cbv(arg, env, fresh, cont)
 
 
 def bracket_list(items: list[PTerm]) -> TTerm:
@@ -268,114 +276,86 @@ def plotkin_translate(
     m: LamTerm,
     strategy: Strategy,
     order: EvalOrder = EvalOrder.FUNCTION_FIRST,
-    pairing: str = Pairing.CURRIED,
+    pairing: Pairing | str = Pairing.CURRIED,
     env: Optional[Mapping[str, Type]] = None,
 ) -> LamTerm:
     """Plain-lambda CPS. CbN ignores the order; uncurried pairing produces
     unannotated terms in the pair-extended grammar."""
     require_plain(m, "translation")
-    if pairing not in (Pairing.CURRIED, Pairing.UNCURRIED):
-        raise ValueError(f"unknown pairing {pairing!r}")
-    types = _Types(m, env)
-    fresh = _Fresh(m)
+    pairs = Pairing(pairing) is Pairing.UNCURRIED
+    env, fresh = None if pairs else _typed_env(m, env), _Fresh(m)
     if strategy is Strategy.CBN:
-        if pairing == Pairing.CURRIED:
-            return _plo_cbn(m, types, (), fresh)
-        return _plo_cbn_pairs(m, fresh)
-    if pairing == Pairing.CURRIED:
-        return _plo_cbv(m, types, (), fresh, order)
-    return _plo_cbv_pairs(m, fresh, order)
+        return _plo_cbn(m, env, fresh, pairs)[0]
+    return _plo_cbv(m, env, fresh, order, pairs)[0]
 
 
-def _cont_ty(types: _Types, m: LamTerm, scope, strategy: Strategy) -> Optional[Type]:
-    ty = types.of(m, scope)
-    return Arrow(_tr_ty(ty, strategy, "circ"), O) if ty is not None else None
+def _cont_ty(ty: Optional[Type], strategy: Strategy) -> Optional[Type]:
+    return None if ty is None else Arrow(_tr_ty(ty, strategy, "circ"), O)
 
 
-def _plo_cbn(m: LamTerm, types: _Types, scope, fresh: _Fresh) -> LamTerm:
+def _abs(x: str, xs: Optional[Type], body: LamTerm, hv: Optional[str]) -> LamTerm:
+    """A translated abstraction: curried, or taking a pair whose second
+    component hv is the continuation of the body."""
+    return Lam(x, xs, body) if hv is None else PairPatLam(x, hv, App(body, Var(hv)))
+
+
+def _call(fn: LamTerm, arg: LamTerm, k: LamTerm, pairs: bool) -> LamTerm:
+    return App(fn, PairTerm(arg, k)) if pairs else App(App(fn, arg), k)
+
+
+def _plo_cbn(
+    m: LamTerm, env: _Env, fresh: _Fresh, pairs: bool
+) -> tuple[LamTerm, Optional[Type]]:
     match m:
         case Var(name):
-            return Var(name)
+            return Var(name), _lookup(env, name)
         case Lam(x, xty, body):
             kv = fresh("k")
-            kty = _cont_ty(types, m, scope, Strategy.CBN)
-            xs = _tr_ty(xty, Strategy.CBN, "star") if types.typed else None
-            inner = Lam(x, xs, _plo_cbn(body, types, scope + ((x, xty),), fresh))
-            return Lam(kv, kty, App(Var(kv), inner))
+            hv = fresh("h") if pairs else None
+            xs = _tr_ty(xty, Strategy.CBN, "star") if env is not None else None
+            img, bty = _plo_cbn(body, _bind(env, x, xty), fresh, pairs)
+            ty = _arrow(xty, bty)
+            kty = _cont_ty(ty, Strategy.CBN)
+            return Lam(kv, kty, App(Var(kv), _abs(x, xs, img, hv))), ty
         case App(fn, arg):
             kv = fresh("k")
             mv = fresh("m")
-            kty = _cont_ty(types, m, scope, Strategy.CBN)
-            fty = types.of(fn, scope)
+            arg_img, _ = _plo_cbn(arg, env, fresh, pairs)
+            fn_img, fty = _plo_cbn(fn, env, fresh, pairs)
             mty = _tr_ty(fty, Strategy.CBN, "circ") if fty is not None else None
-            body = App(
-                App(Var(mv), _plo_cbn(arg, types, scope, fresh)), Var(kv)
-            )
-            return Lam(kv, kty, App(_plo_cbn(fn, types, scope, fresh), Lam(mv, mty, body)))
+            ty = _cod(fty)
+            body = Lam(mv, mty, _call(Var(mv), arg_img, Var(kv), pairs))
+            return Lam(kv, _cont_ty(ty, Strategy.CBN), App(fn_img, body)), ty
     raise TypeError(f"not a lambda term: {m!r}")
 
 
 def _plo_cbv(
-    m: LamTerm, types: _Types, scope, fresh: _Fresh, order: EvalOrder
-) -> LamTerm:
+    m: LamTerm, env: _Env, fresh: _Fresh, order: EvalOrder, pairs: bool
+) -> tuple[LamTerm, Optional[Type]]:
     kv = fresh("k")
-    kty = _cont_ty(types, m, scope, Strategy.CBV)
     match m:
         case Var(name):
-            return Lam(kv, kty, App(Var(kv), Var(name)))
+            ty = _lookup(env, name)
+            out = App(Var(kv), Var(name))
         case Lam(x, xty, body):
-            xs = _tr_ty(xty, Strategy.CBV, "circ") if types.typed else None
-            inner = Lam(x, xs, _plo_cbv(body, types, scope + ((x, xty),), fresh, order))
-            return Lam(kv, kty, App(Var(kv), inner))
+            hv = fresh("h") if pairs else None
+            xs = _tr_ty(xty, Strategy.CBV, "circ") if env is not None else None
+            img, bty = _plo_cbv(body, _bind(env, x, xty), fresh, order, pairs)
+            ty = _arrow(xty, bty)
+            out = App(Var(kv), _abs(x, xs, img, hv))
         case App(fn, arg):
             mv = fresh("m")
             nv = fresh("n")
-            fty = types.of(fn, scope)
-            mty = _tr_ty(fty, Strategy.CBV, "circ") if types.typed else None
-            nty = mty.dom if isinstance(mty, Arrow) else None
-            core = App(App(Var(mv), Var(nv)), Var(kv))
-            fn_t = _plo_cbv(fn, types, scope, fresh, order)
-            arg_t = _plo_cbv(arg, types, scope, fresh, order)
+            fn_t, fty = _plo_cbv(fn, env, fresh, order, pairs)
+            arg_t, _ = _plo_cbv(arg, env, fresh, order, pairs)
+            mty = _tr_ty(fty, Strategy.CBV, "circ") if fty is not None else None
+            nty = _dom(mty)
+            ty = _cod(fty)
+            core = _call(Var(mv), Var(nv), Var(kv), pairs)
             if order is EvalOrder.FUNCTION_FIRST:
-                body = App(fn_t, Lam(mv, mty, App(arg_t, Lam(nv, nty, core))))
+                out = App(fn_t, Lam(mv, mty, App(arg_t, Lam(nv, nty, core))))
             else:
-                body = App(arg_t, Lam(nv, nty, App(fn_t, Lam(mv, mty, core))))
-            return Lam(kv, kty, body)
-    raise TypeError(f"not a lambda term: {m!r}")
-
-
-def _plo_cbn_pairs(m: LamTerm, fresh: _Fresh) -> LamTerm:
-    match m:
-        case Var(name):
-            return Var(name)
-        case Lam(x, _, body):
-            kv, hv = fresh("k"), fresh("h")
-            inner = PairPatLam(x, hv, App(_plo_cbn_pairs(body, fresh), Var(hv)))
-            return Lam(kv, None, App(Var(kv), inner))
-        case App(fn, arg):
-            kv, mv = fresh("k"), fresh("m")
-            body = App(Var(mv), PairTerm(_plo_cbn_pairs(arg, fresh), Var(kv)))
-            return Lam(kv, None, App(_plo_cbn_pairs(fn, fresh), Lam(mv, None, body)))
-    raise TypeError(f"not a lambda term: {m!r}")
-
-
-def _plo_cbv_pairs(m: LamTerm, fresh: _Fresh, order: EvalOrder) -> LamTerm:
-    kv = fresh("k")
-    match m:
-        case Var(name):
-            return Lam(kv, None, App(Var(kv), Var(name)))
-        case Lam(x, _, body):
-            hv = fresh("h")
-            inner = PairPatLam(x, hv, App(_plo_cbv_pairs(body, fresh, order), Var(hv)))
-            return Lam(kv, None, App(Var(kv), inner))
-        case App(fn, arg):
-            mv, nv = fresh("m"), fresh("n")
-            core = App(Var(mv), PairTerm(Var(nv), Var(kv)))
-            fn_t = _plo_cbv_pairs(fn, fresh, order)
-            arg_t = _plo_cbv_pairs(arg, fresh, order)
-            if order is EvalOrder.FUNCTION_FIRST:
-                body = App(fn_t, Lam(mv, None, App(arg_t, Lam(nv, None, core))))
-            else:
-                body = App(arg_t, Lam(nv, None, App(fn_t, Lam(mv, None, core))))
-            return Lam(kv, None, body)
-    raise TypeError(f"not a lambda term: {m!r}")
+                out = App(arg_t, Lam(nv, nty, App(fn_t, Lam(mv, mty, core))))
+        case _:
+            raise TypeError(f"not a lambda term: {m!r}")
+    return Lam(kv, _cont_ty(ty, Strategy.CBV), out), ty

@@ -238,3 +238,125 @@ class TestPlotkin:
     def test_uncurried_uses_pairs(self):
         got = plotkin_translate(L(r"\x:X. x"), CBN, pairing=Pairing.UNCURRIED)
         assert "(" in lam_str(got) and "," in lam_str(got)
+
+    def test_pairing_is_an_enum_and_strings_still_work(self):
+        m = L(r"\x:X. x")
+        want = lam_str(plotkin_translate(m, CBN, pairing=Pairing.UNCURRIED))
+        assert Pairing("uncurried") is Pairing.UNCURRIED
+        assert lam_str(plotkin_translate(m, CBN, pairing="uncurried")) == want
+        with pytest.raises(ValueError):
+            plotkin_translate(m, CBN, pairing="pairs")
+
+
+def church(n):
+    """(\\f:A->A. \\x:A. f (... (f x))) (\\y:A. y) z with n applications."""
+    body = "f (" * n + "x" + ")" * n
+    return L(rf"(\f:A->A. \x:A. {body}) (\y:A. y) z")
+
+
+class TestOnePass:
+    """Types come off the translation's own walk: one inference at the root,
+    and e-images built down the spine without recomposing."""
+
+    @pytest.mark.parametrize("strat", [CBN, CBV])
+    def test_one_inference_per_translation(self, monkeypatch, strat):
+        import ptq.translate
+
+        calls = []
+        real = ptq.translate.infer_lambda_box
+
+        def counting(env, m):
+            calls.append(m)
+            return real(env, m)
+
+        monkeypatch.setattr(ptq.translate, "infer_lambda_box", counting)
+        env = {"z": A}
+        for n in (10, 50, 100):
+            m = church(n)
+            for translate in (
+                lambda: ptq_translate(m, strat, env),
+                lambda: ptq_translate_e(m, strat, env),
+                lambda: aux_translate(m.fn.fn, strat, env),
+                lambda: plotkin_translate(m, strat, env=env),
+            ):
+                calls.clear()
+                translate()
+                assert len(calls) == 1
+
+    def test_deep_numeral_by_name(self):
+        from ptq.syntax import PApp
+
+        got = ptq_translate_e(church(400), CBN, {"z": A})
+        assert isinstance(got, PApp)
+        assert alpha_eq(got.test, T(r"<(\(y:A, k:A). k ; y), <z, *>>"))
+
+    @pytest.mark.parametrize("strat", [CBN, CBV])
+    def test_arguments_do_not_rename_the_head(self, strat):
+        # the e-image is the term the control steps reach, names and all;
+        # the argument's free y does not rename the head's binder y
+        from ptq import control_prefix
+        from ptq.syntax import PApp, QApp, STAR
+
+        env = {"y": A}
+        m = L(r"(\x:A. \y:A. x) y")
+        start = ptq_translate(m, strat, env)
+        start = PApp(STAR, start) if strat is CBN else QApp(start, STAR)
+        got = ptq_translate_e(m, strat, env)
+        assert control_prefix(start)[0] == got
+        assert r"\(y:A, k:A)" in term_str(got)
+
+
+# Printed images of sources the root inference rejects: every binder of the
+# image is left unannotated. The source `(\x. x) y` lacks an annotation, and
+# `(\x:A. x) (\y:B. y)` is annotated but ill typed; aux_translate takes each
+# under `\z:A.` so that it is a value.
+UNTYPED = {
+    r"(\x. x) y": {
+        "cbn p": r"\k. <y, k> ; (\(x, k). k ; x)",
+        "cbn e": r"<y, *> ; (\(x, k). k ; x)",
+        "cbn aux": r"\(z:A, k). k ; (\k. <y, k> ; (\(x, k). k ; x))",
+        "cbn curried fn-first": r"\k. (\k1. k1 (\x. x)) (\m. m y k)",
+        "cbn curried arg-first": r"\k. (\k1. k1 (\x. x)) (\m. m y k)",
+        "cbn uncurried fn-first": r"\k. (\k1. k1 (\(x, h). x h)) (\m. m (y, k))",
+        "cbn uncurried arg-first": r"\k. (\k1. k1 (\(x, h). x h)) (\m. m (y, k))",
+        "cbv p": r"%k. (%k. k ; y) ! (\x1. (%k. k ; (\(x, k). (%k. k ; x) ! k)) ! <x1, k>)",
+        "cbv e": r"<y, *> ; (\(x, k). (%k. k ; x) ! k)",
+        "cbv aux": r"\(z:A, k). (%k. (%k. k ; y) ! (\x1. (%k. k ; (\(x, k). (%k. k ; x) ! k)) ! <x1, k>)) ! k",
+        "cbv curried fn-first": r"\k. (\k1. k1 (\x. \k2. k2 x)) (\m. (\k3. k3 y) (\n. m n k))",
+        "cbv curried arg-first": r"\k. (\k3. k3 y) (\n. (\k1. k1 (\x. \k2. k2 x)) (\m. m n k))",
+        "cbv uncurried fn-first": r"\k. (\k1. k1 (\(x, h). (\k2. k2 x) h)) (\m. (\k3. k3 y) (\n. m (n, k)))",
+        "cbv uncurried arg-first": r"\k. (\k3. k3 y) (\n. (\k1. k1 (\(x, h). (\k2. k2 x) h)) (\m. m (n, k)))",
+    },
+    r"(\x:A. x) (\y:B. y)": {
+        "cbn p": r"\k. <(\(y:B, k). k ; y), k> ; (\(x:A, k). k ; x)",
+        "cbn e": r"<(\(y:B, k). k ; y), *> ; (\(x:A, k). k ; x)",
+        "cbn aux": r"\(z:A, k). k ; (\k. <(\(y:B, k). k ; y), k> ; (\(x:A, k). k ; x))",
+        "cbn curried fn-first": r"\k. (\k2. k2 (\x. x)) (\m. m (\k1. k1 (\y. y)) k)",
+        "cbn curried arg-first": r"\k. (\k2. k2 (\x. x)) (\m. m (\k1. k1 (\y. y)) k)",
+        "cbn uncurried fn-first": r"\k. (\k2. k2 (\(x, h1). x h1)) (\m. m (\k1. k1 (\(y, h). y h), k))",
+        "cbn uncurried arg-first": r"\k. (\k2. k2 (\(x, h1). x h1)) (\m. m (\k1. k1 (\(y, h). y h), k))",
+        "cbv p": r"%k. (%k. k ; (\(y:B, k). (%k. k ; y) ! k)) ! (\x1. (%k. k ; (\(x:A, k). (%k. k ; x) ! k)) ! <x1, k>)",
+        "cbv e": r"<(\(y:B, k). (%k. k ; y) ! k), *> ; (\(x:A, k). (%k. k ; x) ! k)",
+        "cbv aux": r"\(z:A, k). (%k. (%k. k ; (\(y:B, k). (%k. k ; y) ! k)) ! (\x1. (%k. k ; (\(x:A, k). (%k. k ; x) ! k)) ! <x1, k>)) ! k",
+        "cbv curried fn-first": r"\k. (\k1. k1 (\x. \k2. k2 x)) (\m. (\k3. k3 (\y. \k4. k4 y)) (\n. m n k))",
+        "cbv curried arg-first": r"\k. (\k3. k3 (\y. \k4. k4 y)) (\n. (\k1. k1 (\x. \k2. k2 x)) (\m. m n k))",
+        "cbv uncurried fn-first": r"\k. (\k1. k1 (\(x, h). (\k2. k2 x) h)) (\m. (\k3. k3 (\(y, h1). (\k4. k4 y) h1)) (\n. m (n, k)))",
+        "cbv uncurried arg-first": r"\k. (\k3. k3 (\(y, h1). (\k4. k4 y) h1)) (\n. (\k1. k1 (\(x, h). (\k2. k2 x) h)) (\m. m (n, k)))",
+    },
+}
+
+
+@pytest.mark.parametrize("source", sorted(UNTYPED))
+def test_untyped_sources_print_as_before(source):
+    m, env = L(source), {"y": A}
+    got = {}
+    for strat in (CBN, CBV):
+        s = strat.value
+        got[f"{s} p"] = term_str(ptq_translate(m, strat, env))
+        got[f"{s} e"] = term_str(ptq_translate_e(m, strat, env))
+        got[f"{s} aux"] = term_str(aux_translate(L(r"\z:A. " + source), strat, env))
+        for pairing in Pairing:
+            for order in EvalOrder:
+                out = plotkin_translate(m, strat, order, pairing, env)
+                got[f"{s} {pairing.value} {order.value}"] = lam_str(out)
+    assert got == UNTYPED[source]
