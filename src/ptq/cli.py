@@ -24,6 +24,7 @@ import sys
 from typing import Optional
 
 from .errors import ParseError, PtqError
+from .harness import VERIFY_PROPERTIES, run_property
 from .lam import lam_str, parse_lam
 from .lambda_eval import DEFAULT_FUEL, EvalOrder, Strategy, eval_small
 from .machine import normalize, trace_to_json
@@ -214,8 +215,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .harness import VERIFY_PROPERTIES, run_property
-
     names = list(VERIFY_PROPERTIES) if args.property == "all" else [args.property]
     payload = {}
     any_failed = False
@@ -307,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--judgment", action="store_true", help="read the input as a judgment"
     )
-    p.add_argument("--lang", choices=["ptq", "judgment"], help=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_readback)
 
     p = subs.add_parser("measure", help="step-counting interpretation")
@@ -323,19 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = subs.add_parser("verify", help="replay correspondence properties")
-    p.add_argument(
-        "--property",
-        choices=[
-            "all",
-            "completeness",
-            "soundness",
-            "simulation",
-            "measure",
-            "readback",
-            "typing",
-        ],
-        default="all",
-    )
+    p.add_argument("--property", choices=["all", *VERIFY_PROPERTIES], default="all")
     p.add_argument("--count", type=int, default=100, help="instances per property")
     p.add_argument("--max-size", type=int, default=6, help="largest term size")
     p.add_argument("--seed", type=int, default=0)
@@ -352,6 +338,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except PtqError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: term nested too deeply to process", file=sys.stderr)
         return 1
 
 

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import OracleDiverged, FuelExhausted, PtqError
 from .lam import App, Lam, LamTerm, Var, lam_alpha_eq, lam_str, reduces_in_one_beta
 from .lambda_eval import EvalOrder, Strategy, eval_small, step_lambda
-from .machine import RuleTag, classify, step
+from .machine import classify, step
 from .measure import control_length
 from .readback import readback
 from .syntax import Arrow, Base, ETerm, PApp, STAR, Type, alpha_eq, term_str
@@ -183,7 +183,6 @@ def run_checked(
     anchor_ty: Type,
     report: PropertyReport,
     gamma: tuple[tuple[str, Type], ...] = (),
-    disable: Iterable[RuleTag] = (),
     fuel: int = MACHINE_FUEL,
 ) -> list[ETerm]:
     """Reduce u to normal form, asserting the per-step laws along the way.
@@ -192,8 +191,7 @@ def run_checked(
     keep the readback fixed up to alpha while Beta steps advance it by one
     beta step; control steps drop control_length by exactly one. Each
     state's readback and control_length are computed once and carried to
-    the next step. A rule in `disable` counts as a normal form, which lets
-    the self-tests check that a broken machine is caught.
+    the next step.
     """
     env = TypeEnv(gamma, ("star", anchor_ty))
     chain = [u]
@@ -208,7 +206,7 @@ def run_checked(
     rb_before = len_before = None
     for _ in range(fuel):
         nxt = step(current)
-        if nxt is None or nxt[1] in disable:
+        if nxt is None:
             return chain
         after, tag = nxt
         try:
@@ -258,15 +256,14 @@ def run_checked(
 
 
 def check_completeness(
-    m: LamTerm, strategy: Strategy, size: int = -1, seed: int = -1,
-    disable: Iterable[RuleTag] = (),
+    m: LamTerm, strategy: Strategy, size: int = -1, seed: int = -1
 ) -> PropertyReport:
     """The machine run from the translated start term ends at the e-image of
     the evaluator's normal form."""
     report = PropertyReport("completeness", size, seed, lam_str(m), True)
     normal = _oracle_chain(m, strategy)[-1]
     start = _start_term(m, strategy)
-    chain = run_checked(start, _closed_ty(m), report, disable=disable)
+    chain = run_checked(start, _closed_ty(m), report)
     report.steps = len(chain) - 1
     expected = ptq_translate_e(normal, strategy)
     if not any(alpha_eq(t, expected) for t in chain):
@@ -420,7 +417,6 @@ def run_property(
     max_size: int,
     seed: int,
     strategies: tuple[Strategy, ...] = (Strategy.CBN, Strategy.CBV),
-    disable: Iterable[RuleTag] = (),
 ) -> list[PropertyReport]:
     check = CHECKS[name]
     reports = []
@@ -429,18 +425,6 @@ def run_property(
         inst_seed = seed + i
         m, _ = gen_typed_term(size, inst_seed)
         for strategy in strategies:
-            if name == "completeness" and disable:
-                reports.append(check(m, strategy, size, inst_seed, disable=disable))
-            else:
-                reports.append(check(m, strategy, size, inst_seed))
+            reports.append(check(m, strategy, size, inst_seed))
     return reports
 
-
-def self_test_fault_injection(count: int = 30, seed: int = 7) -> bool:
-    """With the KPair rule disabled the completeness check must fail
-    somewhere; that it does is evidence the harness can catch a broken
-    machine."""
-    reports = run_property(
-        "completeness", count, 6, seed, (Strategy.CBN,), disable={RuleTag.KPAIR}
-    )
-    return any(not r.ok for r in reports)

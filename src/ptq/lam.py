@@ -5,9 +5,11 @@ its extension with a typed hole constant, written []. The CPS translations in
 uncurried mode additionally produce pairs and pair-pattern abstractions; those
 two constructors never reach the evaluators.
 
-Hole composition M[N/[]] plugs N into every hole of M and is associative with
-[] as neutral element; it must not capture, so binders above a hole get
-freshened against the free variables of the plug.
+Substitution M[N/x] and hole composition M[N/[]] are one capture-avoiding
+walk whose target is a variable name or the hole. It rebuilds only the paths
+to the target's occurrences and renames a binder only when its name is free
+in N and the target occurs below it. Hole composition plugs N into every hole
+of M and is associative with [] as neutral element.
 """
 
 from __future__ import annotations
@@ -113,92 +115,77 @@ def lam_all_names(m: LamTerm) -> frozenset[str]:
 
 def lam_subst(m: LamTerm, name: str, payload: LamTerm) -> LamTerm:
     """Capture-avoiding m[payload/name]."""
-    fv = lam_free_vars(payload)
+    return _subst(m, name, payload, lam_free_vars(payload))
 
-    def go(t: LamTerm) -> LamTerm:
-        match t:
-            case Var(x):
-                return payload if x == name else t
-            case Lam(x, xty, body):
-                if x == name:
-                    return t
-                if x in fv:
-                    x, body = _rename(x, body, fv | {name})
-                return Lam(x, xty, go(body))
-            case App(fn, arg):
-                return App(go(fn), go(arg))
-            case Hole():
+
+def plug_hole(m: LamTerm, payload: LamTerm) -> LamTerm:
+    """m[payload/[]], plugging every hole of m."""
+    return _subst(m, HOLE, payload, lam_free_vars(payload))
+
+
+# A target is a variable name or HOLE. The walk returns a subterm without an
+# occurrence of the target unchanged, the same object, so only the paths to
+# the occurrences are rebuilt. A binder is renamed only when its name is free
+# in the payload (fv) and the target occurs below it; the rename is decided
+# before descending, and the new name avoids fv and the body's free names,
+# which then include the target.
+
+
+def _subst(
+    t: LamTerm, target: Union[str, Hole], payload: LamTerm, fv: frozenset[str]
+) -> LamTerm:
+    match t:
+        case Var(x):
+            return payload if x == target else t
+        case Hole():
+            return payload if target is HOLE else t
+        case Lam(x, xty, body):
+            if x == target:
                 return t
-            case PairTerm(fst, snd):
-                return PairTerm(go(fst), go(snd))
-            case PairPatLam(x, h, body):
-                if name in (x, h):
-                    return t
-                x, h, body = _rename_pair(x, h, body, fv, frozenset((name,)))
-                return PairPatLam(x, h, go(body))
-        raise TypeError(f"not a lambda term: {t!r}")
+            if x in fv and _occurs(body, target):
+                x, body = _rename(x, body, fv)
+            new = _subst(body, target, payload, fv)
+            return t if new is t.body else Lam(x, xty, new)
+        case App(fn, arg):
+            f, a = _subst(fn, target, payload, fv), _subst(arg, target, payload, fv)
+            return t if f is fn and a is arg else App(f, a)
+        case PairTerm(fst, snd):
+            f, s = _subst(fst, target, payload, fv), _subst(snd, target, payload, fv)
+            return t if f is fst and s is snd else PairTerm(f, s)
+        case PairPatLam(x, h, body):
+            if target in (x, h):
+                return t
+            if (x in fv or h in fv) and _occurs(body, target):
+                if x in fv:
+                    x, body = _rename(x, body, fv | {h})
+                if h in fv:
+                    h, body = _rename(h, body, fv | {x})
+            new = _subst(body, target, payload, fv)
+            return t if new is t.body else PairPatLam(x, h, new)
+    raise TypeError(f"not a lambda term: {t!r}")
 
-    return go(m)
+
+def _occurs(m: LamTerm, target: Union[str, Hole]) -> bool:
+    """Whether the target, a variable name or HOLE, occurs free in m."""
+    match m:
+        case Var(x):
+            return x == target
+        case Hole():
+            return target is HOLE
+        case Lam(x, _, body):
+            return x != target and _occurs(body, target)
+        case PairPatLam(x, h, body):
+            return target not in (x, h) and _occurs(body, target)
+        case App(fn, arg) | PairTerm(fst=fn, snd=arg):
+            return _occurs(fn, target) or _occurs(arg, target)
+    raise TypeError(f"not a lambda term: {m!r}")
 
 
 def _rename(x: str, body: LamTerm, avoid: frozenset[str]) -> tuple[str, LamTerm]:
     """Rebind x in body to the first fresh name free neither in body nor in
-    `avoid`: the payload's free variables, the name being substituted for
-    (else the renamed binder would capture its occurrences) and a pair
-    binder's other name."""
+    `avoid`: the payload's free variables and a pair binder's other name."""
     x2 = fresh_name(x, avoid | lam_free_vars(body))
     return x2, lam_subst(body, x, Var(x2))
-
-
-def _rename_pair(
-    x: str, h: str, body: LamTerm, fv: frozenset[str], avoid: frozenset[str]
-) -> tuple[str, str, LamTerm]:
-    """Rename whichever of the pair binders x, h is free in the payload (fv)."""
-    if x in fv:
-        x, body = _rename(x, body, fv | avoid | {h})
-    if h in fv:
-        h, body = _rename(h, body, fv | avoid | {x})
-    return x, h, body
-
-
-def plug_hole(m: LamTerm, payload: LamTerm) -> LamTerm:
-    """m[payload/[]], freshening binders against the payload's free variables."""
-    fv = lam_free_vars(payload)
-
-    def go(t: LamTerm) -> LamTerm:
-        match t:
-            case Hole():
-                return payload
-            case Var():
-                return t
-            case Lam(x, xty, body):
-                if x in fv and _has_hole(body):
-                    x, body = _rename(x, body, fv)
-                return Lam(x, xty, go(body))
-            case App(fn, arg):
-                return App(go(fn), go(arg))
-            case PairTerm(fst, snd):
-                return PairTerm(go(fst), go(snd))
-            case PairPatLam(x, h, body):
-                if _has_hole(body):
-                    x, h, body = _rename_pair(x, h, body, fv, frozenset())
-                return PairPatLam(x, h, go(body))
-        raise TypeError(f"not a lambda term: {t!r}")
-
-    return go(m)
-
-
-def _has_hole(m: LamTerm) -> bool:
-    match m:
-        case Hole():
-            return True
-        case Var():
-            return False
-        case Lam(_, _, body) | PairPatLam(_, _, body):
-            return _has_hole(body)
-        case App(fn, arg) | PairTerm(fst=fn, snd=arg):
-            return _has_hole(fn) or _has_hole(arg)
-    raise TypeError(f"not a lambda term: {m!r}")
 
 
 def lam_alpha_eq(a: LamTerm, b: LamTerm) -> bool:

@@ -1,10 +1,12 @@
 """Readback of calculus terms into hole-extended lambda terms.
 
-A t-closed test term reads back to a lambda term with exactly one hole (its
-spine); programs, jumps and t-closed computations read back hole-free. Hole
-composition outer[inner/[]] is the gluing operation: the pair case stacks an
-application around the hole, binders close over it, and the two application
-forms plug the program or jump image into the test image.
+A t-closed test term reads back to a lambda term with a hole (its spine);
+programs, jumps and t-closed computations read back hole-free. Plugging holes
+is the gluing operation, and the walk does it on the way down: it carries the
+filler of the current hole along the spine, starting from the bare hole. The
+pair case wraps the filler in an application to the program's image, a binder
+x puts the filler where x occurs, and the two application forms read the test
+with the program or jump image as its filler.
 
 Readback is defined on t-closed terms, and `readback` checks that once, at
 entry. Inside a binder body the bound k is the body's hole, just as * is at
@@ -55,24 +57,25 @@ def readback(term: Term) -> LamTerm:
     return _rb(term)
 
 
-def _rb(term: Term) -> LamTerm:
+def _rb(term: Term, plug: LamTerm = HOLE) -> LamTerm:
+    """readback(term)[plug/[]]; the filler goes down the spine."""
     match term:
         case Star() | KVar():
-            return HOLE
+            return plug
         case PVar(name):
             return Var(name)
         case Pair(fst, snd):
-            return hole_compose(_rb(snd), App(HOLE, _rb(fst)))
+            return _rb(snd, App(plug, _rb(fst)))
         case PairLam(x, xty, _, body):
             return Lam(x, xty, _rb(body))
         case XLam(x, _, body):
-            return lam_subst(_rb(body), x, HOLE)
+            return lam_subst(_rb(body), x, plug)
         case KLam(_, body) | QLam(_, body):
             return _rb(body)
         case PApp(test, proof):
-            return hole_compose(_rb(test), _rb(proof))
+            return _rb(test, _rb(proof))
         case QApp(fn, test):
-            return hole_compose(_rb(test), _rb(fn))
+            return _rb(test, _rb(fn))
     raise TypeError(f"not a term: {term!r}")
 
 

@@ -229,7 +229,9 @@ def ptq_translate_e(
     """The computation that runs m against the empty continuation.
 
     Control-normal by construction: running the plain translation against *
-    reaches exactly this term by control steps.
+    reaches this term by control steps, exactly (==) by name and up to the
+    names of the fresh x binders by value, since the two translations number
+    their fresh names in different walks.
     """
     require_plain(m, "translation")
     env, fresh = _typed_env(m, env), _Fresh(m)

@@ -219,3 +219,20 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
         assert exc.value.code == 2
+
+
+class TestDeepInput:
+    @pytest.mark.parametrize(
+        "args", [["parse", "--lang", "lam"], ["eval", "--strategy", "cbn"]]
+    )
+    def test_too_deep_is_exit_1(self, tmp_path, args):
+        # a fresh process, so the depth that fails does not depend on the
+        # frames pytest already holds
+        f = tmp_path / "deep.lam"
+        f.write_text("(" * 600 + "x" + ")" * 600)
+        env = {**os.environ, "PYTHONPATH": str(Path(ptq.__file__).parents[1])}
+        cmd = [sys.executable, "-m", "ptq.cli", *args, "--file", str(f)]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr

@@ -2,6 +2,7 @@
 
 import pytest
 
+import ptq.harness
 from ptq import LamEnv, Strategy, infer_lambda_box, lam_alpha_eq, lam_str
 from ptq.harness import (
     check_completeness,
@@ -12,9 +13,8 @@ from ptq.harness import (
     check_typing,
     gen_typed_term,
     run_property,
-    self_test_fault_injection,
 )
-from ptq.machine import RuleTag
+from ptq.machine import RuleTag, step
 
 
 class TestGenerator:
@@ -94,16 +94,26 @@ class TestProperties:
 
 
 class TestFaultInjection:
-    def test_broken_machine_is_caught(self):
-        assert self_test_fault_injection()
+    """A machine whose KPair redexes read as normal forms must make the
+    completeness check fail: evidence that the harness catches a broken
+    machine."""
 
-    def test_disabled_rule_fails_completeness(self):
+    @pytest.fixture
+    def broken_machine(self, monkeypatch):
+        def step_without_kpair(u):
+            nxt = step(u)
+            return None if nxt is not None and nxt[1] is RuleTag.KPAIR else nxt
+
+        monkeypatch.setattr(ptq.harness, "step", step_without_kpair)
+
+    def test_broken_machine_is_caught(self, broken_machine):
+        reports = run_property("completeness", 30, 6, 7, (Strategy.CBN,))
+        assert any(not r.ok for r in reports)
+
+    def test_disabled_rule_fails_completeness(self, broken_machine):
         # find one instance whose run needs KPair and watch it fail
         for seed in range(40):
             m, _ = gen_typed_term(4, seed)
-            report = check_completeness(
-                m, Strategy.CBN, disable={RuleTag.KPAIR}
-            )
-            if not report.ok:
+            if not check_completeness(m, Strategy.CBN).ok:
                 return
         pytest.fail("no instance exercised the disabled rule")

@@ -1,8 +1,11 @@
 """Projection onto lambda terms with a hole."""
 
+import sys
+
 import pytest
 
 from ptq import (
+    App,
     HOLE,
     Hole,
     IllTyped,
@@ -25,6 +28,7 @@ from ptq import (
     parse_judgment,
     parse_lam,
     parse_term,
+    parse_type,
     readback,
     readback_judgment,
     spine,
@@ -98,6 +102,39 @@ class TestHoleCompose:
         outer = L(r"\y. ([] y)")
         got = hole_compose(outer, L("y"))
         assert not lam_alpha_eq(got, L(r"\y. y y"))
+
+
+class TestReadbackCost:
+    """Readback plugs each hole once, on the way down: re-plugging the outer
+    image at every pair makes the by-name image of church(n), a spine of n
+    pairs, cost quadratically. Counted, not timed."""
+
+    @staticmethod
+    def apps_per_step(monkeypatch, n):
+        body = "f (" * n + "x" + ")" * n
+        m = parse_lam(rf"(\f:A->A. \x:A. {body}) (\y:A. y) z")
+        image = ptq_translate_e(m, Strategy.CBN, {"z": parse_type("A")})
+        apps = 0
+        init = App.__init__
+
+        def counting(self, *args):
+            nonlocal apps
+            apps += 1
+            init(self, *args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(App, "__init__", counting)
+            readback(image)
+        return apps / n
+
+    def test_apps_per_step_flat(self, monkeypatch):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 20000))
+        try:
+            per_step = [self.apps_per_step(monkeypatch, n) for n in (50, 100, 200)]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert max(per_step) <= 1.25 * per_step[0], per_step
 
 
 class TestReadbackFacts:

@@ -4,11 +4,13 @@ import dataclasses
 
 import pytest
 
+import ptq.lam
 from ptq import (
     Arrow,
     Base,
     KLam,
     KVar,
+    Lam,
     NotTClosed,
     PApp,
     Pair,
@@ -27,6 +29,7 @@ from ptq import (
     hole_compose,
     lam_alpha_eq,
     lam_subst,
+    lam_str,
     parse_lam,
     is_t_closed,
     parse_term,
@@ -41,6 +44,7 @@ from ptq import (
     term_str,
     type_str,
 )
+from ptq.lam import lam_free_vars
 from ptq.syntax import fresh_name
 
 A = Base("A")
@@ -140,6 +144,37 @@ class TestSubstitution:
     def test_k_payload_must_be_closed(self):
         with pytest.raises(NotTClosed):
             subst_k(T("k ; x"), T("<y, k>"))
+
+
+class TestLamSubstitution:
+    def test_untouched_subterms_are_shared(self):
+        m = parse_lam(r"\y. z")
+        assert lam_subst(m, "x", Var("y")) is m
+        m = parse_lam(r"(\y. x) (\y. z) w")
+        out = lam_subst(m, "x", Var("y"))
+        assert lam_str(out) == r"(\y_1. y) (\y. z) w"
+        assert out.fn.arg is m.fn.arg and out.arg is m.arg
+
+    def test_nested_binders_take_a_linear_walk(self, monkeypatch):
+        # every binder renames, and the rename is decided before descending;
+        # substituting first and renaming afterwards doubles per binder
+        depth = 200
+        m = Var("x")
+        for _ in range(depth):
+            m = Lam("y", None, m)
+        calls = 0
+        inner = ptq.lam._subst
+
+        def counting(*args):
+            # fail at the bound, as a walk that doubles would not return
+            nonlocal calls
+            calls += 1
+            assert calls <= 3 * depth, "walk calls not linear in the depth"
+            return inner(*args)
+
+        monkeypatch.setattr(ptq.lam, "_subst", counting)
+        out = lam_subst(m, "x", Var("y"))
+        assert lam_free_vars(out) == {"y"}
 
 
 class TestFreshNames:

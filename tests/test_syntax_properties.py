@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ptq import (
     App,
     Base,
+    HOLE,
     KLam,
     KVar,
     Lam,
@@ -25,10 +26,12 @@ from ptq import (
     XLam,
     alpha_eq,
     free_pvars,
+    lam_str,
     lam_subst,
     is_t_closed,
     sort_of,
     parse_term,
+    plug_hole,
     star_compose,
     subst_pvar,
     t_close,
@@ -174,13 +177,13 @@ def test_subst_free_names_not_stale(u, p):
 
 
 def lamterms(depth):
-    var = NAMES.map(Var)
+    leaf = st.one_of(NAMES.map(Var), st.just(HOLE))
     if depth <= 0:
-        return var
+        return leaf
     sub = lamterms(depth - 1)
     binders = st.tuples(NAMES, NAMES).filter(lambda xh: xh[0] != xh[1])
     return st.one_of(
-        var,
+        leaf,
         st.builds(Lam, NAMES, st.none(), sub),
         st.builds(App, sub, sub),
         st.builds(lambda xh, body: PairPatLam(*xh, body), binders, sub),
@@ -190,13 +193,17 @@ def lamterms(depth):
 @settings(max_examples=200, derandomize=True)
 @given(lamterms(4), lamterms(1))
 def test_lam_subst_free_names_exact(m, p):
-    # the lambda side of test_subst_free_names_exact: a renamed binder that
-    # takes the name being substituted for, or a free name of m, breaks it
-    for x in NAME_LIST:
+    # the lambda side of test_subst_free_names_exact, with the hole as one
+    # more target: a renamed binder that takes the name being substituted
+    # for, or a free name of m, breaks it
+    for x in [*NAME_LIST, HOLE]:
         for q in [p, *map(Var, NAME_LIST)]:
-            brought = lam_free_vars(q) if x in lam_free_vars(m) else frozenset()
-            expected = (lam_free_vars(m) - {x}) | brought
-            assert lam_free_vars(lam_subst(m, x, q)) == expected
+            if x == HOLE:
+                occurs, out = "[]" in lam_str(m), plug_hole(m, q)
+            else:
+                occurs, out = x in lam_free_vars(m), lam_subst(m, x, q)
+            brought = lam_free_vars(q) if occurs else frozenset()
+            assert lam_free_vars(out) == (lam_free_vars(m) - {x}) | brought
 
 
 @settings(max_examples=200, derandomize=True)
