@@ -30,10 +30,13 @@ from .lambda_eval import DEFAULT_FUEL, EvalOrder, Strategy, eval_small
 from .machine import normalize, trace_to_json
 from .measure import control_length, measure, identity, o
 from .readback import readback, readback_judgment
-from .syntax import parse_term, parse_type, sort_of, term_str
+from .syntax import parse_term, parse_type, sort_of, term_str, type_str
 from .typecheck import (
+    EMark,
+    PtqType,
     check_judgment,
     check_lambda_judgment,
+    judgment_str,
     lam_judgment_str,
     parse_judgment,
     parse_lam_judgment,
@@ -102,8 +105,6 @@ def _cmd_parse(args) -> int:
         print(lam_str(parse_lam(text)))
     elif lang == "judgment":
         kind, j = _parse_any_judgment(text)
-        from .typecheck import judgment_str
-
         print(judgment_str(j) if kind == "ptq" else lam_judgment_str(j))
     else:
         print(term_str(parse_term(text)))
@@ -115,16 +116,12 @@ def _cmd_typecheck(args) -> int:
     kind, j = _parse_any_judgment(text)
     result = check_judgment(j) if kind == "ptq" else check_lambda_judgment(j)
     if result.ok:
-        from .typecheck import EMark, PtqType
-
         inferred = result.inferred
         if isinstance(inferred, EMark):
             print("OK")
         elif isinstance(inferred, PtqType):
             print(f"OK {inferred}")
         else:
-            from .syntax import type_str
-
             print(f"OK {type_str(inferred)}")
         return 0
     err = result.error

@@ -24,16 +24,16 @@ one. Any violation becomes a counterexample in the report, replayable from
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .errors import OracleDiverged, FuelExhausted, PtqError
 from .lam import App, Lam, LamTerm, Var, lam_alpha_eq, lam_str, reduces_in_one_beta
 from .lambda_eval import EvalOrder, Strategy, eval_small, step_lambda
-from .machine import classify, step
+from .machine import classify, normalize
 from .measure import control_length
 from .readback import readback
-from .syntax import Arrow, Base, ETerm, PApp, STAR, Type, alpha_eq, term_str
+from .syntax import Arrow, Base, ETerm, PApp, QApp, STAR, Type, alpha_eq, term_str
 from .translate import ptq_translate, ptq_translate_e
 from .typecheck import E_OK, LamEnv, TypeEnv, infer_lambda_box, infer_ptq
 
@@ -142,15 +142,8 @@ class PropertyReport:
         return self.kinds.count(kind)
 
     def to_dict(self) -> dict:
-        return {
-            "property": self.prop,
-            "size": self.size,
-            "seed": self.seed,
-            "instance": self.instance,
-            "ok": self.ok,
-            "failures": self.failures,
-            "steps": self.steps,
-        }
+        fields = asdict(self)
+        return {"property": fields.pop("prop"), **fields}
 
 
 def _oracle_chain(m: LamTerm, strategy: Strategy) -> list[LamTerm]:
@@ -165,8 +158,6 @@ def _start_term(m: LamTerm, strategy: Strategy, env=None) -> ETerm:
     """The computation that runs the plain translation against *."""
     if strategy is Strategy.CBN:
         return PApp(STAR, ptq_translate(m, strategy, env))
-    from .syntax import QApp
-
     return QApp(ptq_translate(m, strategy, env), STAR)
 
 
@@ -179,22 +170,18 @@ def _closed_ty(m: LamTerm) -> Type:
 
 
 def run_checked(
-    u: ETerm,
-    anchor_ty: Type,
-    report: PropertyReport,
-    gamma: tuple[tuple[str, Type], ...] = (),
-    fuel: int = MACHINE_FUEL,
-) -> list[ETerm]:
-    """Reduce u to normal form, asserting the per-step laws along the way.
+    u: ETerm, anchor_ty: Type, report: PropertyReport
+) -> tuple[list[ETerm], list[LamTerm]]:
+    """Check the per-step laws on normalize's trace from u, record its step
+    count in the report, and return its states and their readbacks.
 
     Checks, per step: the judgment G |> *:tA |- u survives; control steps
     keep the readback fixed up to alpha while Beta steps advance it by one
     beta step; control steps drop control_length by exactly one. Each
-    state's readback and control_length are computed once and carried to
-    the next step.
+    state is read back once, and its control_length is carried to the next
+    step.
     """
-    env = TypeEnv(gamma, ("star", anchor_ty))
-    chain = [u]
+    env = TypeEnv((), ("star", anchor_ty))
     try:
         if infer_ptq(env, u) is not E_OK:
             report.fail(
@@ -202,13 +189,13 @@ def run_checked(
             )
     except PtqError as exc:
         report.fail(f"initial term failed to check: {exc}", "subject-reduction")
-    current = u
-    rb_before = len_before = None
-    for _ in range(fuel):
-        nxt = step(current)
-        if nxt is None:
-            return chain
-        after, tag = nxt
+    trace = normalize(u, MACHINE_FUEL).trace
+    chain = trace.terms()
+    report.steps = len(trace.steps)
+    readbacks = [readback(t) for t in chain]
+    len_before = None
+    for i, s in enumerate(trace.steps):
+        current, tag, after = chain[i], s.rule, s.term
         try:
             if infer_ptq(env, after) is not E_OK:
                 report.fail(
@@ -219,9 +206,7 @@ def run_checked(
                 f"subject reduction broke after {tag.value}: {exc}",
                 "subject-reduction",
             )
-        if rb_before is None:
-            rb_before = readback(current)
-        rb_after = readback(after)
+        rb_before, rb_after = readbacks[i], readbacks[i + 1]
         len_after = None
         if tag.rule_class == "control":
             if not lam_alpha_eq(rb_before, rb_after):
@@ -245,10 +230,10 @@ def run_checked(
                 f"{lam_str(rb_before)} to {lam_str(rb_after)}",
                 "rb-soundness",
             )
-        chain.append(after)
-        current, rb_before, len_before = after, rb_after, len_after
-    report.fail(f"machine fuel exhausted after {fuel} steps", "fuel")
-    return chain
+        len_before = len_after
+    if not trace.normal:
+        report.fail(f"machine fuel exhausted after {MACHINE_FUEL} steps", "fuel")
+    return chain, readbacks
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +248,7 @@ def check_completeness(
     report = PropertyReport("completeness", size, seed, lam_str(m), True)
     normal = _oracle_chain(m, strategy)[-1]
     start = _start_term(m, strategy)
-    chain = run_checked(start, _closed_ty(m), report)
-    report.steps = len(chain) - 1
+    chain, _ = run_checked(start, _closed_ty(m), report)
     expected = ptq_translate_e(normal, strategy)
     if not any(alpha_eq(t, expected) for t in chain):
         report.fail(
@@ -285,10 +269,8 @@ def check_soundness(
     report = PropertyReport("soundness", size, seed, lam_str(m), True)
     oracle = _oracle_chain(m, strategy)
     start = _start_term(m, strategy)
-    chain = run_checked(start, _closed_ty(m), report)
-    report.steps = len(chain) - 1
-    for u in chain:
-        rb = readback(u)
+    _, readbacks = run_checked(start, _closed_ty(m), report)
+    for rb in readbacks:
         if not any(lam_alpha_eq(rb, o) for o in oracle):
             report.fail(f"readback {lam_str(rb)} is not reachable from {lam_str(m)}")
     return report
@@ -302,16 +284,16 @@ def check_simulation(
     report = PropertyReport("simulation", size, seed, lam_str(m), True)
     image = ptq_translate_e(m, strategy)
     nxt = step_lambda(m, strategy)
+    image_normal = classify(image) is None
     if nxt is None:
-        if classify(image) is not None:
+        if not image_normal:
             report.fail(f"{term_str(image)} should be machine-normal")
         return report
-    if classify(image) is None:
+    if image_normal:
         report.fail(f"{term_str(image)} should not be machine-normal")
         return report
     target = ptq_translate_e(nxt, strategy)
-    chain = run_checked(image, _closed_ty(m), report)
-    report.steps = len(chain) - 1
+    chain, _ = run_checked(image, _closed_ty(m), report)
     if not any(alpha_eq(t, target) for t in chain):
         report.fail(
             f"machine run from {term_str(image)} misses {term_str(target)}"
@@ -325,9 +307,8 @@ def check_sim_beta(
     """The machine normal form reads back to the lazy normal form."""
     report = PropertyReport("sim-beta", size, seed, lam_str(m), True)
     image = ptq_translate_e(m, strategy)
-    chain = run_checked(image, _closed_ty(m), report)
-    report.steps = len(chain) - 1
-    rb = readback(chain[-1])
+    _, readbacks = run_checked(image, _closed_ty(m), report)
+    rb = readbacks[-1]
     lazy_nf = _oracle_chain(m, strategy)[-1]
     if not lam_alpha_eq(rb, lazy_nf):
         report.fail(

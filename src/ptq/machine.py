@@ -16,9 +16,10 @@ normal.
 
 Every rule maps t-closed terms to t-closed terms: the payload of a k rule is
 the redex's own t-closed test, and the bound k of a body is that body's only
-open position. So t-closure is checked once, where a term enters (`classify`,
-`step`, `normalize`, `control_prefix`), and the loops behind those entries
-apply the rules without walking the spine again.
+open position. So t-closure is checked once, where a term enters: `classify`
+and `step` check the term they are given, and `normalize` and `control_prefix`
+check their start term, then share one loop that applies the rules without
+walking the spine again.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 from .errors import NotTClosed
 from .syntax import (
@@ -57,8 +58,6 @@ class RuleTag(Enum):
     def rule_class(self) -> str:
         return "beta" if self is RuleTag.BETA else "control"
 
-
-CONTROL_RULES = frozenset(t for t in RuleTag if t is not RuleTag.BETA)
 
 DEFAULT_FUEL = 10**6
 
@@ -154,43 +153,41 @@ class NormalizeResult:
         return self.trace.final
 
 
-def normalize(
-    u: ETerm,
-    fuel: int = DEFAULT_FUEL,
-    *,
-    on_step: Optional[Callable[[ETerm, RuleTag, ETerm], None]] = None,
-) -> NormalizeResult:
+def _run(u: ETerm, fuel: int) -> Iterator[tuple[ETerm, Optional[RuleTag]]]:
+    """Each state of the run from u with its redex rule, None on the normal
+    form. A redex is contracted only when the consumer asks for the next
+    state; after `fuel` contractions the run yields its last state and ends."""
+    _require_t_closed(u)
+    for _ in range(fuel):
+        tag = _classify(u)
+        yield u, tag
+        if tag is None:
+            return
+        u = _contract(u, tag)
+    yield u, _classify(u)
+
+
+def normalize(u: ETerm, fuel: int = DEFAULT_FUEL) -> NormalizeResult:
     """Reduce to normal form, recording the full trace.
 
     Well-typed input always terminates, so exhausting the fuel signals a bug
     somewhere; it is reported via the `exhausted` flag rather than raised.
     """
-    _require_t_closed(u)
+    run = _run(u, fuel)
+    _, tag = next(run)
     steps: list[TraceStep] = []
-    current = u
-    for _ in range(fuel):
-        tag = _classify(current)
-        if tag is None:
-            return NormalizeResult(Trace(u, tuple(steps), True))
-        result = _contract(current, tag)
-        if on_step is not None:
-            on_step(current, tag, result)
-        steps.append(TraceStep(tag, result))
-        current = result
-    return NormalizeResult(Trace(u, tuple(steps), _classify(current) is None))
+    for after, next_tag in run:
+        steps.append(TraceStep(tag, after))
+        tag = next_tag
+    return NormalizeResult(Trace(u, tuple(steps), tag is None))
 
 
 def control_prefix(u: ETerm, fuel: int = DEFAULT_FUEL) -> tuple[ETerm, int]:
     """Apply control rules only, stopping at the first Beta redex or normal
     form. Returns the reached term and the number of control steps."""
-    _require_t_closed(u)
-    current = u
-    for n in range(fuel):
-        tag = _classify(current)
-        if tag is None or tag is RuleTag.BETA:
+    for n, (current, tag) in enumerate(_run(u, fuel)):
+        if tag is None or tag is RuleTag.BETA or n >= fuel:
             return current, n
-        current = _contract(current, tag)
-    return current, fuel
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,6 @@ from .syntax import (
     term_str,
 )
 
-NatFn = Callable[[int], int]
-
 
 def identity(n: int) -> int:
     return n

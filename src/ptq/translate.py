@@ -30,6 +30,7 @@ from .lam import (
     Var,
     is_value,
     lam_all_names,
+    lam_free_vars,
     require_plain,
 )
 from .lambda_eval import EvalOrder, Strategy
@@ -50,6 +51,7 @@ from .syntax import (
     TTerm,
     Type,
     XLam,
+    fresh_name,
 )
 from .typecheck import LamEnv, infer_lambda_box
 
@@ -162,12 +164,37 @@ class _Fresh:
 # Each clause returns the image of its source subterm and that subterm's type.
 
 
+def _source(
+    m: LamTerm, env: Optional[Mapping[str, Type]]
+) -> tuple[LamTerm, _Env, _Fresh]:
+    """The source, its root env and its fresh names. k is the calculus's test
+    variable, so a bound k is renamed apart and a free k is rejected."""
+    require_plain(m, "translation")
+    fresh = _Fresh(m)
+    if "k" in fresh.used:
+        if "k" in lam_free_vars(m):
+            raise PtqError("free variable 'k' clashes with the test variable k")
+        m = _rename_k(m, fresh_name("k", fresh.used))
+    return m, _typed_env(m, env), fresh
+
+
+def _rename_k(m: LamTerm, k1: str) -> LamTerm:
+    """m with k, bound wherever it occurs, renamed to k1, a name m lacks."""
+    match m:
+        case Var(name):
+            return Var(k1) if name == "k" else m
+        case Lam(x, xty, body):
+            return Lam(k1 if x == "k" else x, xty, _rename_k(body, k1))
+        case App(fn, arg):
+            return App(_rename_k(fn, k1), _rename_k(arg, k1))
+    raise TypeError(f"not a lambda term: {m!r}")
+
+
 def ptq_translate(
     m: LamTerm, strategy: Strategy, env: Optional[Mapping[str, Type]] = None
 ):
     """Call by name yields a program term, call by value a jump term."""
-    require_plain(m, "translation")
-    env, fresh = _typed_env(m, env), _Fresh(m)
+    m, env, fresh = _source(m, env)
     if strategy is Strategy.CBN:
         return _cbn(m, env, fresh)[0]
     return _cbv(m, env, fresh)[0]
@@ -214,8 +241,7 @@ def aux_translate(
     m: LamTerm, strategy: Strategy, env: Optional[Mapping[str, Type]] = None
 ) -> PTerm:
     """The program-term image of a value."""
-    require_plain(m, "translation")
-    env, fresh = _typed_env(m, env), _Fresh(m)
+    m, env, fresh = _source(m, env)
     if strategy is Strategy.CBN:
         if not is_value(m):
             raise TypeError("aux translation is defined on values")
@@ -233,8 +259,7 @@ def ptq_translate_e(
     names of the fresh x binders by value, since the two translations number
     their fresh names in different walks.
     """
-    require_plain(m, "translation")
-    env, fresh = _typed_env(m, env), _Fresh(m)
+    m, env, fresh = _source(m, env)
     if strategy is Strategy.CBN:
         return _var_cbn(m, env, fresh, STAR)
     return _var_cbv(m, env, fresh, STAR)

@@ -95,6 +95,28 @@ class TestTranslate:
             main(["translate", "x"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("strategy", ["cbn", "cbv"])
+    def test_bound_k_is_renamed(self, capsys, strategy):
+        # k is the calculus's test variable; a source binder named k used to
+        # be printed as is, and that output did not parse back
+        source = r"(\k:A. k) y"
+        for form in ("term", "eterm"):
+            code, out, _ = run(
+                capsys, "translate", "--strategy", strategy, "--form", form,
+                "--env", "y:A", source,
+            )
+            assert code == 0 and "k_1" in out
+            ptq.parse_term(out)
+        code, final, _ = run(capsys, "reduce", out.strip())
+        assert code == 0
+        assert ptq.lam_str(ptq.readback(ptq.parse_term(final))) == "y"
+
+    def test_free_k_is_rejected(self, capsys):
+        code, _, err = run(
+            capsys, "translate", "--strategy", "cbn", "--env", "k:A", r"(\x:A. x) k"
+        )
+        assert code == 1 and err.startswith("error:")
+
 
 class TestReduce:
     GOLDEN = r"<y,*> ; \(x:A, k:A). (%k:A. k ; x) ! k"

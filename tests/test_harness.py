@@ -14,7 +14,8 @@ from ptq.harness import (
     gen_typed_term,
     run_property,
 )
-from ptq.machine import RuleTag, step
+import ptq.machine
+from ptq.machine import RuleTag
 
 
 class TestGenerator:
@@ -89,7 +90,8 @@ class TestProperties:
         reports = run_property("typing", 4, 3, 5)
         d = reports[0].to_dict()
         assert set(d) == {
-            "property", "size", "seed", "instance", "ok", "failures", "steps",
+            "property", "size", "seed", "instance", "ok", "failures", "kinds",
+            "steps",
         }
 
 
@@ -100,11 +102,13 @@ class TestFaultInjection:
 
     @pytest.fixture
     def broken_machine(self, monkeypatch):
-        def step_without_kpair(u):
-            nxt = step(u)
-            return None if nxt is not None and nxt[1] is RuleTag.KPAIR else nxt
+        classify = ptq.machine._classify
 
-        monkeypatch.setattr(ptq.harness, "step", step_without_kpair)
+        def classify_without_kpair(u):
+            tag = classify(u)
+            return None if tag is RuleTag.KPAIR else tag
+
+        monkeypatch.setattr(ptq.machine, "_classify", classify_without_kpair)
 
     def test_broken_machine_is_caught(self, broken_machine):
         reports = run_property("completeness", 30, 6, 7, (Strategy.CBN,))
@@ -117,3 +121,43 @@ class TestFaultInjection:
             if not check_completeness(m, Strategy.CBN).ok:
                 return
         pytest.fail("no instance exercised the disabled rule")
+
+
+class TestOneRunPerCheck:
+    """A checked run is one normalize run: t-closure is checked at its start
+    only, and every state is read back once."""
+
+    @staticmethod
+    def counting(monkeypatch, module, name):
+        calls = [0]
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @staticmethod
+    def long_instance():
+        for seed in range(200):
+            m, _ = gen_typed_term(8, seed)
+            report = check_completeness(m, Strategy.CBV, 8, seed)
+            if report.steps >= 20:
+                return m
+        pytest.fail("no generated instance runs for 20 steps")
+
+    def test_t_closure_checked_once_per_run(self, monkeypatch):
+        m = self.long_instance()
+        calls = self.counting(monkeypatch, ptq.machine, "is_t_closed")
+        report = check_completeness(m, Strategy.CBV)
+        assert report.ok and report.steps >= 20
+        assert calls[0] == 1
+
+    def test_soundness_reads_each_state_back_once(self, monkeypatch):
+        m = self.long_instance()
+        calls = self.counting(monkeypatch, ptq.harness, "readback")
+        report = check_soundness(m, Strategy.CBV)
+        assert report.ok and report.steps >= 20
+        assert calls[0] == report.steps + 1

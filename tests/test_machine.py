@@ -9,7 +9,9 @@ import ptq.syntax
 from ptq import (
     FuelExhausted,
     NotTClosed,
+    QApp,
     RuleTag,
+    STAR,
     Strategy,
     alpha_eq,
     classify,
@@ -18,6 +20,7 @@ from ptq import (
     parse_lam,
     parse_term,
     parse_type,
+    ptq_translate,
     ptq_translate_e,
     star_compose,
     step,
@@ -109,6 +112,25 @@ class TestNormalize:
         stopped, n = control_prefix(u, 100)
         assert n == 1
         assert classify(stopped) in (RuleTag.BETA, None)
+
+    @pytest.mark.parametrize("fuel", [100, 3])
+    def test_control_prefix_contracts_control_steps_only(self, monkeypatch, fuel):
+        # seven control steps lead to a Beta redex, which is not contracted;
+        # with less fuel the prefix stops after `fuel` contractions
+        m = parse_lam(r"(\f:A->A. \x:A. f (f x)) (\y:A. y) z")
+        u = QApp(ptq_translate(m, Strategy.CBV, {"z": parse_type("A")}), STAR)
+        rules = normalize(u).trace.rules()
+        contract, calls = ptq.machine._contract, []
+
+        def counted(u, tag):
+            calls.append(tag)
+            return contract(u, tag)
+
+        monkeypatch.setattr(ptq.machine, "_contract", counted)
+        stopped, n = control_prefix(u, fuel)
+        assert n == min(7, fuel) == len(calls)
+        assert calls == rules[:n] and classify(stopped) is rules[n]
+        assert RuleTag.BETA not in calls
 
     def test_trace_terms(self):
         result = normalize(T(r"* ; \k:A. k ; x"))

@@ -107,6 +107,20 @@ class TestByValue:
                 aux_translate(L(r"(\x:A. x) y"), strat, {"y": A})
 
 
+@pytest.mark.parametrize(
+    "text", [r"\k:A. \k:A. k", r"\x:A. \k:A -> A. k x", r"\k_1:A. \k:A. k_1"]
+)
+def test_bound_k_is_renamed_apart(text):
+    # k is the calculus's test variable, so a source binder named k is
+    # renamed; every image still reads back to the source
+    m = L(text)
+    for strat in (CBN, CBV):
+        images = (ptq_translate(m, strat), ptq_translate_e(m, strat), aux_translate(m, strat))
+        for image in images:
+            assert "k_" in term_str(image)
+            assert lam_alpha_eq(readback(image), m)
+
+
 class TestETranslations:
     def test_value_forms(self):
         env = {"y": A}
