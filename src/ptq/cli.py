@@ -153,12 +153,16 @@ def _cmd_reduce(args) -> int:
     result = normalize(u, fuel=args.fuel)
     trace = result.trace
     if args.json:
-        print(json.dumps(trace_to_json(trace), indent=2))
+        # built in full first, so an error cannot leave half a document
+        doc = trace_to_json(trace)
+        json.dump(doc, sys.stdout, indent=2)
+        sys.stdout.write("\n")
         return 0
     if args.trace:
-        print(f"initial: {term_str(trace.initial)}")
-        for ts in trace.steps:
-            print(f"[{ts.rule.value}] {term_str(ts.term)}")
+        doc = trace_to_json(trace)
+        print(f"initial: {doc['initial']}")
+        for s in doc["steps"]:
+            print(f"[{s['rule']}] {s['term']}")
         print("normal: yes" if trace.normal else "normal: no (fuel ran out)")
         return 0
     if result.exhausted:

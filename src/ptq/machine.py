@@ -195,14 +195,21 @@ def control_prefix(u: ETerm, fuel: int = DEFAULT_FUEL) -> tuple[ETerm, int]:
 
 
 def trace_to_json(trace: Trace) -> dict:
-    """A plain-data rendering of the trace, ready for json.dumps."""
+    """A plain-data rendering of the trace, ready for json.dumps.
+
+    Every state is printed with one `term_str` memo, which lives for this
+    call while the trace keeps its terms alive. Consecutive states share
+    every subterm a rule leaves untouched, so each distinct node of the run
+    is formatted once, not once per state that contains it.
+    """
+    memo: dict[int, str] = {}
     return {
-        "initial": term_str(trace.initial),
+        "initial": term_str(trace.initial, memo),
         "steps": [
             {
                 "rule": s.rule.value,
                 "class": s.rule.rule_class,
-                "term": term_str(s.term),
+                "term": term_str(s.term, memo),
             }
             for s in trace.steps
         ],

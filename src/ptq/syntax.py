@@ -414,36 +414,81 @@ def _ann(name: str, ty: Optional[Type]) -> str:
     return f"{name}:{type_str(ty)}" if ty is not None else name
 
 
-def term_str(term: Term) -> str:
-    return _pr(term, top=True)
+def term_str(term: Term, memo: Optional[dict[int, str]] = None) -> str:
+    """The canonical text of a term, which `parse_term` reads back.
+
+    `memo` maps id(node) to the node's text and is filled bottom-up with an
+    explicit stack, so no depth of nesting can exhaust the Python stack.
+    Each distinct node is formatted once per memo: the states of a machine
+    run share all but the nodes along the contracted paths, so printing a
+    whole trace with one memo costs one formatting per distinct node, not
+    one per node per state. Ids are reused once an object dies, so every
+    term printed with a memo must stay alive as long as the memo is in use.
+    Without a memo the call uses a fresh one and frees each child's text as
+    soon as its parent is formatted, so memory stays linear in the output; a
+    subterm shared within the term may then be formatted more than once.
+    """
+    keep = memo is not None
+    if memo is None:
+        memo = {}
+    stack = [term]
+    while stack:
+        node = stack[-1]
+        if id(node) in memo:
+            stack.pop()
+            continue
+        children = _CHILDREN.get(type(node))
+        if children is None:
+            raise TypeError(f"not a term: {node!r}")
+        kids = children(node)
+        ready = True
+        for c in kids:
+            if id(c) not in memo:
+                stack.append(c)
+                ready = False
+        if ready:
+            stack.pop()
+            memo[id(node)] = _FORMAT[type(node)](node, memo)
+            if not keep:
+                for c in kids:
+                    memo.pop(id(c), None)
+    return memo[id(term)]
 
 
-def _pr(term: Term, top: bool) -> str:
-    match term:
-        case PVar(name):
-            return name
-        case PairLam(x, xty, kty, body):
-            s = f"\\({_ann(x, xty)}, {_ann('k', kty)}). {_pr(body, True)}"
-        case KLam(kty, body):
-            s = f"\\{_ann('k', kty)}. {_pr(body, True)}"
-        case Star():
-            return "*"
-        case KVar():
-            return "k"
-        case Pair(fst, snd):
-            return f"<{_pr(fst, False)}, {_pr(snd, False)}>"
-        case XLam(x, xty, body):
-            s = f"\\{_ann(x, xty)}. {_pr(body, True)}"
-        case QLam(kty, body):
-            s = f"%{_ann('k', kty)}. {_pr(body, True)}"
-        case PApp(test, proof):
-            return f"{_pr(test, False)} ; {_pr(proof, False)}"
-        case QApp(fn, test):
-            return f"({_pr(fn, True)}) ! {_pr(test, False)}"
-        case _:
-            raise TypeError(f"not a term: {term!r}")
-    # binders reach here; wrap when embedded in a larger term
-    return s if top else f"({s})"
+_CHILDREN = {
+    PVar: lambda t: (),
+    PairLam: lambda t: (t.body,),
+    KLam: lambda t: (t.body,),
+    Star: lambda t: (),
+    KVar: lambda t: (),
+    Pair: lambda t: (t.fst, t.snd),
+    XLam: lambda t: (t.body,),
+    QLam: lambda t: (t.body,),
+    PApp: lambda t: (t.test, t.proof),
+    QApp: lambda t: (t.fn, t.test),
+}
+
+
+def _emb(child: Term, memo: dict[int, str]) -> str:
+    """The text of a child: a binder embedded in a larger term is wrapped."""
+    s = memo[id(child)]
+    return f"({s})" if isinstance(child, (PairLam, KLam, XLam, QLam)) else s
+
+
+# The text of one node from the memo entries of its children. A binder's body
+# is a computation, which needs no parentheses.
+_FORMAT = {
+    PVar: lambda t, m: t.name,
+    PairLam: lambda t, m: f"\\({_ann(t.x, t.xty)}, {_ann('k', t.kty)}). {m[id(t.body)]}",
+    KLam: lambda t, m: f"\\{_ann('k', t.kty)}. {m[id(t.body)]}",
+    Star: lambda t, m: "*",
+    KVar: lambda t, m: "k",
+    Pair: lambda t, m: f"<{_emb(t.fst, m)}, {_emb(t.snd, m)}>",
+    XLam: lambda t, m: f"\\{_ann(t.x, t.xty)}. {m[id(t.body)]}",
+    QLam: lambda t, m: f"%{_ann('k', t.kty)}. {m[id(t.body)]}",
+    PApp: lambda t, m: f"{_emb(t.test, m)} ; {_emb(t.proof, m)}",
+    QApp: lambda t, m: f"({m[id(t.fn)]}) ! {_emb(t.test, m)}",
+}
 
 
 # ---------------------------------------------------------------------------

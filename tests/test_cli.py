@@ -10,6 +10,7 @@ import pytest
 
 import ptq
 from ptq.cli import main
+from test_printer import church_image
 
 
 def run(capsys, *argv):
@@ -140,6 +141,25 @@ class TestReduce:
         assert [s["rule"] for s in doc["steps"]] == ["Beta", "QApp"]
         assert doc["steps"][-1]["term"] == "* ; y"
 
+    def test_json_is_trace_to_json_streamed(self, capsys):
+        text = ptq.term_str(church_image(3, ptq.Strategy.CBV))
+        code, out, _ = run(capsys, "reduce", "--json", text)
+        trace = ptq.normalize(ptq.parse_term(text)).trace
+        assert code == 0 and len(trace.steps) > 10
+        assert out == json.dumps(ptq.trace_to_json(trace), indent=2) + "\n"
+
+    @pytest.mark.parametrize("strategy", list(ptq.Strategy))
+    def test_trace_lines_are_trace_to_json_strings(self, capsys, strategy):
+        u = church_image(2, strategy)
+        code, out, _ = run(capsys, "reduce", "--trace", ptq.term_str(u))
+        doc = ptq.trace_to_json(ptq.normalize(u).trace)
+        assert code == 0
+        assert out.splitlines() == [
+            f"initial: {doc['initial']}",
+            *(f"[{s['rule']}] {s['term']}" for s in doc["steps"]),
+            "normal: yes",
+        ]
+
     def test_wrong_sort(self, capsys):
         code, _, err = run(capsys, "reduce", "<y, *>")
         assert code == 1 and "computation" in err
@@ -258,3 +278,16 @@ class TestDeepInput:
         assert done.returncode == 1
         assert done.stderr.startswith("error:")
         assert "Traceback" not in done.stderr
+
+    def test_deep_translation_prints(self, tmp_path):
+        # the by-name image of church(400) nests deeper than a recursive
+        # printer can go at the default recursion limit
+        f = tmp_path / "church400.lam"
+        f.write_text(r"(\f:A->A. \x:A. " + "f (" * 400 + "x" + ")" * 400 + r") (\y:A. y) z")
+        env = {**os.environ, "PYTHONPATH": str(Path(ptq.__file__).parents[1])}
+        cmd = [sys.executable, "-m", "ptq.cli", "translate", "--strategy", "cbn",
+               "--form", "eterm", "--env", "z:A", "--file", str(f)]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert len(done.stdout.splitlines()) == 1
