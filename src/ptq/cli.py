@@ -86,6 +86,11 @@ def _parse_env(spec: Optional[str]):
     return env
 
 
+def _require_at_least(value: int, low: int, flag: str) -> None:
+    if value < low:
+        raise PtqError(f"{flag} must be at least {low}, got {value}")
+
+
 def _parse_any_judgment(text: str):
     """A ptq judgment if it reads as one, else a lambda judgment."""
     try:
@@ -146,6 +151,7 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    _require_at_least(args.fuel, 0, "--fuel")
     text = _read_input(args, "term")
     u = parse_term(text)
     if sort_of(u) != "e":
@@ -200,6 +206,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _require_at_least(args.fuel, 0, "--fuel")
     text = _read_input(args, "term")
     m = parse_lam(text)
     strategy = Strategy(args.strategy)
@@ -216,6 +223,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _require_at_least(args.count, 1, "--count")
     names = list(VERIFY_PROPERTIES) if args.property == "all" else [args.property]
     payload = {}
     any_failed = False

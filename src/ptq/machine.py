@@ -20,6 +20,13 @@ open position. So t-closure is checked once, where a term enters: `classify`
 and `step` check the term they are given, and `normalize` and `control_prefix`
 check their start term, then share one loop that applies the rules without
 walking the spine again.
+
+Each rule calls the substitution kernels of `syntax` directly. The four k
+rules call `_subst_k`, a loop down the body's spine, where its bound k is
+the only open position; it never enters a program subterm. Beta and PSubst
+call `_subst_p`, which enters a subterm only when the variable is free in it
+and shares every other subterm with the redex. The sorts of the payloads
+hold by the shape of the redex, so no rule checks them again.
 """
 
 from __future__ import annotations
@@ -36,13 +43,15 @@ from .syntax import (
     Pair,
     PairLam,
     PApp,
+    PTerm,
     QApp,
+    STAR,
     Star,
     XLam,
-    _subst,
+    _subst_k,
+    _subst_p,
     is_t_closed,
     parse_eterm,
-    subst_pvar,
     term_str,
 )
 
@@ -60,8 +69,6 @@ class RuleTag(Enum):
 
 
 DEFAULT_FUEL = 10**6
-
-_K_TARGET = ("k",)  # the substitution target of the test variable
 
 
 def _require_t_closed(u: ETerm) -> None:
@@ -101,20 +108,24 @@ def step(u: ETerm) -> Optional[tuple[ETerm, RuleTag]]:
 
 
 def _contract(u: ETerm, tag: RuleTag) -> ETerm:
-    # a k payload is the redex's own test, t-closed because u is
+    # a k payload is the redex's own test, t-closed because u is; a p payload
+    # is a program term by the sort of the redex
     match tag:
         case RuleTag.KSTAR:
-            return _subst(u.proof.body, _K_TARGET, Star())
+            return _subst_k(u.proof.body, STAR)
         case RuleTag.KPAIR:
-            return _subst(u.proof.body, _K_TARGET, u.test)
+            return _subst_k(u.proof.body, u.test)
         case RuleTag.BETA:
             lam: PairLam = u.proof
-            body = subst_pvar(lam.body, lam.x, u.test.fst)
-            return _subst(body, _K_TARGET, u.test.snd)
+            return _subst_k(_subst_x(lam.body, lam.x, u.test.fst), u.test.snd)
         case RuleTag.PSUBST:
-            return subst_pvar(u.test.body, u.test.x, u.proof)
+            return _subst_x(u.test.body, u.test.x, u.proof)
         case RuleTag.QAPP:
-            return _subst(u.fn.body, _K_TARGET, u.test)
+            return _subst_k(u.fn.body, u.test)
+
+
+def _subst_x(body: ETerm, x: str, payload: PTerm) -> ETerm:
+    return _subst_p(body, x, payload) if x in body._fv else body
 
 
 @dataclass(frozen=True)

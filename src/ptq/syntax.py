@@ -64,6 +64,9 @@ def type_str(ty: Type) -> str:
 # terms
 
 
+_NO_NAMES: frozenset[str] = frozenset()
+
+
 class _FreeNames:
     """The free program names of a term node, computed on first access and
     stored as an instance attribute of the same name, which shadows this
@@ -72,21 +75,30 @@ class _FreeNames:
     frame per level, as a substitution does."""
 
     def __get__(self, node, owner=None) -> frozenset[str]:
-        match node:
-            case PApp(a, b) | Pair(a, b) | QApp(a, b):
-                fv = a._fv | b._fv
-            case PVar(name):
-                fv = frozenset((name,))
-            case KVar() | Star():
-                fv = frozenset()
-            case KLam(_, body) | QLam(_, body):
-                fv = body._fv
-            case PairLam(x, _, _, body) | XLam(x, _, body):
-                fv = body._fv - {x}
-            case None:
-                return self
-            case _:
-                raise TypeError(f"not a term: {node!r}")
+        # the names of a node are the union of at most two sets, a and b
+        cls = type(node)
+        if cls is PApp:
+            a, b = node.test._fv, node.proof._fv
+        elif cls is QApp:
+            a, b = node.fn._fv, node.test._fv
+        elif cls is Pair:
+            a, b = node.fst._fv, node.snd._fv
+        elif cls is QLam or cls is KLam:
+            a, b = node.body._fv, _NO_NAMES
+        elif cls is XLam or cls is PairLam:
+            a, b = node.body._fv, _NO_NAMES
+            if node.x in a:
+                a = a - {node.x}
+        elif cls is PVar:
+            a, b = frozenset((node.name,)), _NO_NAMES
+        elif cls is KVar or cls is Star:
+            a = b = _NO_NAMES
+        elif node is None:
+            return self
+        else:
+            raise TypeError(f"not a term: {node!r}")
+        # share a child's set when the other child adds nothing
+        fv = a | b if a and b else a or b
         object.__setattr__(node, "_fv", fv)  # the dataclasses are frozen
         return fv
 
@@ -255,61 +267,154 @@ def is_t_closed(term: Term) -> bool:
 # A target is ('p', name) for a program variable, ('k',) for the free test
 # variable, or ('*',) for the spine constant. The k and * payloads must be
 # t-closed, so k-binders never capture anything and only program binders need
-# freshening.
+# freshening. `_subst` is the one entry point; it hands each target to its own
+# kernel, and the machine calls the kernels directly.
 #
-# Every node caches its free program names (`_Node._fv`), so for a ('p', x)
-# target the walk returns a subterm unchanged, the same object, as soon as x
-# is not free in it. New nodes are built only along the paths to the
-# occurrences of x, successive terms of a machine run share every other
-# subterm, and the cost of a substitution follows the occurrences, not the
-# size of the term. A binder that would capture a free name of the payload
-# is renamed by `fresh_name` against the free names of payload and body,
-# both read from the caches, so the same input always gets the same names.
-# The new name is never a ('p', x) target: the walk reaches a binder only
-# when x is free in its body, so avoiding the body's names avoids x.
+# p kernel (`_subst_p`). Every node caches its free program names
+# (`_Node._fv`), and the kernel enters a child only when x is free in it, so
+# an untouched child costs no call and is shared with the input by identity.
+# New nodes are built only along the paths to the occurrences of x,
+# successive terms of a machine run share every other subterm, and the cost
+# of a substitution follows the occurrences, not the size of the term. Each
+# node is dispatched once, on its type.
+#
+# k kernel (`_subst_k`). A test or computation term has one free test
+# position, at the end of its spine (`PApp.test`, `QApp.test`, `Pair.snd`,
+# `XLam.body`), and every program or jump subterm off the spine is t-closed,
+# so k can be free only at the end of the spine. The kernel is a loop down
+# the spine that never enters a program or jump subterm: it records the path,
+# puts the payload at its end when that end is k, and rebuilds the path
+# bottom-up. Binders on the spine are renamed as the payload requires, also
+# when the spine ends at *. The loop itself uses no stack depth; renaming a
+# binder still reads the free names of its body and walks it with `_subst_p`.
+#
+# A binder that would capture a free name of the payload is renamed by
+# `fresh_name` against the free names of payload and body, both read from the
+# caches, so the same input always gets the same names. The new name is never
+# a ('p', x) target: the p kernel reaches a binder only when x is free in its
+# body, so avoiding the body's names avoids x.
+#
+# * target (`_subst_stars`). Only the public `t_open`, `subst_star` and
+# `star_compose` use it; it is one plain walk that replaces every * in the
+# term.
 
 
 def _avoid(x: str, body: ETerm, payload: Term) -> tuple[str, ETerm]:
     if x in payload._fv:
         x2 = fresh_name(x, payload._fv | body._fv)
-        return x2, _subst(body, ("p", x), PVar(x2))
+        return x2, _subst_p(body, x, PVar(x2)) if x in body._fv else body
     return x, body
 
 
 def _subst(term: Term, target: tuple, payload: Term) -> Term:
     kind = target[0]
-    if kind == "p" and target[1] not in term._fv:
-        return term
+    if kind == "p":
+        x = target[1]
+        return _subst_p(term, x, payload) if x in term._fv else term
+    if kind == "k":
+        return _subst_k(term, payload)
+    if kind == "*":
+        return _subst_stars(term, payload)
+    raise ValueError(f"not a substitution target: {target!r}")
+
+
+def _subst_p(term: Term, x: str, payload: Term) -> Term:
+    """term[payload/x]; x must be free in term."""
+    cls = type(term)
+    if cls is PApp:
+        test, proof = term.test, term.proof
+        return PApp(
+            _subst_p(test, x, payload) if x in test._fv else test,
+            _subst_p(proof, x, payload) if x in proof._fv else proof,
+        )
+    if cls is QApp:
+        fn, test = term.fn, term.test
+        return QApp(
+            _subst_p(fn, x, payload) if x in fn._fv else fn,
+            _subst_p(test, x, payload) if x in test._fv else test,
+        )
+    if cls is PVar:
+        return payload
+    if cls is Pair:
+        fst, snd = term.fst, term.snd
+        return Pair(
+            _subst_p(fst, x, payload) if x in fst._fv else fst,
+            _subst_p(snd, x, payload) if x in snd._fv else snd,
+        )
+    if cls is QLam:
+        return QLam(term.kty, _subst_p(term.body, x, payload))
+    if cls is KLam:
+        return KLam(term.kty, _subst_p(term.body, x, payload))
+    if cls is XLam:
+        y, body = _avoid(term.x, term.body, payload)
+        return XLam(y, term.xty, _subst_p(body, x, payload))
+    if cls is PairLam:
+        y, body = _avoid(term.x, term.body, payload)
+        return PairLam(y, term.xty, term.kty, _subst_p(body, x, payload))
+    raise TypeError(f"not a term: {term!r}")
+
+
+# where a spine can end without k: at *, or at once on a program or jump term
+_SPINE_ENDS = (Star, PVar, PairLam, KLam, QLam)
+
+
+def _subst_k(term: Term, payload: Term) -> Term:
+    """term[payload/k] for a t-closed payload, in a loop down the spine."""
+    path = []
+    node = term
+    while True:
+        cls = type(node)
+        if cls is PApp or cls is QApp:
+            path.append((node, None))
+            node = node.test
+        elif cls is Pair:
+            path.append((node, None))
+            node = node.snd
+        elif cls is XLam:
+            x, body = _avoid(node.x, node.body, payload)
+            path.append((node, x))
+            node = body
+        else:
+            break
+    if cls is KVar:
+        node = payload
+    elif cls not in _SPINE_ENDS:
+        raise TypeError(f"not a term: {node!r}")
+    for parent, x in reversed(path):
+        cls = type(parent)
+        if cls is PApp:
+            node = PApp(node, parent.proof)
+        elif cls is Pair:
+            node = Pair(parent.fst, node)
+        elif cls is XLam:
+            node = XLam(x, parent.xty, node)
+        else:
+            node = QApp(parent.fn, node)
+    return node
+
+
+def _subst_stars(term: Term, payload: Term) -> Term:
     match term:
-        case PVar():
-            # past the check above, a p target names this variable
-            return payload if kind == "p" else term
-        case PairLam(x, xty, kty, body):
-            if kind == "k":
-                return term
-            x, body = _avoid(x, body, payload)
-            return PairLam(x, xty, kty, _subst(body, target, payload))
-        case KLam(kty, body):
-            if kind == "k":
-                return term
-            return KLam(kty, _subst(body, target, payload))
-        case QLam(kty, body):
-            if kind == "k":
-                return term
-            return QLam(kty, _subst(body, target, payload))
         case Star():
-            return payload if kind == "*" else term
-        case KVar():
-            return payload if kind == "k" else term
+            return payload
+        case PVar() | KVar():
+            return term
+        case PairLam(x, xty, kty, body):
+            x, body = _avoid(x, body, payload)
+            return PairLam(x, xty, kty, _subst_stars(body, payload))
+        case KLam(kty, body):
+            return KLam(kty, _subst_stars(body, payload))
+        case QLam(kty, body):
+            return QLam(kty, _subst_stars(body, payload))
         case Pair(fst, snd):
-            return Pair(_subst(fst, target, payload), _subst(snd, target, payload))
+            return Pair(_subst_stars(fst, payload), _subst_stars(snd, payload))
         case XLam(x, xty, body):
             x, body = _avoid(x, body, payload)
-            return XLam(x, xty, _subst(body, target, payload))
+            return XLam(x, xty, _subst_stars(body, payload))
         case PApp(test, proof):
-            return PApp(_subst(test, target, payload), _subst(proof, target, payload))
+            return PApp(_subst_stars(test, payload), _subst_stars(proof, payload))
         case QApp(fn, test):
-            return QApp(_subst(fn, target, payload), _subst(test, target, payload))
+            return QApp(_subst_stars(fn, payload), _subst_stars(test, payload))
     raise TypeError(f"not a term: {term!r}")
 
 

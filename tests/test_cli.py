@@ -166,7 +166,13 @@ class TestReduce:
 
     def test_fuel_exhaustion(self, capsys):
         code, _, err = run(capsys, "reduce", "--fuel", "0", r"* ; \k:A. k ; x")
-        assert code == 1 and "fuel" in err.lower() or "normal form" in err
+        assert code == 1 and ("fuel" in err.lower() or "normal form" in err)
+
+    @pytest.mark.parametrize("fuel", ["-1", "-50"])
+    def test_negative_fuel_is_rejected(self, capsys, fuel):
+        code, out, err = run(capsys, "reduce", "--fuel", fuel, r"* ; \k:A. k ; x")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--fuel" in err
 
     # Beta puts a payload with free y and y_1 under the binder \y, which must
     # be renamed to a name free in neither: y_1 would capture the payload's y_1
@@ -231,6 +237,13 @@ class TestEval:
         lines = out.strip().splitlines()
         assert code == 0 and lines[-1] == "steps 1"
 
+    def test_negative_fuel_is_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--strategy", "cbv", "--fuel", "-1", r"(\x:X. x) y"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--fuel" in err
+
 
 class TestVerify:
     def test_single_property(self, capsys):
@@ -249,6 +262,13 @@ class TestVerify:
         )
         doc = json.loads(out)
         assert code == 0 and doc["readback"]["ok"] is True
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_rejected(self, capsys, count):
+        # zero instances would print a vacuous PASS
+        code, out, err = run(capsys, "verify", "--property", "typing", "--count", count)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--count" in err
 
 
 class TestUsage:

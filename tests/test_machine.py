@@ -9,6 +9,8 @@ import ptq.syntax
 from ptq import (
     FuelExhausted,
     NotTClosed,
+    PApp,
+    Pair,
     QApp,
     RuleTag,
     STAR,
@@ -26,6 +28,7 @@ from ptq import (
     step,
     subst_star,
     term_str,
+    XLam,
 )
 
 
@@ -186,35 +189,53 @@ class TestReplay:
 class TestSubstitutionCost:
     """Substitution work per step must not grow with the size of the term:
     a by-value run of church(n) does about 5n steps, and walking the whole
-    body at each of them makes the run quadratic. Counted, not timed."""
+    body at each of them makes the run quadratic. Counted, not timed: the
+    nodes the kernels visit, one per call of the recursive p kernel and one
+    per spine node that the k kernel's loop passes."""
 
     @staticmethod
     def church(n):
         body = "f (" * n + "x" + ")" * n
         return parse_lam(rf"(\f:A->A. \x:A. {body}) (\y:A. y) z")
 
-    def subst_calls_per_step(self, monkeypatch, n):
-        image = ptq_translate_e(self.church(n), Strategy.CBV, {"z": parse_type("A")})
-        calls = 0
-        inner = ptq.syntax._subst
+    # the field that continues the spine, by node type
+    SPINE = {PApp: "test", QApp: "test", Pair: "snd", XLam: "body"}
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return inner(*args)
+    def spine_length(self, term):
+        n = 1
+        while type(term) in self.SPINE:
+            term = getattr(term, self.SPINE[type(term)])
+            n += 1
+        return n
+
+    def visits_per_step(self, monkeypatch, n):
+        image = ptq_translate_e(self.church(n), Strategy.CBV, {"z": parse_type("A")})
+        visits = 0
+        subst_p, subst_k = ptq.syntax._subst_p, ptq.syntax._subst_k
+
+        def counting_p(*args):
+            nonlocal visits
+            visits += 1
+            return subst_p(*args)
+
+        def counting_k(term, payload):
+            nonlocal visits
+            visits += self.spine_length(term)
+            return subst_k(term, payload)
 
         with monkeypatch.context() as m:
-            m.setattr(ptq.syntax, "_subst", counting)
-            m.setattr(ptq.machine, "_subst", counting)
+            for module in (ptq.syntax, ptq.machine):
+                m.setattr(module, "_subst_p", counting_p)
+                m.setattr(module, "_subst_k", counting_k)
             steps = len(normalize(image).trace.steps)
-        return calls / steps
+        return visits / steps
 
     def test_cbv_calls_per_step_flat(self, monkeypatch):
         # the counting wrapper doubles the frames of a deep substitution
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, 20000))
         try:
-            per_step = [self.subst_calls_per_step(monkeypatch, n) for n in (50, 100, 200)]
+            per_step = [self.visits_per_step(monkeypatch, n) for n in (50, 100, 200)]
         finally:
             sys.setrecursionlimit(limit)
         assert max(per_step) <= 1.25 * per_step[0], per_step

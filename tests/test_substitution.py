@@ -1,0 +1,145 @@
+"""The substitution kernels: exact terms against a recursive reference walk,
+sharing of untouched subterms, and a k spine deeper than the Python stack."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import ptq.syntax
+from ptq import (
+    K,
+    KLam,
+    KVar,
+    Pair,
+    PairLam,
+    PApp,
+    PVar,
+    QApp,
+    QLam,
+    STAR,
+    Star,
+    XLam,
+    subst_k,
+    subst_pvar,
+    subst_star,
+    term_str,
+)
+from test_syntax_properties import A, CLOSED_E, CLOSED_T, DEEP_E, NAME_LIST, NAMES, OPEN_T, P, eterms
+
+
+def reference_avoid(x, body, payload):
+    if x in payload._fv:
+        x2 = ptq.syntax.fresh_name(x, payload._fv | body._fv)
+        return x2, reference_subst(body, ("p", x), PVar(x2))
+    return x, body
+
+
+def reference_subst(term, target, payload):
+    """The one recursive walk the kernels replaced: it matches every node
+    for every target and recurses once per level of nesting."""
+    kind = target[0]
+    if kind == "p" and target[1] not in term._fv:
+        return term
+    match term:
+        case PVar():
+            return payload if kind == "p" else term
+        case PairLam(x, xty, kty, body):
+            if kind == "k":
+                return term
+            x, body = reference_avoid(x, body, payload)
+            return PairLam(x, xty, kty, reference_subst(body, target, payload))
+        case KLam(kty, body):
+            if kind == "k":
+                return term
+            return KLam(kty, reference_subst(body, target, payload))
+        case QLam(kty, body):
+            if kind == "k":
+                return term
+            return QLam(kty, reference_subst(body, target, payload))
+        case Star():
+            return payload if kind == "*" else term
+        case KVar():
+            return payload if kind == "k" else term
+        case Pair(fst, snd):
+            return Pair(reference_subst(fst, target, payload), reference_subst(snd, target, payload))
+        case XLam(x, xty, body):
+            x, body = reference_avoid(x, body, payload)
+            return XLam(x, xty, reference_subst(body, target, payload))
+        case PApp(test, proof):
+            return PApp(reference_subst(test, target, payload), reference_subst(proof, target, payload))
+        case QApp(fn, test):
+            return QApp(reference_subst(fn, target, payload), reference_subst(test, target, payload))
+    raise TypeError(f"not a term: {term!r}")
+
+
+TERMS = [CLOSED_T, OPEN_T, CLOSED_E, DEEP_E, P, eterms(5, "k")]
+TERM_IDS = ["closed_t", "open_t", "closed_e", "deep_e", "p", "deep_open_e"]
+
+# t-closed test payloads; the second kind always has a free name from the
+# pool the generated binders use, so binders on the spine get renamed
+T_PAYLOADS = st.one_of(CLOSED_T, st.builds(Pair, NAMES.map(PVar), CLOSED_T))
+
+
+def assert_shares_untouched(before, after, x):
+    """Down every path a p substitution rebuilt, each child in which x is not
+    free is the input's own object."""
+    if x not in before._fv:
+        assert after is before
+        return
+    if isinstance(before, (XLam, PairLam)) and after.x != before.x:
+        return  # a renamed binder's body is a new term
+    children = ptq.syntax._CHILDREN[type(before)]
+    for b, a in zip(children(before), children(after)):
+        assert_shares_untouched(b, a, x)
+
+
+@pytest.mark.parametrize("terms", TERMS, ids=TERM_IDS)
+def test_kernels_same_as_reference(terms):
+    @settings(max_examples=100, derandomize=True)
+    @given(terms, P, T_PAYLOADS)
+    def check(term, p, t):
+        for x in NAME_LIST:
+            out = subst_pvar(term, x, p)
+            assert out == reference_subst(term, ("p", x), p)
+            assert_shares_untouched(term, out, x)
+        assert subst_k(term, t) == reference_subst(term, ("k",), t)
+        assert subst_star(term, t) == reference_subst(term, ("*",), t)
+
+    check()
+
+
+def test_k_target_renames_along_the_spine():
+    # the binders \y and \x on the spine would capture the payload's y and x
+    term = XLam("y", A, PApp(Pair(PVar("y"), XLam("x", A, PApp(K, PVar("x")))), PVar("z")))
+    payload = Pair(PVar("x"), Pair(PVar("y"), STAR))
+    out = subst_k(term, payload)
+    assert out == reference_subst(term, ("k",), payload)
+    assert term_str(out) == r"\y_1:A. <y_1, (\x_1:A. <x, <y, *>> ; x_1)> ; z"
+
+
+DEPTH = 10_000
+
+
+def deep_spine(end, innermost_binder):
+    """A test term whose spine runs DEPTH nodes through Pair, PApp, XLam and
+    QApp to `end`; built in a loop, since a recursive builder would need a
+    stack as deep as the term."""
+    jump = QLam(A, PApp(K, PVar("z")))
+    node = end
+    for i in range(DEPTH // 5):
+        node = Pair(PVar("x"), node)
+        node = PApp(node, PVar("y"))
+        node = XLam(innermost_binder if i == 0 else "w", A, node)
+        node = QApp(jump, node)
+        node = XLam("w", A, node)
+    return node
+
+
+def test_k_target_through_a_spine_deeper_than_the_stack():
+    # the innermost binder \v would capture the payload's v, so it is renamed
+    # at the bottom of the spine
+    payload = Pair(PVar("v"), STAR)
+    term = deep_spine(K, "v")
+    out = subst_k(term, payload)
+    assert term_str(out) == term_str(deep_spine(payload, "v_1"))
+    with pytest.raises(RecursionError):
+        reference_subst(term, ("k",), payload)
