@@ -108,16 +108,6 @@ def _gen(rng, scope: tuple[tuple[str, Type], ...], want: Type, budget: int, dept
     raise _Dead
 
 
-def _count_apps(m: LamTerm) -> int:
-    match m:
-        case App(fn, arg):
-            return 1 + _count_apps(fn) + _count_apps(arg)
-        case Lam(_, _, body):
-            return _count_apps(body)
-        case _:
-            return 0
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -154,11 +144,11 @@ def _oracle_chain(m: LamTerm, strategy: Strategy) -> list[LamTerm]:
     return chain
 
 
-def _start_term(m: LamTerm, strategy: Strategy, env=None) -> ETerm:
+def _start_term(m: LamTerm, strategy: Strategy) -> ETerm:
     """The computation that runs the plain translation against *."""
     if strategy is Strategy.CBN:
-        return PApp(STAR, ptq_translate(m, strategy, env))
-    return QApp(ptq_translate(m, strategy, env), STAR)
+        return PApp(STAR, ptq_translate(m, strategy))
+    return QApp(ptq_translate(m, strategy), STAR)
 
 
 def _closed_ty(m: LamTerm) -> Type:

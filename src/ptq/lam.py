@@ -6,10 +6,11 @@ uncurried mode additionally produce pairs and pair-pattern abstractions; those
 two constructors never reach the evaluators.
 
 Substitution M[N/x] and hole composition M[N/[]] are one capture-avoiding
-walk whose target is a variable name or the hole. It rebuilds only the paths
-to the target's occurrences and renames a binder only when its name is free
-in N and the target occurs below it. Hole composition plugs N into every hole
-of M and is associative with [] as neutral element.
+walk, the scheme the calculus terms use (see `ptq.syntax`). Every node caches
+its free names, and a hole counts as the name [], which no variable can be
+spelled as, so a variable and the hole are one kind of target. Hole
+composition plugs N into every hole of M and is associative with [] as
+neutral element.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Optional, Union
 
 from .errors import ParseError, UncurriedNeedsPairs
 from .syntax import (
+    _NO_NAMES,
     Type,
     TokenStream,
     _parse_type,
@@ -28,32 +30,74 @@ from .syntax import (
     type_str,
 )
 
+# the free name of a hole, which no variable name can be spelled as
+_HOLE_NAME = "[]"
+
+
+class _FreeNames:
+    """The free names of a lambda node, [] for a hole among them, cached as
+    `ptq.syntax._FreeNames` caches those of a calculus term."""
+
+    def __get__(self, node, owner=None) -> frozenset[str]:
+        # the names of a node are the union of at most two sets, a and b
+        cls = type(node)
+        if cls is App:
+            a, b = node.fn._fv, node.arg._fv
+        elif cls is Lam:
+            a, b = node.body._fv, _NO_NAMES
+            if node.x in a:
+                a = a - {node.x}
+        elif cls is Var:
+            a, b = frozenset((node.name,)), _NO_NAMES
+        elif cls is Hole:
+            a, b = frozenset((_HOLE_NAME,)), _NO_NAMES
+        elif cls is PairTerm:
+            a, b = node.fst._fv, node.snd._fv
+        elif cls is PairPatLam:
+            a, b = node.body._fv, _NO_NAMES
+            if node.x in a or node.h in a:
+                a = a - {node.x, node.h}
+        elif node is None:
+            return self
+        else:
+            raise TypeError(f"not a lambda term: {node!r}")
+        # share a child's set when the other child adds nothing
+        fv = a | b if a and b else a or b
+        object.__setattr__(node, "_fv", fv)  # the dataclasses are frozen
+        return fv
+
+
+class _LamNode:
+    """Base of the lambda nodes, with the free-name cache of `ptq.syntax._Node`."""
+
+    _fv = _FreeNames()
+
 
 @dataclass(frozen=True)
-class Var:
+class Var(_LamNode):
     name: str
 
 
 @dataclass(frozen=True)
-class Lam:
+class Lam(_LamNode):
     x: str
     xty: Optional[Type]
     body: "LamTerm"
 
 
 @dataclass(frozen=True)
-class App:
+class App(_LamNode):
     fn: "LamTerm"
     arg: "LamTerm"
 
 
 @dataclass(frozen=True)
-class Hole:
+class Hole(_LamNode):
     ty: Optional[Type] = None
 
 
 @dataclass(frozen=True)
-class PairTerm:
+class PairTerm(_LamNode):
     """Pair constructor for the uncurried CPS image."""
 
     fst: "LamTerm"
@@ -61,7 +105,7 @@ class PairTerm:
 
 
 @dataclass(frozen=True)
-class PairPatLam:
+class PairPatLam(_LamNode):
     """Pair-pattern abstraction \\(x, h). M for the uncurried CPS image."""
 
     x: str
@@ -80,20 +124,9 @@ def is_value(m: LamTerm) -> bool:
 
 
 def lam_free_vars(m: LamTerm) -> frozenset[str]:
-    match m:
-        case Var(name):
-            return frozenset((name,))
-        case Lam(x, _, body):
-            return lam_free_vars(body) - {x}
-        case App(fn, arg):
-            return lam_free_vars(fn) | lam_free_vars(arg)
-        case Hole():
-            return frozenset()
-        case PairTerm(fst, snd):
-            return lam_free_vars(fst) | lam_free_vars(snd)
-        case PairPatLam(x, h, body):
-            return lam_free_vars(body) - {x, h}
-    raise TypeError(f"not a lambda term: {m!r}")
+    if not isinstance(m, _LamNode):
+        raise TypeError(f"not a lambda term: {m!r}")
+    return m._fv - {_HOLE_NAME}
 
 
 def lam_all_names(m: LamTerm) -> frozenset[str]:
@@ -115,77 +148,62 @@ def lam_all_names(m: LamTerm) -> frozenset[str]:
 
 def lam_subst(m: LamTerm, name: str, payload: LamTerm) -> LamTerm:
     """Capture-avoiding m[payload/name]."""
-    return _subst(m, name, payload, lam_free_vars(payload))
+    return _subst(m, name, payload, payload._fv) if name in m._fv else m
 
 
 def plug_hole(m: LamTerm, payload: LamTerm) -> LamTerm:
     """m[payload/[]], plugging every hole of m."""
-    return _subst(m, HOLE, payload, lam_free_vars(payload))
+    return _subst(m, _HOLE_NAME, payload, payload._fv) if _HOLE_NAME in m._fv else m
 
 
-# A target is a variable name or HOLE. The walk returns a subterm without an
-# occurrence of the target unchanged, the same object, so only the paths to
-# the occurrences are rebuilt. A binder is renamed only when its name is free
-# in the payload (fv) and the target occurs below it; the rename is decided
-# before descending, and the new name avoids fv and the body's free names,
-# which then include the target.
+# The walk enters a child only when the target is among the child's cached
+# free names, so an untouched child costs no call and is shared with the input
+# by identity, and only the paths to the occurrences are rebuilt. Every binder
+# it reaches has the target free in its body; it is renamed exactly when its
+# name is free in the payload (fv), to the first fresh name free neither in fv
+# nor in the body, which then includes the target. Both sets are read from the
+# caches, so a rename costs a walk along the renamed name's occurrences only.
 
 
-def _subst(
-    t: LamTerm, target: Union[str, Hole], payload: LamTerm, fv: frozenset[str]
-) -> LamTerm:
-    match t:
-        case Var(x):
-            return payload if x == target else t
-        case Hole():
-            return payload if target is HOLE else t
-        case Lam(x, xty, body):
-            if x == target:
-                return t
-            if x in fv and _occurs(body, target):
-                x, body = _rename(x, body, fv)
-            new = _subst(body, target, payload, fv)
-            return t if new is t.body else Lam(x, xty, new)
-        case App(fn, arg):
-            f, a = _subst(fn, target, payload, fv), _subst(arg, target, payload, fv)
-            return t if f is fn and a is arg else App(f, a)
-        case PairTerm(fst, snd):
-            f, s = _subst(fst, target, payload, fv), _subst(snd, target, payload, fv)
-            return t if f is fst and s is snd else PairTerm(f, s)
-        case PairPatLam(x, h, body):
-            if target in (x, h):
-                return t
-            if (x in fv or h in fv) and _occurs(body, target):
-                if x in fv:
-                    x, body = _rename(x, body, fv | {h})
-                if h in fv:
-                    h, body = _rename(h, body, fv | {x})
-            new = _subst(body, target, payload, fv)
-            return t if new is t.body else PairPatLam(x, h, new)
+def _subst(t: LamTerm, target: str, payload: LamTerm, fv: frozenset[str]) -> LamTerm:
+    """t[payload/target]; target must be free in t."""
+    cls = type(t)
+    if cls is App:
+        fn, arg = t.fn, t.arg
+        return App(
+            _subst(fn, target, payload, fv) if target in fn._fv else fn,
+            _subst(arg, target, payload, fv) if target in arg._fv else arg,
+        )
+    if cls is Var or cls is Hole:
+        return payload
+    if cls is Lam:
+        x, body = t.x, t.body
+        if x in fv:
+            x, body = _rename(x, body, fv)
+        return Lam(x, t.xty, _subst(body, target, payload, fv))
+    if cls is PairTerm:
+        fst, snd = t.fst, t.snd
+        return PairTerm(
+            _subst(fst, target, payload, fv) if target in fst._fv else fst,
+            _subst(snd, target, payload, fv) if target in snd._fv else snd,
+        )
+    if cls is PairPatLam:
+        x, h, body = t.x, t.h, t.body
+        if x in fv:
+            x, body = _rename(x, body, fv | {h})
+        if h in fv:
+            h, body = _rename(h, body, fv | {x})
+        return PairPatLam(x, h, _subst(body, target, payload, fv))
     raise TypeError(f"not a lambda term: {t!r}")
-
-
-def _occurs(m: LamTerm, target: Union[str, Hole]) -> bool:
-    """Whether the target, a variable name or HOLE, occurs free in m."""
-    match m:
-        case Var(x):
-            return x == target
-        case Hole():
-            return target is HOLE
-        case Lam(x, _, body):
-            return x != target and _occurs(body, target)
-        case PairPatLam(x, h, body):
-            return target not in (x, h) and _occurs(body, target)
-        case App(fn, arg) | PairTerm(fst=fn, snd=arg):
-            return _occurs(fn, target) or _occurs(arg, target)
-    raise TypeError(f"not a lambda term: {m!r}")
 
 
 def _rename(x: str, body: LamTerm, avoid: frozenset[str]) -> tuple[str, LamTerm]:
     """Rebind x in body to the first fresh name free neither in body nor in
-    `avoid`: the payload's free variables and a pair binder's other name."""
-    x2 = fresh_name(x, avoid | lam_free_vars(body))
-    return x2, lam_subst(body, x, Var(x2))
+    `avoid`: the payload's free names and a pair binder's other name."""
+    x2 = fresh_name(x, avoid | body._fv)
+    if x not in body._fv:
+        return x2, body
+    return x2, _subst(body, x, Var(x2), frozenset((x2,)))
 
 
 def lam_alpha_eq(a: LamTerm, b: LamTerm) -> bool:
@@ -333,7 +351,9 @@ def _parse_lam_atom(ts: TokenStream) -> LamTerm:
         ts.expect(")")
         return term
     if tok == "[":
-        return _parse_hole(ts)
+        ts.next()
+        ts.expect("]")
+        return HOLE
     if tok == "\\":
         ts.next()
         if ts.peek() == "(":
@@ -355,12 +375,6 @@ def _parse_lam_atom(ts: TokenStream) -> LamTerm:
     if _LAM_IDENT_RE.match(tok) and tok not in _LAM_RESERVED:
         return Var(tok)
     raise ParseError(f"unexpected token {tok!r}")
-
-
-def _parse_hole(ts: TokenStream) -> Hole:
-    ts.expect("[")
-    ts.expect("]")
-    return HOLE
 
 
 def require_plain(m: LamTerm, what: str = "this operation") -> None:

@@ -88,9 +88,13 @@ def eval_small(
     fuel: int = DEFAULT_FUEL,
 ) -> tuple[LamTerm, list[LamTerm]]:
     """Iterate step_lambda to a normal form; returns it and the full chain."""
+    if fuel > 0:  # with no fuel the run reports exhaustion before any check
+        require_plain(m, "evaluation")
     chain = [m]
+    cbn = strategy is Strategy.CBN
     for _ in range(fuel):
-        s = step_lambda(chain[-1], strategy, order)
+        # a step of a plain term is plain, so the one check above covers all
+        s = _step_cbn(chain[-1]) if cbn else _step_cbv(chain[-1], order)
         if s is None:
             return chain[-1], chain
         chain.append(s)

@@ -238,23 +238,24 @@ def spine(term: Term) -> str:
     """The free test position of a test or computation term: 'k' or 'star'.
 
     Program and jump terms bind every test position, so they report 'none'.
+    The walk is a loop down the spine, so no depth of term exhausts the stack.
     """
-    match term:
-        case Star():
+    while True:
+        cls = type(term)
+        if cls is PApp or cls is QApp:
+            term = term.test
+        elif cls is Pair:
+            term = term.snd
+        elif cls is XLam:
+            term = term.body
+        elif cls is Star:
             return "star"
-        case KVar():
+        elif cls is KVar:
             return "k"
-        case Pair(_, snd):
-            return spine(snd)
-        case XLam(_, _, body):
-            return spine(body)
-        case PApp(test, _):
-            return spine(test)
-        case QApp(_, test):
-            return spine(test)
-        case PVar() | PairLam() | KLam() | QLam():
+        elif cls in _P_SORTS or cls is QLam:
             return "none"
-    raise TypeError(f"not a term: {term!r}")
+        else:
+            raise TypeError(f"not a term: {term!r}")
 
 
 def is_t_closed(term: Term) -> bool:
@@ -264,11 +265,13 @@ def is_t_closed(term: Term) -> bool:
 # ---------------------------------------------------------------------------
 # substitution
 
-# A target is ('p', name) for a program variable, ('k',) for the free test
-# variable, or ('*',) for the spine constant. The k and * payloads must be
-# t-closed, so k-binders never capture anything and only program binders need
-# freshening. `_subst` is the one entry point; it hands each target to its own
-# kernel, and the machine calls the kernels directly.
+# There are three targets, a program variable, the free test variable k and
+# the spine constant *, and each has its own kernel, which is the entry for
+# that target: the public `subst_pvar`, `subst_k`, `subst_star` and `t_open`
+# check their arguments and call it, and the machine calls the kernels
+# directly. The k and * payloads must be t-closed, so k-binders never capture
+# anything and only program binders need freshening. Lambda terms use the
+# same scheme (`ptq.lam`).
 #
 # p kernel (`_subst_p`). Every node caches its free program names
 # (`_Node._fv`), and the kernel enters a child only when x is free in it, so
@@ -291,12 +294,11 @@ def is_t_closed(term: Term) -> bool:
 # A binder that would capture a free name of the payload is renamed by
 # `fresh_name` against the free names of payload and body, both read from the
 # caches, so the same input always gets the same names. The new name is never
-# a ('p', x) target: the p kernel reaches a binder only when x is free in its
-# body, so avoiding the body's names avoids x.
+# the p kernel's target x: the kernel reaches a binder only when x is free in
+# its body, so avoiding the body's names avoids x.
 #
-# * target (`_subst_stars`). Only the public `t_open`, `subst_star` and
-# `star_compose` use it; it is one plain walk that replaces every * in the
-# term.
+# * kernel (`_subst_stars`). Only `t_open`, `subst_star` and `star_compose`
+# use it; it is one plain walk that replaces every * in the term.
 
 
 def _avoid(x: str, body: ETerm, payload: Term) -> tuple[str, ETerm]:
@@ -304,18 +306,6 @@ def _avoid(x: str, body: ETerm, payload: Term) -> tuple[str, ETerm]:
         x2 = fresh_name(x, payload._fv | body._fv)
         return x2, _subst_p(body, x, PVar(x2)) if x in body._fv else body
     return x, body
-
-
-def _subst(term: Term, target: tuple, payload: Term) -> Term:
-    kind = target[0]
-    if kind == "p":
-        x = target[1]
-        return _subst_p(term, x, payload) if x in term._fv else term
-    if kind == "k":
-        return _subst_k(term, payload)
-    if kind == "*":
-        return _subst_stars(term, payload)
-    raise ValueError(f"not a substitution target: {target!r}")
 
 
 def _subst_p(term: Term, x: str, payload: Term) -> Term:
@@ -422,7 +412,7 @@ def subst_pvar(term: Term, name: str, payload: PTerm) -> Term:
     """Capture-avoiding term[payload/name] for a program variable."""
     if sort_of(payload) != "p":
         raise TypeError("payload must be a program term")
-    return _subst(term, ("p", name), payload)
+    return _subst_p(term, name, payload) if name in term._fv else term
 
 
 def subst_k(term: Term, payload: TTerm) -> Term:
@@ -431,7 +421,7 @@ def subst_k(term: Term, payload: TTerm) -> Term:
         raise TypeError("payload must be a test term")
     if not is_t_closed(payload):
         raise NotTClosed("substitution payload for k must be t-closed")
-    return _subst(term, ("k",), payload)
+    return _subst_k(term, payload)
 
 
 def subst_star(term: Term, payload: TTerm) -> Term:
@@ -440,7 +430,7 @@ def subst_star(term: Term, payload: TTerm) -> Term:
         raise TypeError("payload must be a test term")
     if not is_t_closed(payload):
         raise NotTClosed("substitution payload for * must be t-closed")
-    return _subst(term, ("*",), payload)
+    return _subst_stars(term, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +448,7 @@ def t_open(term: Term) -> Term:
     """Reopen the spine: term[k/*]. Inverse of t_close."""
     if spine(term) != "star":
         raise TClosureError("term is already open")
-    return _subst(term, ("*",), K)
+    return _subst_stars(term, K)
 
 
 def star_compose(outer: TTerm, inner: Term) -> Term:
@@ -641,9 +631,8 @@ class TokenStream:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Optional[str]:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self) -> Optional[str]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def next(self) -> str:
         tok = self.peek()

@@ -37,12 +37,17 @@ class TestGenerator:
                 assert infer_lambda_box(LamEnv(), m) == ty
 
     def test_size_bound(self):
-        from ptq.harness import _count_apps
+        from ptq.lam import App, Lam
+
+        def count_apps(m):
+            if isinstance(m, App):
+                return 1 + count_apps(m.fn) + count_apps(m.arg)
+            return count_apps(m.body) if isinstance(m, Lam) else 0
 
         for size in range(7):
             for seed in range(8):
                 m, _ = gen_typed_term(size, seed)
-                assert _count_apps(m) <= size
+                assert count_apps(m) <= size
 
     def test_binder_names_distinct_on_path(self):
         # nested binders never reuse a name, keeping examples readable

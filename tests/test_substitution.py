@@ -1,5 +1,6 @@
-"""The substitution kernels: exact terms against a recursive reference walk,
-sharing of untouched subterms, and a k spine deeper than the Python stack."""
+"""The substitution kernels of both term languages: exact terms against the
+recursive reference walks they replaced, sharing of untouched subterms, and a
+k spine deeper than the Python stack."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,19 @@ from ptq import (
     subst_star,
     term_str,
 )
-from test_syntax_properties import A, CLOSED_E, CLOSED_T, DEEP_E, NAME_LIST, NAMES, OPEN_T, P, eterms
+from ptq.lam import HOLE, App, Hole, Lam, PairPatLam, PairTerm, Var, lam_subst, plug_hole
+from test_syntax_properties import (
+    A,
+    CLOSED_E,
+    CLOSED_T,
+    DEEP_E,
+    NAME_LIST,
+    NAMES,
+    OPEN_T,
+    P,
+    eterms,
+    lamterms,
+)
 
 
 def reference_avoid(x, body, payload):
@@ -143,3 +156,116 @@ def test_k_target_through_a_spine_deeper_than_the_stack():
     assert term_str(out) == term_str(deep_spine(payload, "v_1"))
     with pytest.raises(RecursionError):
         reference_subst(term, ("k",), payload)
+
+
+# ---------------------------------------------------------------------------
+# lambda terms
+
+
+def reference_lam_free_vars(m):
+    match m:
+        case Var(name):
+            return frozenset((name,))
+        case Lam(x, _, body):
+            return reference_lam_free_vars(body) - {x}
+        case App(fn, arg) | PairTerm(fst=fn, snd=arg):
+            return reference_lam_free_vars(fn) | reference_lam_free_vars(arg)
+        case Hole():
+            return frozenset()
+        case PairPatLam(x, h, body):
+            return reference_lam_free_vars(body) - {x, h}
+    raise TypeError(f"not a lambda term: {m!r}")
+
+
+def reference_occurs(m, target):
+    """Whether the target, a variable name or HOLE, occurs free in m."""
+    match m:
+        case Var(x):
+            return x == target
+        case Hole():
+            return target is HOLE
+        case Lam(x, _, body):
+            return x != target and reference_occurs(body, target)
+        case PairPatLam(x, h, body):
+            return target not in (x, h) and reference_occurs(body, target)
+        case App(fn, arg) | PairTerm(fst=fn, snd=arg):
+            return reference_occurs(fn, target) or reference_occurs(arg, target)
+    raise TypeError(f"not a lambda term: {m!r}")
+
+
+def reference_rename(x, body, avoid):
+    x2 = ptq.syntax.fresh_name(x, avoid | reference_lam_free_vars(body))
+    return x2, reference_lam_subst(body, x, Var(x2), frozenset((x2,)))
+
+
+def reference_lam_subst(t, target, payload, fv):
+    """The walk the cached free names replaced: its target is a name or HOLE,
+    and it walks every child and, before renaming a binder, its body."""
+    match t:
+        case Var(x):
+            return payload if x == target else t
+        case Hole():
+            return payload if target is HOLE else t
+        case Lam(x, xty, body):
+            if x == target:
+                return t
+            if x in fv and reference_occurs(body, target):
+                x, body = reference_rename(x, body, fv)
+            new = reference_lam_subst(body, target, payload, fv)
+            return t if new is t.body else Lam(x, xty, new)
+        case App(fn, arg):
+            f = reference_lam_subst(fn, target, payload, fv)
+            a = reference_lam_subst(arg, target, payload, fv)
+            return t if f is fn and a is arg else App(f, a)
+        case PairTerm(fst, snd):
+            f = reference_lam_subst(fst, target, payload, fv)
+            s = reference_lam_subst(snd, target, payload, fv)
+            return t if f is fst and s is snd else PairTerm(f, s)
+        case PairPatLam(x, h, body):
+            if target in (x, h):
+                return t
+            if (x in fv or h in fv) and reference_occurs(body, target):
+                if x in fv:
+                    x, body = reference_rename(x, body, fv | {h})
+                if h in fv:
+                    h, body = reference_rename(h, body, fv | {x})
+            new = reference_lam_subst(body, target, payload, fv)
+            return t if new is t.body else PairPatLam(x, h, new)
+    raise TypeError(f"not a lambda term: {t!r}")
+
+
+LAM_CHILDREN = {
+    Var: lambda m: (),
+    Hole: lambda m: (),
+    Lam: lambda m: (m.body,),
+    PairPatLam: lambda m: (m.body,),
+    App: lambda m: (m.fn, m.arg),
+    PairTerm: lambda m: (m.fst, m.snd),
+}
+
+
+def assert_lam_shares_untouched(before, after, target):
+    """Down every path a substitution rebuilt, each child without a free
+    occurrence of the target is the input's own object."""
+    if not reference_occurs(before, target):
+        assert after is before
+        return
+    if isinstance(before, Lam) and after.x != before.x:
+        return  # a renamed binder's body is a new term
+    if isinstance(before, PairPatLam) and (after.x, after.h) != (before.x, before.h):
+        return
+    children = LAM_CHILDREN[type(before)]
+    for b, a in zip(children(before), children(after)):
+        assert_lam_shares_untouched(b, a, target)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(lamterms(4), lamterms(1))
+def test_lam_subst_same_as_reference(m, p):
+    # the payloads' free names come from the pool the binders use, so
+    # binders get renamed, a pair binder against its partner too
+    for x in [*NAME_LIST, HOLE]:
+        for q in [p, *map(Var, NAME_LIST)]:
+            out = plug_hole(m, q) if x is HOLE else lam_subst(m, x, q)
+            assert out == reference_lam_subst(m, x, q, reference_lam_free_vars(q))
+            assert_lam_shares_untouched(m, out, x)

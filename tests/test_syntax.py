@@ -1,6 +1,7 @@
 """Terms, substitution, closure, composition, alpha equivalence."""
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -81,6 +82,14 @@ class TestSorts:
         assert spine(T(r"<\k:A. k ; x, *>")) == "star"
         assert is_t_closed(T(r"* ; \k:A. k ; x"))
 
+    def test_spine_deeper_than_the_stack(self):
+        # built in a loop, as a recursive builder would need the stack too
+        t = STAR
+        for _ in range(10_000):
+            t = Pair(PVar("x"), t)
+        assert spine(t) == "star"
+        assert is_t_closed(t)
+
 
 class TestFreeVars:
     def test_free_pvars(self):
@@ -102,6 +111,15 @@ class TestFreeVars:
         assert cached == fresh and hash(cached) == hash(fresh)
         assert repr(cached) == repr(fresh)
         assert [f.name for f in dataclasses.fields(cached)] == ["test", "proof"]
+
+    def test_lam_cache_is_not_a_field(self):
+        text = r"\(x, h). h (\y. [] y z) x"
+        cached, fresh = parse_lam(text), parse_lam(text)
+        assert lam_free_vars(cached) == {"z"}
+        assert "_fv" in vars(cached) and "_fv" not in vars(fresh)
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert repr(cached) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(cached)] == ["x", "h", "body"]
 
 
 class TestSubstitution:
@@ -175,6 +193,31 @@ class TestLamSubstitution:
         monkeypatch.setattr(ptq.lam, "_subst", counting)
         out = lam_subst(m, "x", Var("y"))
         assert lam_free_vars(out) == {"y"}
+
+    def test_nested_binder_rename_costs_linear_calls(self):
+        # every binder renames; reading the rename's free names from the
+        # caches, not walking the body for them at each binder, keeps all
+        # calls into ptq.lam, the cache fills included, linear in the depth
+        def calls(depth):
+            m = Var("x")
+            for _ in range(depth):
+                m = Lam("y", None, m)
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                if event == "call" and frame.f_code.co_filename == ptq.lam.__file__:
+                    count += 1
+
+            outer = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                lam_subst(m, "x", Var("y"))
+            finally:
+                sys.setprofile(outer)
+            return count
+
+        assert calls(400) <= 4.5 * calls(100)
 
 
 class TestFreshNames:
