@@ -14,10 +14,12 @@ the machine:
   sim-beta      the normal form of the machine run reads back to the lazy
                 normal form of the source
 
-Machine runs are instrumented: every step re-checks the typing judgment,
-certifies the readback (control steps preserve it, Beta steps advance it by
-one beta step), and checks that control steps drop the measure by exactly
-one. Any violation becomes a counterexample in the report, replayable from
+Machine runs are instrumented: every state is checked against the typing
+judgment, every step certifies the readback (control steps preserve it, Beta
+steps advance it by one beta step), and control steps must drop the measure
+by exactly one. A rule shares every subterm it does not touch with the next
+state, so within one run each distinct closed program or jump node is typed
+once. Any violation becomes a counterexample in the report, replayable from
 (property, size, seed).
 """
 
@@ -170,10 +172,18 @@ def run_checked(
     beta step; control steps drop control_length by exactly one. Each
     state is read back once, and its control_length is carried to the next
     step.
+
+    The states share every node a rule leaves untouched, and a closed
+    program or jump node has one type in every state that holds it, so a
+    dict that lives for this call types each such node once. Every state is
+    still checked in full: a node is skipped only where it was typed before
+    with no free names to vary, and a node that fails is never stored, so it
+    fails in every state that holds it.
     """
     env = TypeEnv((), ("star", anchor_ty))
+    types: dict = {}
     try:
-        if infer_ptq(env, u) is not E_OK:
+        if infer_ptq(env, u, types) is not E_OK:
             report.fail(
                 f"initial term failed to check: {term_str(u)}", "subject-reduction"
             )
@@ -187,7 +197,7 @@ def run_checked(
     for i, s in enumerate(trace.steps):
         current, tag, after = chain[i], s.rule, s.term
         try:
-            if infer_ptq(env, after) is not E_OK:
+            if infer_ptq(env, after, types) is not E_OK:
                 report.fail(
                     f"subject reduction broke after {tag.value}", "subject-reduction"
                 )

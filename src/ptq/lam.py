@@ -300,7 +300,11 @@ def lam_str(m: LamTerm) -> str:
 
 
 def parse_lam(text: str) -> LamTerm:
-    ts = TokenStream(tokenize(text))
+    return _parse_lam_to_end(TokenStream(tokenize(text)))
+
+
+def _parse_lam_to_end(ts: TokenStream) -> LamTerm:
+    """A lambda term that takes up the rest of ts."""
     term = _parse_lam(ts)
     if not ts.done():
         raise ParseError(f"trailing input after term: {ts.peek()!r}")

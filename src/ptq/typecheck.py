@@ -28,7 +28,7 @@ from .errors import (
     UnboundVariable,
     UncurriedNeedsPairs,
 )
-from .lam import App, Hole, Lam, LamTerm, Var, lam_str
+from .lam import App, Hole, Lam, LamTerm, Var, _parse_lam_to_end, lam_str
 from .syntax import (
     Arrow,
     Base,
@@ -119,32 +119,45 @@ def _need(ty: Optional[Type], where: str) -> Type:
     return ty
 
 
-def _infer_p(env: TypeEnv, p) -> Type:
+def _typed(infer, env: TypeEnv, node, types: dict) -> Type:
+    """infer(env, node, types), looked up in `types` by id when node is
+    closed: such a node has one type under every environment. An entry
+    (node, type) holds its node, so its id is not reused while `types` lives;
+    a node that fails to check raises before anything is stored."""
+    if node._fv:
+        return infer(env, node, types)
+    hit = types.get(id(node))
+    if hit is None:
+        hit = types[id(node)] = (node, infer(env, node, types))
+    return hit[1]
+
+
+def _infer_p(env: TypeEnv, p, types: dict) -> Type:
     match p:
         case PVar(name):
             return env.lookup(name)
         case PairLam(x, xty, kty, body):
             a = _need(xty, f"\\({x}, k)")
             b = _need(kty, f"\\({x}, k)")
-            _infer_e(env.extend(x, a).with_anchor("k", b), body)
+            _infer_e(env.extend(x, a).with_anchor("k", b), body, types)
             return Arrow(a, b)
         case KLam(kty, body):
             a = _need(kty, "\\k")
-            _infer_e(env.with_anchor("k", a), body)
+            _infer_e(env.with_anchor("k", a), body, types)
             return a
     raise TypeError(f"not a program term: {p!r}")
 
 
-def _infer_q(env: TypeEnv, q) -> Type:
+def _infer_q(env: TypeEnv, q, types: dict) -> Type:
     match q:
         case QLam(kty, body):
             a = _need(kty, "%k")
-            _infer_e(env.with_anchor("k", a), body)
+            _infer_e(env.with_anchor("k", a), body, types)
             return a
     raise TypeError(f"not a jump term: {q!r}")
 
 
-def _infer_t(env: TypeEnv, t) -> Type:
+def _infer_t(env: TypeEnv, t, types: dict) -> Type:
     kind, aty = env.anchor
     match t:
         case Star():
@@ -156,24 +169,24 @@ def _infer_t(env: TypeEnv, t) -> Type:
                 raise AnchorMismatch("term uses k but the anchor is *")
             return aty
         case Pair(fst, snd):
-            a = _infer_p(env.without_anchor(), fst)
-            b = _infer_t(env, snd)
+            a = _typed(_infer_p, env.without_anchor(), fst, types)
+            b = _infer_t(env, snd, types)
             return Arrow(a, b)
         case XLam(x, xty, body):
             a = _need(xty, f"\\{x}")
-            _infer_e(env.extend(x, a), body)
+            _infer_e(env.extend(x, a), body, types)
             return a
     raise TypeError(f"not a test term: {t!r}")
 
 
-def _infer_e(env: TypeEnv, u: ETerm) -> None:
+def _infer_e(env: TypeEnv, u: ETerm, types: dict) -> None:
     match u:
         case PApp(test, proof):
-            a = _infer_p(env.without_anchor(), proof)
-            b = _infer_t(env, test)
+            a = _typed(_infer_p, env.without_anchor(), proof, types)
+            b = _infer_t(env, test, types)
         case QApp(fn, test):
-            a = _infer_q(env.without_anchor(), fn)
-            b = _infer_t(env, test)
+            a = _typed(_infer_q, env.without_anchor(), fn, types)
+            b = _infer_t(env, test, types)
         case _:
             raise TypeError(f"not a computation: {u!r}")
     if a != b:
@@ -182,19 +195,26 @@ def _infer_e(env: TypeEnv, u: ETerm) -> None:
         )
 
 
-def infer_ptq(env: TypeEnv, subject: Term) -> Union[PtqType, EMark]:
-    """Infer the role and type of a subject under env, or raise."""
+def infer_ptq(
+    env: TypeEnv, subject: Term, _types: Optional[dict] = None
+) -> Union[PtqType, EMark]:
+    """Infer the role and type of a subject under env, or raise.
+
+    `_types` is private: one dict passed to the checks of many terms types
+    each closed program or jump node they share once (see `_typed`).
+    """
+    types = {} if _types is None else _types
     sort = sort_of(subject)
     if sort in ("p", "q"):
         if env.anchor is not None:
             raise AnchorMismatch(f"a {sort}-judgment carries no anchor")
         infer = _infer_p if sort == "p" else _infer_q
-        return PtqType(sort, infer(env, subject))
+        return PtqType(sort, _typed(infer, env, subject, types))
     if env.anchor is None:
         raise AnchorMismatch(f"a {sort}-judgment needs an anchor")
     if sort == "t":
-        return PtqType("t", _infer_t(env, subject))
-    _infer_e(env, subject)
+        return PtqType("t", _infer_t(env, subject, types))
+    _infer_e(env, subject, types)
     return E_OK
 
 
@@ -421,19 +441,9 @@ def parse_lam_judgment(text: str) -> LamJudgment:
         split = len(rest) - 1 - rest[::-1].index(":")
     except ValueError:
         raise ParseError("missing claimed type") from None
-    sub_ts = TokenStream(rest[:split])
-    subject = _parse_lam_inner(sub_ts)
+    subject = _parse_lam_to_end(TokenStream(rest[:split]))
     ty_ts = TokenStream(rest[split + 1 :])
     ty = _parse_type(ty_ts, allow_o=True)
     if not ty_ts.done():
         raise ParseError(f"trailing input after judgment: {ty_ts.peek()!r}")
     return LamJudgment(LamEnv(tuple(vars_), hole), subject, ty)
-
-
-def _parse_lam_inner(ts: TokenStream) -> LamTerm:
-    from .lam import _parse_lam
-
-    term = _parse_lam(ts)
-    if not ts.done():
-        raise ParseError(f"trailing input after term: {ts.peek()!r}")
-    return term

@@ -1,10 +1,28 @@
 """The generator and the property machinery itself."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 import ptq.harness
-from ptq import LamEnv, Strategy, infer_lambda_box, lam_alpha_eq, lam_str
+import ptq.typecheck
+from ptq import (
+    KLam,
+    LamEnv,
+    PairLam,
+    QLam,
+    Strategy,
+    infer_lambda_box,
+    lam_alpha_eq,
+    lam_str,
+)
 from ptq.harness import (
+    CHECKS,
+    PropertyReport,
+    _closed_ty,
+    _start_term,
     check_completeness,
     check_measure,
     check_readback,
@@ -12,10 +30,12 @@ from ptq.harness import (
     check_soundness,
     check_typing,
     gen_typed_term,
+    run_checked,
     run_property,
 )
 import ptq.machine
 from ptq.machine import RuleTag
+from ptq.syntax import _CHILDREN
 
 
 class TestGenerator:
@@ -166,3 +186,94 @@ class TestOneRunPerCheck:
         report = check_soundness(m, Strategy.CBV)
         assert report.ok and report.steps >= 20
         assert calls[0] == report.steps + 1
+
+
+def nodes(term):
+    """Every node occurrence of a calculus term, shared nodes once per
+    occurrence."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        yield t
+        stack.extend(_CHILDREN[type(t)](t))
+
+
+def is_closed_pq(node):
+    return isinstance(node, (PairLam, KLam, QLam)) and not node._fv
+
+
+class TestOneCheckPerNode:
+    """Within one checked run, each distinct closed program or jump node is
+    typed once, however many states hold it."""
+
+    def test_each_closed_node_typed_once(self, monkeypatch):
+        m = TestOneRunPerCheck.long_instance()
+        typed = []
+        for name in ("_infer_p", "_infer_q"):
+            infer = getattr(ptq.typecheck, name)
+
+            def recorded(env, node, types, infer=infer):
+                if is_closed_pq(node):
+                    typed.append(node)  # held, so no id is reused
+                return infer(env, node, types)
+
+            monkeypatch.setattr(ptq.typecheck, name, recorded)
+        report = PropertyReport("completeness", -1, -1, "", True)
+        chain, _ = run_checked(_start_term(m, Strategy.CBV), _closed_ty(m), report)
+        assert report.ok and report.steps >= 20
+        held = [node for t in chain for node in nodes(t) if is_closed_pq(node)]
+        assert len(typed) == len({id(node) for node in typed})
+        assert {id(node) for node in typed} == {id(node) for node in held}
+        # the states share closed nodes, so the count is not vacuous
+        assert len(held) > 2 * len(typed)
+
+
+class TestSharedFault:
+    """A rule that plants an ill-typed closed program node, which the states
+    after it share: every state that holds the node fails subject reduction,
+    because a node that fails to check is never remembered as checked."""
+
+    @pytest.fixture
+    def planted(self, monkeypatch):
+        # PSubst substitutes a copy of its closed program payload with the
+        # k annotation erased: a missing annotation fails the check, and
+        # every later contraction is the one the unbroken machine makes
+        contract, plants = ptq.machine._contract, []
+
+        def planting(u, tag):
+            if tag is RuleTag.PSUBST and not plants:
+                p = u.proof
+                if isinstance(p, (PairLam, KLam)) and not p._fv:
+                    plants.append(dataclasses.replace(p, kty=None))
+                    return ptq.machine._subst_x(u.test.body, u.test.x, plants[0])
+            return contract(u, tag)
+
+        monkeypatch.setattr(ptq.machine, "_contract", planting)
+        return plants
+
+    def test_every_state_holding_the_node_fails(self, planted):
+        runs = 0
+        for seed in range(30):
+            m, _ = gen_typed_term(8, seed)
+            planted.clear()
+            report = PropertyReport("completeness", 8, seed, lam_str(m), True)
+            chain, _ = run_checked(_start_term(m, Strategy.CBV), _closed_ty(m), report)
+            if not planted:
+                continue
+            holding = sum(
+                any(node is planted[0] for node in nodes(t)) for t in chain
+            )
+            assert report.count("subject-reduction") == holding
+            runs += holding >= 4
+        assert runs >= 3, "too few runs share the planted node"
+
+
+def test_reports_unchanged():
+    """Every report of every check on 60 instances up to size 8, under both
+    strategies, is the one the checks gave before runs shared their checks
+    of closed nodes. A deliberate change of a report changes this digest."""
+    reports = {
+        name: [r.to_dict() for r in run_property(name, 60, 8, 0)] for name in CHECKS
+    }
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "4452e1e14db37e4c6e41fec28e824b7969cff493cc25e2a5f0d4329d499ca8d8"

@@ -168,6 +168,16 @@ class TestJudgments:
             j2 = parse_lam_judgment(lam_judgment_str(j))
             assert lam_judgment_str(j) == lam_judgment_str(j2)
 
+    def test_lam_subject_trailing_input(self):
+        # a judgment's subject ends where a whole term would
+        for parse, text in [
+            (parse_lam, "x y )"),
+            (parse_lam_judgment, "x:A, y:A |- x y ) : A"),
+        ]:
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            assert str(exc.value) == "trailing input after term: ')'"
+
     def test_duplicate_context_entry(self):
         from ptq import DuplicateVariable
 

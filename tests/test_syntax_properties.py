@@ -5,6 +5,8 @@ state (closed by * or open at k) is threaded so generated tests are well
 formed by construction.
 """
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 from ptq import (
@@ -26,6 +28,7 @@ from ptq import (
     XLam,
     alpha_eq,
     free_pvars,
+    lam_alpha_eq,
     lam_str,
     lam_subst,
     is_t_closed,
@@ -38,7 +41,7 @@ from ptq import (
     t_open,
     term_str,
 )
-from ptq.lam import lam_free_vars
+from ptq.lam import _LamNode, lam_free_vars
 
 A = Base("A")
 
@@ -204,6 +207,69 @@ def test_lam_subst_free_names_exact(m, p):
                 occurs, out = x in lam_free_vars(m), lam_subst(m, x, q)
             brought = lam_free_vars(q) if occurs else frozenset()
             assert lam_free_vars(out) == (lam_free_vars(m) - {x}) | brought
+
+
+# Substitution shares every subterm it does not enter, so lam_alpha_eq
+# meets terms that share nodes. It must answer on them as on copies that
+# share none: a comparison that stopped at a shared node would have to see
+# how its free names are bound on each side.
+
+
+def test_lam_alpha_eq_shared_body_under_other_binder():
+    # one body node under binders of different names: identity alone must
+    # not make the bodies equal
+    m = Var("x")
+    assert not lam_alpha_eq(Lam("x", A, m), Lam("y", A, m))
+    assert lam_alpha_eq(Lam("x", A, m), Lam("x", A, m))
+    assert lam_alpha_eq(Lam("y", A, App(m, Var("y"))), Lam("z", A, App(m, Var("z"))))
+
+
+def unshared(m):
+    """A copy of m that shares no node with m or with any other term."""
+    return type(m)(
+        *(
+            unshared(v) if isinstance(v, _LamNode) else v
+            for v in (getattr(m, f.name) for f in dataclasses.fields(m))
+        )
+    )
+
+
+# a term over a pool of three subterms: a leaf is an index into the pool
+SHAPES = st.recursive(
+    st.integers(0, 2),
+    lambda sub: st.one_of(
+        st.tuples(st.just(Lam), NAMES, sub), st.tuples(st.just(App), sub, sub)
+    ),
+    max_leaves=6,
+)
+
+
+def over(shape, pool):
+    if isinstance(shape, int):
+        return pool[shape]
+    if shape[0] is Lam:
+        return Lam(shape[1], None, over(shape[2], pool))
+    return App(over(shape[1], pool), over(shape[2], pool))
+
+
+@st.composite
+def sharing_pairs(draw):
+    """Two lambda terms that share subterms: both are built over one pool,
+    or the second renames the binder of the first by substitution, which
+    shares every subterm without the old name."""
+    pool = draw(st.lists(lamterms(2), min_size=3, max_size=3))
+    a = over(draw(SHAPES), pool)
+    if draw(st.booleans()):
+        return a, over(draw(SHAPES), pool)
+    x, y = draw(NAMES), draw(NAMES)
+    return Lam(x, None, a), Lam(y, None, lam_subst(a, x, Var(y)))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(sharing_pairs())
+def test_lam_alpha_eq_same_on_shared_and_unshared(pair):
+    a, b = pair
+    assert lam_alpha_eq(a, b) == lam_alpha_eq(unshared(a), unshared(b))
 
 
 @settings(max_examples=200, derandomize=True)

@@ -8,10 +8,16 @@ from ptq import (
     Base,
     DuplicateVariable,
     HoleTypeClash,
+    K,
     LamEnv,
     MissingAnnotation,
+    PApp,
+    Pair,
+    PairLam,
+    PVar,
     PtqType,
     RoleMismatch,
+    STAR,
     TypeClash,
     TypeEnv,
     UnboundVariable,
@@ -106,6 +112,14 @@ class TestJumpAndComputationRules:
         u = parse_term("(%k:A. k ; x) ! <y, *>")
         with pytest.raises(TypeClash):
             infer_ptq(env("x:A, y:A", ("star", A)), u)
+
+    def test_shared_open_node_typed_in_each_context(self):
+        # one node `k ; x` under binders that give x two types: a node with
+        # free names has no type of its own, so it is typed in each context
+        body = PApp(K, PVar("x"))
+        good, bad = PairLam("x", A, A, body), PairLam("x", B, A, body)
+        with pytest.raises(TypeClash):
+            infer_ptq(env("", ("star", A)), Pair(good, Pair(bad, STAR)))
 
     def test_anchor_required(self):
         with pytest.raises(AnchorMismatch):
