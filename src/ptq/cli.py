@@ -25,7 +25,7 @@ from typing import Optional
 
 from .errors import ParseError, PtqError
 from .harness import VERIFY_PROPERTIES, run_property
-from .lam import lam_str, parse_lam
+from .lam import _is_var, lam_str, parse_lam
 from .lambda_eval import DEFAULT_FUEL, EvalOrder, Strategy, eval_small
 from .machine import normalize, trace_to_json
 from .measure import control_length, measure, identity, o
@@ -82,7 +82,10 @@ def _parse_env(spec: Optional[str]):
         name, sep, ty = piece.partition(":")
         if not sep:
             raise ParseError(f"environment entry {piece!r} is missing a type")
-        env[name.strip()] = parse_type(ty.strip())
+        name = name.strip()
+        if not _is_var(name):
+            raise ParseError(f"environment entry {piece!r} does not name a variable")
+        env[name] = parse_type(ty.strip())
     return env
 
 
@@ -224,6 +227,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_verify(args) -> int:
     _require_at_least(args.count, 1, "--count")
+    _require_at_least(args.max_size, 0, "--max-size")
     names = list(VERIFY_PROPERTIES) if args.property == "all" else [args.property]
     payload = {}
     any_failed = False

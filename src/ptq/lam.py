@@ -22,6 +22,7 @@ from typing import Optional, Union
 from .errors import ParseError, UncurriedNeedsPairs
 from .syntax import (
     _NO_NAMES,
+    _alpha_eq,
     Type,
     TokenStream,
     _parse_type,
@@ -117,6 +118,16 @@ LamTerm = Union[Var, Lam, App, Hole, PairTerm, PairPatLam]
 
 HOLE = Hole()
 
+# the children of each node class, in the order of its fields
+_CHILDREN = {
+    Var: lambda m: (),
+    Lam: lambda m: (m.body,),
+    App: lambda m: (m.fn, m.arg),
+    Hole: lambda m: (),
+    PairTerm: lambda m: (m.fst, m.snd),
+    PairPatLam: lambda m: (m.body,),
+}
+
 
 def is_value(m: LamTerm) -> bool:
     """A term is a value when it is not an application."""
@@ -207,34 +218,18 @@ def _rename(x: str, body: LamTerm, avoid: frozenset[str]) -> tuple[str, LamTerm]
 
 
 def lam_alpha_eq(a: LamTerm, b: LamTerm) -> bool:
-    return _aeq(a, b, {}, {}, [0])
+    return _alpha_eq(a, b, _CHILDREN, _BINDS)
 
 
-def _aeq(a, b, ma, mb, counter) -> bool:
-    match (a, b):
-        case (Var(x), Var(y)):
-            return ma.get(x, ("f", x)) == mb.get(y, ("f", y))
-        case (Lam(x1, t1, b1), Lam(x2, t2, b2)):
-            if t1 != t2:
-                return False
-            counter[0] += 1
-            n = counter[0]
-            return _aeq(b1, b2, {**ma, x1: n}, {**mb, x2: n}, counter)
-        case (App(f1, a1), App(f2, a2)):
-            return _aeq(f1, f2, ma, mb, counter) and _aeq(a1, a2, ma, mb, counter)
-        case (Hole(t1), Hole(t2)):
-            return t1 == t2
-        case (PairTerm(f1, s1), PairTerm(f2, s2)):
-            return _aeq(f1, f2, ma, mb, counter) and _aeq(s1, s2, ma, mb, counter)
-        case (PairPatLam(x1, h1, b1), PairPatLam(x2, h2, b2)):
-            counter[0] += 1
-            n = counter[0]
-            counter[0] += 1
-            m = counter[0]
-            return _aeq(
-                b1, b2, {**ma, x1: n, h1: m}, {**mb, x2: n, h2: m}, counter
-            )
-    return False
+# the tables of `ptq.syntax._alpha_eq` for lambda terms
+_BINDS = {
+    Var: None,
+    Lam: (("x",), ("xty",)),
+    App: ((), ()),
+    Hole: ((), ("ty",)),
+    PairTerm: ((), ()),
+    PairPatLam: (("x", "h"), ()),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +310,13 @@ _LAM_RESERVED = ("o",)
 _LAM_IDENT_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
 
-def _starts_atom(tok: Optional[str]) -> bool:
-    if tok is None:
-        return False
-    if tok in ("(", "[", "\\"):
-        return True
+def _is_var(tok: str) -> bool:
+    """Whether tok spells a lambda variable."""
     return bool(_LAM_IDENT_RE.match(tok)) and tok not in _LAM_RESERVED
+
+
+def _starts_atom(tok: Optional[str]) -> bool:
+    return tok is not None and (tok in ("(", "[", "\\") or _is_var(tok))
 
 
 def _parse_lam(ts: TokenStream) -> LamTerm:
@@ -332,7 +328,7 @@ def _parse_lam(ts: TokenStream) -> LamTerm:
 
 def _parse_lam_ident(ts: TokenStream) -> str:
     tok = ts.next()
-    if not _LAM_IDENT_RE.match(tok) or tok in _LAM_RESERVED:
+    if not _is_var(tok):
         raise ParseError(f"expected a variable, got {tok!r}")
     return tok
 
@@ -376,7 +372,7 @@ def _parse_lam_atom(ts: TokenStream) -> LamTerm:
         ts.expect(".")
         return Lam(x, xty, _parse_lam(ts))
     ts.next()
-    if _LAM_IDENT_RE.match(tok) and tok not in _LAM_RESERVED:
+    if _is_var(tok):
         return Var(tok)
     raise ParseError(f"unexpected token {tok!r}")
 

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
-from .errors import NotTClosed
 from .syntax import (
     ETerm,
     KLam,
@@ -48,9 +47,9 @@ from .syntax import (
     STAR,
     Star,
     XLam,
+    _require_t_closed,
     _subst_k,
     _subst_p,
-    is_t_closed,
     parse_eterm,
     term_str,
 )
@@ -69,11 +68,6 @@ class RuleTag(Enum):
 
 
 DEFAULT_FUEL = 10**6
-
-
-def _require_t_closed(u: ETerm) -> None:
-    if not is_t_closed(u):
-        raise NotTClosed(term_str(u))
 
 
 def classify(u: ETerm) -> Optional[RuleTag]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, Optional, Union
 import warnings
 
-from .errors import MeasureZero, MissingVariableMeasure, NotTClosed
+from .errors import MeasureZero, MissingVariableMeasure
 from .syntax import (
     ETerm,
     KLam,
@@ -34,9 +34,9 @@ from .syntax import (
     Star,
     Term,
     XLam,
+    _require_t_closed,
     free_pvars,
     sort_of,
-    spine,
     term_str,
 )
 
@@ -76,8 +76,7 @@ def measure(
         missing = sorted(free_pvars(term) - set(sigma))
         if missing:
             raise MissingVariableMeasure(", ".join(missing))
-    if spine(term) == "k":
-        raise NotTClosed(term_str(term))
+    _require_t_closed(term)
     return _measure(term, sigma)
 
 

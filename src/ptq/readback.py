@@ -18,7 +18,7 @@ step becomes exactly one beta step.
 
 from __future__ import annotations
 
-from .errors import IllTyped, NotTClosed
+from .errors import IllTyped
 from .lam import App, HOLE, Lam, LamTerm, Var, lam_subst, plug_hole
 from .syntax import (
     KLam,
@@ -32,9 +32,8 @@ from .syntax import (
     Star,
     Term,
     XLam,
+    _require_t_closed,
     sort_of,
-    spine,
-    term_str,
 )
 from .typecheck import (
     CheckResult,
@@ -52,8 +51,7 @@ def hole_compose(outer: LamTerm, inner: LamTerm) -> LamTerm:
 
 def readback(term: Term) -> LamTerm:
     """The lambda image of a term; test/computation input must be t-closed."""
-    if spine(term) == "k":
-        raise NotTClosed(term_str(term))
+    _require_t_closed(term)
     return _rb(term)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Container, Iterator, Optional, Union
+from typing import Container, Optional, Union
 
 from .errors import NotTClosed, ParseError, ReservedBaseType, TClosureError
 
@@ -192,6 +192,20 @@ Term = Union[PTerm, TTerm, QTerm, ETerm]
 STAR = Star()
 K = KVar()
 
+# the children of each node class in field order, for the walks over terms
+_CHILDREN = {
+    PVar: lambda t: (),
+    PairLam: lambda t: (t.body,),
+    KLam: lambda t: (t.body,),
+    Star: lambda t: (),
+    KVar: lambda t: (),
+    Pair: lambda t: (t.fst, t.snd),
+    XLam: lambda t: (t.body,),
+    QLam: lambda t: (t.body,),
+    PApp: lambda t: (t.test, t.proof),
+    QApp: lambda t: (t.fn, t.test),
+}
+
 _P_SORTS = (PVar, PairLam, KLam)
 _T_SORTS = (Star, KVar, Pair, XLam)
 _E_SORTS = (PApp, QApp)
@@ -265,13 +279,13 @@ def is_t_closed(term: Term) -> bool:
 # ---------------------------------------------------------------------------
 # substitution
 
-# There are three targets, a program variable, the free test variable k and
-# the spine constant *, and each has its own kernel, which is the entry for
-# that target: the public `subst_pvar`, `subst_k`, `subst_star` and `t_open`
-# check their arguments and call it, and the machine calls the kernels
-# directly. The k and * payloads must be t-closed, so k-binders never capture
-# anything and only program binders need freshening. Lambda terms use the
-# same scheme (`ptq.lam`).
+# Two kernels do all substitution: `_subst_p` for a program variable and
+# `_subst_k` for the end of a spine, k or *. The public `subst_pvar`,
+# `subst_k`, `subst_star`, `t_close`, `t_open` and `star_compose` check their
+# arguments once and call one kernel once; the machine calls the kernels
+# directly. The k and * payloads must be t-closed (but for the k that `t_open`
+# puts back), so k-binders never capture anything and only program binders
+# need freshening. Lambda terms use the same scheme (`ptq.lam`).
 #
 # p kernel (`_subst_p`). Every node caches its free program names
 # (`_Node._fv`), and the kernel enters a child only when x is free in it, so
@@ -281,14 +295,15 @@ def is_t_closed(term: Term) -> bool:
 # of a substitution follows the occurrences, not the size of the term. Each
 # node is dispatched once, on its type.
 #
-# k kernel (`_subst_k`). A test or computation term has one free test
+# Spine kernel (`_subst_k`). A test or computation term has one free test
 # position, at the end of its spine (`PApp.test`, `QApp.test`, `Pair.snd`,
-# `XLam.body`), and every program or jump subterm off the spine is t-closed,
-# so k can be free only at the end of the spine. The kernel is a loop down
-# the spine that never enters a program or jump subterm: it records the path,
-# puts the payload at its end when that end is k, and rebuilds the path
-# bottom-up. Binders on the spine are renamed as the payload requires, also
-# when the spine ends at *. The loop itself uses no stack depth; renaming a
+# `XLam.body`), and every program or jump subterm off the spine is t-closed.
+# The kernel is a loop down the spine that never enters a program or jump
+# subterm: it records the path, puts the payload at its end when that end is
+# the target, k or *, and rebuilds the path bottom-up. So a * is replaced only
+# at the end of the spine; one under a k-binder, which only an anchor-ill-typed
+# term holds, stays. Binders on the spine are renamed as the payload requires,
+# also when the spine ends elsewhere. The loop uses no stack depth; renaming a
 # binder still reads the free names of its body and walks it with `_subst_p`.
 #
 # A binder that would capture a free name of the payload is renamed by
@@ -296,9 +311,6 @@ def is_t_closed(term: Term) -> bool:
 # caches, so the same input always gets the same names. The new name is never
 # the p kernel's target x: the kernel reaches a binder only when x is free in
 # its body, so avoiding the body's names avoids x.
-#
-# * kernel (`_subst_stars`). Only `t_open`, `subst_star` and `star_compose`
-# use it; it is one plain walk that replaces every * in the term.
 
 
 def _avoid(x: str, body: ETerm, payload: Term) -> tuple[str, ETerm]:
@@ -344,12 +356,9 @@ def _subst_p(term: Term, x: str, payload: Term) -> Term:
     raise TypeError(f"not a term: {term!r}")
 
 
-# where a spine can end without k: at *, or at once on a program or jump term
-_SPINE_ENDS = (Star, PVar, PairLam, KLam, QLam)
-
-
-def _subst_k(term: Term, payload: Term) -> Term:
-    """term[payload/k] for a t-closed payload, in a loop down the spine."""
+def _subst_k(term: Term, payload: Term, end: type = KVar) -> Term:
+    """term[payload/k], or term[payload/*] when `end` is Star, in a loop down
+    the spine; the payload is t-closed, or the k that t_open puts back."""
     path = []
     node = term
     while True:
@@ -366,9 +375,9 @@ def _subst_k(term: Term, payload: Term) -> Term:
             node = body
         else:
             break
-    if cls is KVar:
+    if cls is end:
         node = payload
-    elif cls not in _SPINE_ENDS:
+    elif cls not in _CHILDREN:  # the loop stops at any other term
         raise TypeError(f"not a term: {node!r}")
     for parent, x in reversed(path):
         cls = type(parent)
@@ -383,31 +392,6 @@ def _subst_k(term: Term, payload: Term) -> Term:
     return node
 
 
-def _subst_stars(term: Term, payload: Term) -> Term:
-    match term:
-        case Star():
-            return payload
-        case PVar() | KVar():
-            return term
-        case PairLam(x, xty, kty, body):
-            x, body = _avoid(x, body, payload)
-            return PairLam(x, xty, kty, _subst_stars(body, payload))
-        case KLam(kty, body):
-            return KLam(kty, _subst_stars(body, payload))
-        case QLam(kty, body):
-            return QLam(kty, _subst_stars(body, payload))
-        case Pair(fst, snd):
-            return Pair(_subst_stars(fst, payload), _subst_stars(snd, payload))
-        case XLam(x, xty, body):
-            x, body = _avoid(x, body, payload)
-            return XLam(x, xty, _subst_stars(body, payload))
-        case PApp(test, proof):
-            return PApp(_subst_stars(test, payload), _subst_stars(proof, payload))
-        case QApp(fn, test):
-            return QApp(_subst_stars(fn, payload), _subst_stars(test, payload))
-    raise TypeError(f"not a term: {term!r}")
-
-
 def subst_pvar(term: Term, name: str, payload: PTerm) -> Term:
     """Capture-avoiding term[payload/name] for a program variable."""
     if sort_of(payload) != "p":
@@ -415,22 +399,23 @@ def subst_pvar(term: Term, name: str, payload: PTerm) -> Term:
     return _subst_p(term, name, payload) if name in term._fv else term
 
 
-def subst_k(term: Term, payload: TTerm) -> Term:
-    """term[payload/k]; the payload must be a t-closed test term."""
+def _require_test_payload(payload: Term, target: str) -> None:
     if sort_of(payload) != "t":
         raise TypeError("payload must be a test term")
     if not is_t_closed(payload):
-        raise NotTClosed("substitution payload for k must be t-closed")
+        raise NotTClosed(f"substitution payload for {target} must be t-closed")
+
+
+def subst_k(term: Term, payload: TTerm) -> Term:
+    """term[payload/k]; the payload must be a t-closed test term."""
+    _require_test_payload(payload, "k")
     return _subst_k(term, payload)
 
 
 def subst_star(term: Term, payload: TTerm) -> Term:
-    """term[payload/*]; the payload must be a t-closed test term."""
-    if sort_of(payload) != "t":
-        raise TypeError("payload must be a test term")
-    if not is_t_closed(payload):
-        raise NotTClosed("substitution payload for * must be t-closed")
-    return _subst_stars(term, payload)
+    """term[payload/*] at the end of the spine, for a t-closed test payload."""
+    _require_test_payload(payload, "*")
+    return _subst_k(term, payload, Star)
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +426,22 @@ def t_close(term: Term) -> Term:
     """Plug * into the free test position: term[*/k]."""
     if spine(term) != "k":
         raise TClosureError("term is already t-closed")
-    return subst_k(term, STAR)
+    return _subst_k(term, STAR)
 
 
 def t_open(term: Term) -> Term:
-    """Reopen the spine: term[k/*]. Inverse of t_close."""
+    """Reopen the spine: term[k/*] at the end of the spine. Inverse of
+    t_close, since both replace only the end of the spine: a * elsewhere,
+    which only an anchor-ill-typed term can hold, stays as it is."""
     if spine(term) != "star":
         raise TClosureError("term is already open")
-    return _subst_stars(term, K)
+    return _subst_k(term, K, Star)
+
+
+def _require_t_closed(term: Term) -> None:
+    """Raise NotTClosed, with the term's text, when k is free in term."""
+    if spine(term) == "k":
+        raise NotTClosed(term_str(term))
 
 
 def star_compose(outer: TTerm, inner: Term) -> Term:
@@ -463,7 +456,7 @@ def star_compose(outer: TTerm, inner: Term) -> Term:
         raise TypeError("inner must be a test or computation term")
     if not is_t_closed(outer) or not is_t_closed(inner):
         raise NotTClosed("star_compose needs t-closed arguments")
-    return subst_star(inner, outer)
+    return _subst_k(inner, outer, Star)
 
 
 # ---------------------------------------------------------------------------
@@ -471,34 +464,66 @@ def star_compose(outer: TTerm, inner: Term) -> Term:
 
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    return _aeq(a, b, {}, {}, itertools.count())
+    return _alpha_eq(a, b, _CHILDREN, _BINDS)
 
 
-def _aeq(a: Term, b: Term, ma: dict, mb: dict, nums: Iterator[int]) -> bool:
-    match (a, b):
-        case (PVar(x), PVar(y)):
-            return ma.get(x, ("f", x)) == mb.get(y, ("f", y))
-        case (PairLam(x1, xt1, kt1, b1), PairLam(x2, xt2, kt2, b2)):
-            if xt1 != xt2 or kt1 != kt2:
+# Each node class's fields that bind a name and fields compared with ==; None
+# marks a variable occurrence, whose `name` is looked up in the binders above
+# it. Only program variables are renamed: every k-binder binds k alike.
+_BINDS = {
+    PVar: None,
+    PairLam: (("x",), ("xty", "kty")),
+    KLam: ((), ("kty",)),
+    Star: ((), ()),
+    KVar: ((), ()),
+    Pair: ((), ()),
+    XLam: (("x",), ("xty",)),
+    QLam: ((), ("kty",)),
+    PApp: ((), ()),
+    QApp: ((), ()),
+}
+
+
+def _alpha_eq(a, b, children: dict, binds: dict) -> bool:
+    """Whether a and b are equal up to the names of bound variables, in the
+    language whose node classes `children` and `binds` list (see `_BINDS`).
+
+    One explicit-stack walk over both terms, so no depth of nesting exhausts
+    the Python stack. Each binder gets a number, which its names map to on
+    both sides until a marker pushed below its children restores what they
+    shadowed; a free name maps to itself, which no number equals.
+    """
+    scope_a, scope_b, binders = {}, {}, 0
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is None:  # leaving a binder: b lists what its names shadowed
+            for scope, name, old in reversed(b):
+                scope[name] = old
+            continue
+        cls = type(a)
+        if cls is not type(b) or cls not in binds:
+            return False
+        spec = binds[cls]
+        if spec is None:
+            if (scope_a.get(a.name) or a.name) != (scope_b.get(b.name) or b.name):
                 return False
-            n = next(nums)
-            return _aeq(b1, b2, {**ma, x1: n}, {**mb, x2: n}, nums)
-        case (KLam(kt1, b1), KLam(kt2, b2)) | (QLam(kt1, b1), QLam(kt2, b2)):
-            return kt1 == kt2 and _aeq(b1, b2, ma, mb, nums)
-        case (Star(), Star()) | (KVar(), KVar()):
-            return True
-        case (Pair(f1, s1), Pair(f2, s2)):
-            return _aeq(f1, f2, ma, mb, nums) and _aeq(s1, s2, ma, mb, nums)
-        case (XLam(x1, xt1, b1), XLam(x2, xt2, b2)):
-            if xt1 != xt2:
+            continue
+        names, same = spec
+        for field in same:
+            if getattr(a, field) != getattr(b, field):
                 return False
-            n = next(nums)
-            return _aeq(b1, b2, {**ma, x1: n}, {**mb, x2: n}, nums)
-        case (PApp(t1, p1), PApp(t2, p2)):
-            return _aeq(t1, t2, ma, mb, nums) and _aeq(p1, p2, ma, mb, nums)
-        case (QApp(q1, t1), QApp(q2, t2)):
-            return _aeq(q1, q2, ma, mb, nums) and _aeq(t1, t2, ma, mb, nums)
-    return False
+        if names:
+            undo = []
+            for field in names:
+                binders += 1
+                for scope, node in ((scope_a, a), (scope_b, b)):
+                    name = getattr(node, field)
+                    undo.append((scope, name, scope.get(name)))
+                    scope[name] = binders
+            stack.append((None, undo))
+        stack.extend(zip(children[cls](a), children[cls](b)))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -548,20 +573,6 @@ def term_str(term: Term, memo: Optional[dict[int, str]] = None) -> str:
                 for c in kids:
                     memo.pop(id(c), None)
     return memo[id(term)]
-
-
-_CHILDREN = {
-    PVar: lambda t: (),
-    PairLam: lambda t: (t.body,),
-    KLam: lambda t: (t.body,),
-    Star: lambda t: (),
-    KVar: lambda t: (),
-    Pair: lambda t: (t.fst, t.snd),
-    XLam: lambda t: (t.body,),
-    QLam: lambda t: (t.body,),
-    PApp: lambda t: (t.test, t.proof),
-    QApp: lambda t: (t.fn, t.test),
-}
 
 
 def _emb(child: Term, memo: dict[int, str]) -> str:

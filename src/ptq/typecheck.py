@@ -102,9 +102,6 @@ class TypeEnv:
     def with_anchor(self, kind: str, ty: Type) -> "TypeEnv":
         return TypeEnv(self.gamma, (kind, ty))
 
-    def without_anchor(self) -> "TypeEnv":
-        return TypeEnv(self.gamma, None)
-
 
 @dataclass(frozen=True)
 class Judgment:
@@ -169,7 +166,7 @@ def _infer_t(env: TypeEnv, t, types: dict) -> Type:
                 raise AnchorMismatch("term uses k but the anchor is *")
             return aty
         case Pair(fst, snd):
-            a = _typed(_infer_p, env.without_anchor(), fst, types)
+            a = _typed(_infer_p, env, fst, types)
             b = _infer_t(env, snd, types)
             return Arrow(a, b)
         case XLam(x, xty, body):
@@ -182,10 +179,10 @@ def _infer_t(env: TypeEnv, t, types: dict) -> Type:
 def _infer_e(env: TypeEnv, u: ETerm, types: dict) -> None:
     match u:
         case PApp(test, proof):
-            a = _typed(_infer_p, env.without_anchor(), proof, types)
+            a = _typed(_infer_p, env, proof, types)
             b = _infer_t(env, test, types)
         case QApp(fn, test):
-            a = _typed(_infer_q, env.without_anchor(), fn, types)
+            a = _typed(_infer_q, env, fn, types)
             b = _infer_t(env, test, types)
         case _:
             raise TypeError(f"not a computation: {u!r}")

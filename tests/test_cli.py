@@ -112,6 +112,13 @@ class TestTranslate:
         assert code == 0
         assert ptq.lam_str(ptq.readback(ptq.parse_term(final))) == "y"
 
+    @pytest.mark.parametrize("env", [":A", "o:A", "X:A", "x y:A", "<x>:A"])
+    def test_env_entry_must_name_a_variable(self, capsys, env):
+        # an empty name used to be bound and the translation printed
+        code, out, err = run(capsys, "translate", "--strategy", "cbv", "--env", env, "x")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "does not name a variable" in err
+
     def test_free_k_is_rejected(self, capsys):
         code, _, err = run(
             capsys, "translate", "--strategy", "cbn", "--env", "k:A", r"(\x:A. x) k"
@@ -269,6 +276,13 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--property", "typing", "--count", count)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "--count" in err
+
+    @pytest.mark.parametrize("size", ["-1", "-3"])
+    def test_max_size_below_zero_is_rejected(self, capsys, size):
+        # -1 divided by zero when drawing sizes, -3 ran negative sizes
+        code, out, err = run(capsys, "verify", "--property", "typing", "--max-size", size)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--max-size" in err
 
 
 class TestUsage:

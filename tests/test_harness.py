@@ -175,7 +175,7 @@ class TestOneRunPerCheck:
 
     def test_t_closure_checked_once_per_run(self, monkeypatch):
         m = self.long_instance()
-        calls = self.counting(monkeypatch, ptq.machine, "is_t_closed")
+        calls = self.counting(monkeypatch, ptq.machine, "_require_t_closed")
         report = check_completeness(m, Strategy.CBV)
         assert report.ok and report.steps >= 20
         assert calls[0] == 1

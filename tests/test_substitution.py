@@ -1,10 +1,11 @@
 """The substitution kernels of both term languages: exact terms against the
-recursive reference walks they replaced, sharing of untouched subterms, and a
-k spine deeper than the Python stack."""
+recursive reference walks they replaced, sharing of untouched subterms, and
+k and * spines deeper than the Python stack."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ptq.lam
 import ptq.syntax
 from ptq import (
     K,
@@ -22,6 +23,8 @@ from ptq import (
     subst_k,
     subst_pvar,
     subst_star,
+    t_close,
+    t_open,
     term_str,
 )
 from ptq.lam import HOLE, App, Hole, Lam, PairPatLam, PairTerm, Var, lam_subst, plug_hole
@@ -48,7 +51,9 @@ def reference_avoid(x, body, payload):
 
 def reference_subst(term, target, payload):
     """The one recursive walk the kernels replaced: it matches every node
-    for every target and recurses once per level of nesting."""
+    for every target and recurses once per level of nesting. The k and *
+    targets stop at every k-binder, so * is replaced only at the end of the
+    spine, as a well-typed term holds it."""
     kind = target[0]
     if kind == "p" and target[1] not in term._fv:
         return term
@@ -56,16 +61,16 @@ def reference_subst(term, target, payload):
         case PVar():
             return payload if kind == "p" else term
         case PairLam(x, xty, kty, body):
-            if kind == "k":
+            if kind != "p":
                 return term
             x, body = reference_avoid(x, body, payload)
             return PairLam(x, xty, kty, reference_subst(body, target, payload))
         case KLam(kty, body):
-            if kind == "k":
+            if kind != "p":
                 return term
             return KLam(kty, reference_subst(body, target, payload))
         case QLam(kty, body):
-            if kind == "k":
+            if kind != "p":
                 return term
             return QLam(kty, reference_subst(body, target, payload))
         case Star():
@@ -158,6 +163,23 @@ def test_k_target_through_a_spine_deeper_than_the_stack():
         reference_subst(term, ("k",), payload)
 
 
+def test_star_target_through_a_spine_deeper_than_the_stack():
+    payload = Pair(PVar("v"), STAR)
+    term = deep_spine(STAR, "v")
+    assert term_str(subst_star(term, payload)) == term_str(deep_spine(payload, "v_1"))
+    assert term_str(t_open(term)) == term_str(deep_spine(K, "v"))
+
+
+def test_open_leaves_a_star_under_a_k_binder():
+    # only an anchor-ill-typed term holds a * off its spine; t_open used to
+    # turn it into the k of the inner binder, and t_close could not undo that
+    term = Pair(KLam(A, PApp(STAR, PVar("x"))), STAR)
+    opened = t_open(term)
+    assert opened == Pair(term.fst, K)
+    assert t_close(opened) == term
+    assert subst_star(term, Pair(PVar("y"), STAR)) == Pair(term.fst, Pair(PVar("y"), STAR))
+
+
 # ---------------------------------------------------------------------------
 # lambda terms
 
@@ -234,16 +256,6 @@ def reference_lam_subst(t, target, payload, fv):
     raise TypeError(f"not a lambda term: {t!r}")
 
 
-LAM_CHILDREN = {
-    Var: lambda m: (),
-    Hole: lambda m: (),
-    Lam: lambda m: (m.body,),
-    PairPatLam: lambda m: (m.body,),
-    App: lambda m: (m.fn, m.arg),
-    PairTerm: lambda m: (m.fst, m.snd),
-}
-
-
 def assert_lam_shares_untouched(before, after, target):
     """Down every path a substitution rebuilt, each child without a free
     occurrence of the target is the input's own object."""
@@ -254,7 +266,7 @@ def assert_lam_shares_untouched(before, after, target):
         return  # a renamed binder's body is a new term
     if isinstance(before, PairPatLam) and (after.x, after.h) != (before.x, before.h):
         return
-    children = LAM_CHILDREN[type(before)]
+    children = ptq.lam._CHILDREN[type(before)]
     for b, a in zip(children(before), children(after)):
         assert_lam_shares_untouched(b, a, target)
 

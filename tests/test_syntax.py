@@ -6,7 +6,9 @@ import sys
 import pytest
 
 import ptq.lam
+import ptq.syntax
 from ptq import (
+    App,
     Arrow,
     Base,
     KLam,
@@ -16,6 +18,7 @@ from ptq import (
     PApp,
     Pair,
     PairLam,
+    PairPatLam,
     PVar,
     QApp,
     QLam,
@@ -47,6 +50,7 @@ from ptq import (
 )
 from ptq.lam import lam_free_vars
 from ptq.syntax import fresh_name
+from test_substitution import DEPTH, deep_spine
 
 A = Base("A")
 B = Base("B")
@@ -309,6 +313,47 @@ class TestAlphaEq:
     def test_structure(self):
         assert not alpha_eq(T("*"), T("k"))
         assert not alpha_eq(T("<x, *>"), T("<x, k>"))
+
+    @pytest.mark.parametrize(
+        "module, base", [(ptq.syntax, ptq.syntax._Node), (ptq.lam, ptq.lam._LamNode)]
+    )
+    def test_every_node_class_is_in_the_walk_tables(self, module, base):
+        # a class missing from a table would compare unequal to itself
+        classes = set(base.__subclasses__())
+        assert set(module._CHILDREN) == classes
+        assert set(module._BINDS) == classes
+        for cls, spec in module._BINDS.items():
+            fields = {f.name for f in dataclasses.fields(cls)}
+            names, same = spec or (("name",), ())
+            assert set(names) | set(same) <= fields, cls
+
+    def test_shadowed_binder_restored(self):
+        assert alpha_eq(T(r"\x:A. (\x:A. * ; x) ; x"), T(r"\y:A. (\z:A. * ; z) ; y"))
+        assert not alpha_eq(T(r"\x:A. (\x:A. * ; x) ; x"), T(r"\y:A. (\z:A. * ; y) ; y"))
+        shadowing = PairPatLam("x", "x", Var("x"))
+        assert lam_alpha_eq(shadowing, PairPatLam("y", "z", Var("z")))
+        assert not lam_alpha_eq(shadowing, PairPatLam("y", "z", Var("y")))
+
+    def test_spines_deeper_than_the_stack(self):
+        # two separately built spines, so no subterm is shared
+        assert alpha_eq(deep_spine(STAR, "v"), deep_spine(STAR, "u"))
+        assert not alpha_eq(deep_spine(STAR, "v"), deep_spine(KVar(), "v"))
+        # the innermost binder binds the v at the end; the u binder leaves it free
+        end = Pair(PVar("v"), STAR)
+        assert alpha_eq(deep_spine(end, "v"), deep_spine(Pair(PVar("u"), STAR), "u"))
+        assert not alpha_eq(deep_spine(end, "v"), deep_spine(end, "u"))
+
+    def test_lam_chains_deeper_than_the_stack(self):
+        def chain(stem, last):
+            # \x9999. x9999 (... (\x0. x0 last)), x0 the innermost binder
+            node = Var(last)
+            for i in range(DEPTH):
+                node = Lam(f"{stem}{i}", A, App(Var(f"{stem}{i}"), node))
+            return node
+
+        assert lam_alpha_eq(chain("x", "x0"), chain("y", "y0"))
+        assert not lam_alpha_eq(chain("x", "x0"), chain("y", "y1"))
+        assert not lam_alpha_eq(chain("x", "x0"), chain("y", "x0"))
 
 
 class TestPrinter:
