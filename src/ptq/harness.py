@@ -19,8 +19,8 @@ judgment, every step certifies the readback (control steps preserve it, Beta
 steps advance it by one beta step), and control steps must drop the measure
 by exactly one. A rule shares every subterm it does not touch with the next
 state, so within one run each distinct closed program or jump node is typed
-once. Any violation becomes a counterexample in the report, replayable from
-(property, size, seed).
+and read back once. Any violation becomes a counterexample in the report,
+replayable from (property, size, seed).
 """
 
 from __future__ import annotations
@@ -178,10 +178,15 @@ def run_checked(
     dict that lives for this call types each such node once. Every state is
     still checked in full: a node is skipped only where it was typed before
     with no free names to vary, and a node that fails is never stored, so it
-    fails in every state that holds it.
+    fails in every state that holds it. A program or jump node, closed or
+    not, also has one image wherever it sits, so a second dict reads each
+    such node back once, and neighbouring readbacks share those images,
+    which the alpha-equivalence walk passes over without entering them.
+    Every state still passes readback's t-closure check.
     """
     env = TypeEnv((), ("star", anchor_ty))
     types: dict = {}
+    images: dict = {}
     try:
         if infer_ptq(env, u, types) is not E_OK:
             report.fail(
@@ -192,7 +197,7 @@ def run_checked(
     trace = normalize(u, MACHINE_FUEL).trace
     chain = trace.terms()
     report.steps = len(trace.steps)
-    readbacks = [readback(t) for t in chain]
+    readbacks = [readback(t, images) for t in chain]
     len_before = None
     for i, s in enumerate(trace.steps):
         current, tag, after = chain[i], s.rule, s.term

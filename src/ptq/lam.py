@@ -238,28 +238,44 @@ _BINDS = {
 
 def beta_contractions(m: LamTerm) -> list[LamTerm]:
     """Every term reachable from m by contracting exactly one beta redex."""
-    out: list[LamTerm] = []
-    match m:
-        case Var() | Hole():
-            pass
-        case Lam(x, xty, body):
-            out.extend(Lam(x, xty, b) for b in beta_contractions(body))
-        case App(fn, arg):
-            if isinstance(fn, Lam):
-                out.append(lam_subst(fn.body, fn.x, arg))
-            out.extend(App(f, arg) for f in beta_contractions(fn))
-            out.extend(App(fn, a) for a in beta_contractions(arg))
-        case PairTerm(fst, snd):
-            out.extend(PairTerm(f, snd) for f in beta_contractions(fst))
-            out.extend(PairTerm(fst, s) for s in beta_contractions(snd))
-        case PairPatLam(x, h, body):
-            out.extend(PairPatLam(x, h, b) for b in beta_contractions(body))
-    return out
+    return list(_contractions(m))
 
 
 def reduces_in_one_beta(m: LamTerm, n: LamTerm) -> bool:
     """True when m beta-reduces to n in exactly one step, at any position."""
-    return any(lam_alpha_eq(c, n) for c in beta_contractions(m))
+    return any(lam_alpha_eq(c, n) for c in _contractions(m))
+
+
+# a copy of a node with its i-th child (in `_CHILDREN` order) replaced
+_WITH_CHILD = {
+    Lam: lambda m, i, c: Lam(m.x, m.xty, c),
+    App: lambda m, i, c: App(c, m.arg) if i == 0 else App(m.fn, c),
+    PairTerm: lambda m, i, c: PairTerm(c, m.snd) if i == 0 else PairTerm(m.fst, c),
+    PairPatLam: lambda m, i, c: PairPatLam(m.x, m.h, c),
+}
+
+
+def _contractions(m: LamTerm):
+    """The one-step reducts of m, one at a time: its redexes in pre-order,
+    outermost and leftmost first. An explicit-stack walk keeps the path to
+    each node, as a linked list of (parent, child index) pairs, and rebuilds
+    only that path around each contraction; every other subterm is shared
+    with m."""
+    stack = [(m, None)]
+    while stack:
+        t, path = stack.pop()
+        cls = type(t)
+        if cls not in _CHILDREN:
+            raise TypeError(f"not a lambda term: {t!r}")
+        if cls is App and type(t.fn) is Lam:
+            out, up = lam_subst(t.fn.body, t.fn.x, t.arg), path
+            while up is not None:
+                (parent, i), up = up
+                out = _WITH_CHILD[type(parent)](parent, i, out)
+            yield out
+        kids = _CHILDREN[cls](t)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], ((t, i), path)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,19 @@ Readback is defined on t-closed terms, and `readback` checks that once, at
 entry. Inside a binder body the bound k is the body's hole, just as * is at
 the top, so the walk reads k and * alike and reads bodies as they stand.
 
+A program or jump node binds every test position it holds, so the walk
+reads it with the bare hole and its image does not depend on where it sits:
+`_image` builds it once per memo, which the readbacks of one machine run's
+states share (see `readback`). Test and computation nodes are read with the
+filler of their place, anew each time.
+
 Control steps of the machine leave the readback fixed up to alpha; the Beta
 step becomes exactly one beta step.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from .errors import IllTyped
 from .lam import App, HOLE, Lam, LamTerm, Var, lam_subst, plug_hole
@@ -49,32 +57,52 @@ def hole_compose(outer: LamTerm, inner: LamTerm) -> LamTerm:
     return plug_hole(outer, inner)
 
 
-def readback(term: Term) -> LamTerm:
-    """The lambda image of a term; test/computation input must be t-closed."""
+def readback(term: Term, _images: Optional[dict] = None) -> LamTerm:
+    """The lambda image of a term; test/computation input must be t-closed.
+
+    `_images` is private: a dict from id(node) to (node, image) that one
+    caller passes to every readback of a set of terms sharing nodes, such as
+    the states of one machine run, so each program or jump node among them
+    is read back once. The node is kept in its entry, so no id is reused
+    while the dict lives. By default each call uses a fresh dict.
+    """
     _require_t_closed(term)
-    return _rb(term)
+    return _rb(term, HOLE, {} if _images is None else _images)
 
 
-def _rb(term: Term, plug: LamTerm = HOLE) -> LamTerm:
+def _rb(term: Term, plug: LamTerm, images: dict) -> LamTerm:
     """readback(term)[plug/[]]; the filler goes down the spine."""
     match term:
         case Star() | KVar():
             return plug
-        case PVar(name):
-            return Var(name)
         case Pair(fst, snd):
-            return _rb(snd, App(plug, _rb(fst)))
-        case PairLam(x, xty, _, body):
-            return Lam(x, xty, _rb(body))
+            return _rb(snd, App(plug, _image(fst, images)), images)
         case XLam(x, _, body):
-            return lam_subst(_rb(body), x, plug)
-        case KLam(_, body) | QLam(_, body):
-            return _rb(body)
+            return lam_subst(_rb(body, HOLE, images), x, plug)
         case PApp(test, proof):
-            return _rb(test, _rb(proof))
+            return _rb(test, _image(proof, images), images)
         case QApp(fn, test):
-            return _rb(test, _rb(fn))
-    raise TypeError(f"not a term: {term!r}")
+            return _rb(test, _image(fn, images), images)
+    return _image(term, images)
+
+
+def _image(term: Term, images: dict) -> LamTerm:
+    """The image of a program or jump node, built once per `images`. It
+    takes no plug: these nodes bind every test position they hold."""
+    hit = images.get(id(term))
+    if hit is not None:
+        return hit[1]
+    match term:
+        case PVar(name):
+            image = Var(name)
+        case PairLam(x, xty, _, body):
+            image = Lam(x, xty, _rb(body, HOLE, images))
+        case KLam(_, body) | QLam(_, body):
+            image = _rb(body, HOLE, images)
+        case _:
+            raise TypeError(f"not a term: {term!r}")
+    images[id(term)] = (term, image)
+    return image
 
 
 def readback_judgment(j: Judgment) -> LamJudgment:
@@ -90,7 +118,7 @@ def readback_judgment(j: Judgment) -> LamJudgment:
         raise IllTyped(str(res.error))
     gamma = tuple(j.env.gamma)
     sort = sort_of(j.subject)
-    image = _rb(j.subject)
+    image = _rb(j.subject, HOLE, {})
     if sort in ("p", "q"):
         return LamJudgment(LamEnv(gamma, None), image, j.claimed.carrier)
     _, aty = j.env.anchor

@@ -439,9 +439,10 @@ def t_open(term: Term) -> Term:
 
 
 def _require_t_closed(term: Term) -> None:
-    """Raise NotTClosed, with the term's text, when k is free in term."""
+    """Raise NotTClosed, saying that k is free in term and giving its text,
+    when it is."""
     if spine(term) == "k":
-        raise NotTClosed(term_str(term))
+        raise NotTClosed(f"not t-closed, k is free in: {term_str(term)}")
 
 
 def star_compose(outer: TTerm, inner: Term) -> Term:
@@ -492,6 +493,12 @@ def _alpha_eq(a, b, children: dict, binds: dict) -> bool:
     the Python stack. Each binder gets a number, which its names map to on
     both sides until a marker pushed below its children restores what they
     shadowed; a free name maps to itself, which no number equals.
+
+    A pair of one node with itself is passed over without entering it when
+    each of its cached free names (`_fv`) maps alike on both sides: the walk
+    below it could only find those names, the same node under the same
+    binders. Terms that share nodes, such as neighbouring states of a machine
+    run and their readbacks, then cost a walk of what they do not share.
     """
     scope_a, scope_b, binders = {}, {}, 0
     stack = [(a, b)]
@@ -504,6 +511,8 @@ def _alpha_eq(a, b, children: dict, binds: dict) -> bool:
         cls = type(a)
         if cls is not type(b) or cls not in binds:
             return False
+        if a is b and all(scope_a.get(n) == scope_b.get(n) for n in a._fv):
+            continue
         spec = binds[cls]
         if spec is None:
             if (scope_a.get(a.name) or a.name) != (scope_b.get(b.name) or b.name):

@@ -23,6 +23,7 @@ from typing import Mapping, Optional
 from .errors import PtqError, ReservedBaseType
 from .lam import (
     App,
+    Hole,
     Lam,
     LamTerm,
     PairPatLam,
@@ -164,6 +165,14 @@ class _Fresh:
 # Each clause returns the image of its source subterm and that subterm's type.
 
 
+def _no_clause(m: LamTerm) -> Exception:
+    """The error for a source node that no translation clause takes: a hole,
+    which `require_plain` lets through, is rejected input."""
+    if isinstance(m, Hole):
+        return PtqError("translation handles terms without holes")
+    return TypeError(f"not a lambda term: {m!r}")
+
+
 def _source(
     m: LamTerm, env: Optional[Mapping[str, Type]]
 ) -> tuple[LamTerm, _Env, _Fresh]:
@@ -187,7 +196,7 @@ def _rename_k(m: LamTerm, k1: str) -> LamTerm:
             return Lam(k1 if x == "k" else x, xty, _rename_k(body, k1))
         case App(fn, arg):
             return App(_rename_k(fn, k1), _rename_k(arg, k1))
-    raise TypeError(f"not a lambda term: {m!r}")
+    raise _no_clause(m)
 
 
 def ptq_translate(
@@ -212,7 +221,7 @@ def _cbn(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[PTerm, Optional[Type]]:
             fn_img, fty = _cbn(fn, env, fresh)
             ty = _cod(fty)
             return KLam(ty, PApp(Pair(arg_img, K), fn_img)), ty
-    raise TypeError(f"not a lambda term: {m!r}")
+    raise _no_clause(m)
 
 
 def _cbv(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[QLam, Optional[Type]]:
@@ -234,6 +243,8 @@ def _aux_cbv(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[PTerm, Optional[Type
         case Lam(x, xty, body):
             img, bty = _cbv(body, _bind(env, x, xty), fresh)
             return PairLam(x, xty, bty, QApp(img, K)), _arrow(xty, bty)
+        case Hole():
+            raise _no_clause(m)
     raise TypeError("aux translation is defined on values")
 
 
@@ -353,7 +364,7 @@ def _plo_cbn(
             ty = _cod(fty)
             body = Lam(mv, mty, _call(Var(mv), arg_img, Var(kv), pairs))
             return Lam(kv, _cont_ty(ty, Strategy.CBN), App(fn_img, body)), ty
-    raise TypeError(f"not a lambda term: {m!r}")
+    raise _no_clause(m)
 
 
 def _plo_cbv(
@@ -384,5 +395,5 @@ def _plo_cbv(
             else:
                 out = App(arg_t, Lam(nv, nty, App(fn_t, Lam(mv, mty, core))))
         case _:
-            raise TypeError(f"not a lambda term: {m!r}")
+            raise _no_clause(m)
     return Lam(kv, _cont_ty(ty, Strategy.CBV), out), ty

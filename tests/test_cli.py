@@ -119,6 +119,22 @@ class TestTranslate:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "does not name a variable" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--strategy", "cbn"],
+            ["--strategy", "cbv"],
+            ["--strategy", "cbn", "--form", "plotkin"],
+            ["--strategy", "cbv", "--form", "plotkin", "--pairing", "uncurried"],
+        ],
+    )
+    @pytest.mark.parametrize("source", ["[]", r"\x:A. []", r"\k:A. []"])
+    def test_hole_is_rejected(self, capsys, argv, source):
+        # a hole used to reach the translation and end in a traceback
+        code, out, err = run(capsys, "translate", *argv, source)
+        assert code == 1 and out == ""
+        assert err == "error: translation handles terms without holes\n"
+
     def test_free_k_is_rejected(self, capsys):
         code, _, err = run(
             capsys, "translate", "--strategy", "cbn", "--env", "k:A", r"(\x:A. x) k"
@@ -216,6 +232,12 @@ class TestReadback:
     def test_open_term_is_exit_1(self, capsys):
         code, out, err = run(capsys, "readback", r"\x:A. k ; x")
         assert code == 1 and out == "" and err.startswith("error:")
+
+    def test_open_term_says_k_is_free(self, capsys):
+        for argv in (["readback", "k"], ["measure", "k"], ["reduce", "k ; x"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err == f"error: not t-closed, k is free in: {argv[1]}\n"
 
 
 class TestMeasure:

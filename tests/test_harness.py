@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from ptq import (
     KLam,
     LamEnv,
     PairLam,
+    PVar,
     QLam,
     Strategy,
     infer_lambda_box,
@@ -36,6 +38,9 @@ from ptq.harness import (
 import ptq.machine
 from ptq.machine import RuleTag
 from ptq.syntax import _CHILDREN
+
+# the module: the package binds the name `ptq.readback` to the function
+readback_module = importlib.import_module("ptq.readback")
 
 
 class TestGenerator:
@@ -198,13 +203,18 @@ def nodes(term):
         stack.extend(_CHILDREN[type(t)](t))
 
 
+def is_pq(node):
+    return isinstance(node, (PVar, PairLam, KLam, QLam))
+
+
 def is_closed_pq(node):
     return isinstance(node, (PairLam, KLam, QLam)) and not node._fv
 
 
 class TestOneCheckPerNode:
     """Within one checked run, each distinct closed program or jump node is
-    typed once, however many states hold it."""
+    typed once, and each distinct program or jump node is read back once,
+    however many states hold it."""
 
     def test_each_closed_node_typed_once(self, monkeypatch):
         m = TestOneRunPerCheck.long_instance()
@@ -226,6 +236,30 @@ class TestOneCheckPerNode:
         assert {id(node) for node in typed} == {id(node) for node in held}
         # the states share closed nodes, so the count is not vacuous
         assert len(held) > 2 * len(typed)
+
+    def test_each_program_or_jump_node_read_back_once(self, monkeypatch):
+        m = TestOneRunPerCheck.long_instance()
+        built, image = [], readback_module._image
+
+        def recorded(node, images):
+            if id(node) not in images:
+                built.append(node)  # held, so no id is reused
+            return image(node, images)
+
+        monkeypatch.setattr(readback_module, "_image", recorded)
+        checked = TestOneRunPerCheck.counting(
+            monkeypatch, readback_module, "_require_t_closed"
+        )
+        report = PropertyReport("completeness", -1, -1, "", True)
+        chain, _ = run_checked(_start_term(m, Strategy.CBV), _closed_ty(m), report)
+        assert report.ok and report.steps >= 20
+        # every state still passes readback's entry check
+        assert checked[0] == len(chain)
+        held = [node for t in chain for node in nodes(t) if is_pq(node)]
+        assert len(built) == len({id(node) for node in built})
+        assert {id(node) for node in built} == {id(node) for node in held}
+        # the states share program and jump nodes, so the count is not vacuous
+        assert len(held) > 2 * len(built)
 
 
 class TestSharedFault:

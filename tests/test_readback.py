@@ -1,5 +1,6 @@
 """Projection onto lambda terms with a hole."""
 
+import importlib
 import sys
 
 import pytest
@@ -14,8 +15,10 @@ from ptq import (
     PApp,
     Pair,
     PairLam,
+    PVar,
     QApp,
     QLam,
+    STAR,
     Strategy,
     XLam,
     hole_compose,
@@ -33,10 +36,16 @@ from ptq import (
     readback_judgment,
     spine,
     t_close,
+    term_str,
 )
 from ptq.harness import gen_typed_term
 from ptq.translate import ptq_translate_e
 from ptq.typecheck import lam_judgment_str
+
+# the module, which `ptq.readback` is not: the package binds that name to the
+# function
+readback_module = importlib.import_module("ptq.readback")
+A = parse_type("A")
 
 
 def rb(s):
@@ -158,6 +167,47 @@ class TestReadbackFacts:
         lhs = readback(subst_pvar(u, "x", p))
         rhs = lam_subst(readback(u), "x", readback(p))
         assert lam_alpha_eq(lhs, rhs)
+
+
+class TestSharedNodes:
+    """A program or jump node reads back alike wherever it sits, so its image
+    is built once per memo; a test or computation node does not, so it is
+    read anew under each plug."""
+
+    # Y_PROG and T each sit in two places: T reads with Y_PROG's image as its
+    # plug in one place and with d in the other, so its pair and its binder
+    # do too; Y_PROG sits once under T and once in a pair on the top spine
+    Y_PROG = parse_term(r"\(y:A, k:A). k ; y")
+    T = parse_term(r"<a, (\x:A. k ; x)>")
+    SHARED = PApp(
+        Pair(KLam(A, PApp(T, Y_PROG)), Pair(Y_PROG, STAR)), KLam(A, PApp(T, PVar("d")))
+    )
+    WANT = r"d a ((\y:A. y) a) (\y:A. y)"
+
+    def test_program_node_shared_under_two_plugs(self):
+        # the text parses back to a copy that shares no node
+        assert lam_str(readback(parse_term(term_str(self.SHARED)))) == self.WANT
+        assert lam_str(readback(self.SHARED)) == self.WANT
+        images = {}
+        first = readback(self.SHARED, images)
+        assert readback(self.SHARED, images) == first
+        assert lam_str(first) == self.WANT
+
+    @pytest.mark.parametrize("cls", [XLam, Pair])
+    def test_memo_of_a_test_node_is_caught(self, monkeypatch, cls):
+        # memoising a class whose image depends on its plug must break the
+        # test above: the second place of T would get the first one's image
+        rb = readback_module._rb
+
+        def memoised(term, plug, images):
+            if type(term) is not cls:
+                return rb(term, plug, images)
+            if id(term) not in images:
+                images[id(term)] = (term, rb(term, plug, images))
+            return images[id(term)][1]
+
+        monkeypatch.setattr(readback_module, "_rb", memoised)
+        assert lam_str(readback(self.SHARED)) != self.WANT
 
 
 class TestJudgmentReadback:

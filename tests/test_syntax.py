@@ -37,6 +37,7 @@ from ptq import (
     parse_lam,
     is_t_closed,
     parse_term,
+    reduces_in_one_beta,
     sort_of,
     spine,
     star_compose,
@@ -354,6 +355,27 @@ class TestAlphaEq:
         assert lam_alpha_eq(chain("x", "x0"), chain("y", "y0"))
         assert not lam_alpha_eq(chain("x", "x0"), chain("y", "y1"))
         assert not lam_alpha_eq(chain("x", "x0"), chain("y", "x0"))
+
+
+class TestOneBeta:
+    @staticmethod
+    def chain(stem, bottom):
+        # \x0. x0 (\x1. x1 (... bottom)), one binder per level
+        node = bottom
+        for i in reversed(range(DEPTH)):
+            node = Lam(f"{stem}{i}", A, App(Var(f"{stem}{i}"), node))
+        return node
+
+    def test_chains_deeper_than_the_stack(self):
+        # the one redex sits at the bottom, below DEPTH binders
+        m = self.chain("x", App(Lam("z", A, Var("z")), Var("w")))
+        n = self.chain("y", Var("w"))
+        assert reduces_in_one_beta(m, n)
+        assert not reduces_in_one_beta(m, self.chain("y", Var("v")))
+        assert not reduces_in_one_beta(m, m)
+        assert not reduces_in_one_beta(n, n)
+        (got,) = beta_contractions(m)
+        assert lam_alpha_eq(got, n)
 
 
 class TestPrinter:

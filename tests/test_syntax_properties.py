@@ -20,6 +20,7 @@ from ptq import (
     Pair,
     PairLam,
     PairPatLam,
+    PairTerm,
     PVar,
     QApp,
     QLam,
@@ -27,6 +28,7 @@ from ptq import (
     Var,
     XLam,
     alpha_eq,
+    beta_contractions,
     free_pvars,
     lam_alpha_eq,
     lam_str,
@@ -35,6 +37,7 @@ from ptq import (
     sort_of,
     parse_term,
     plug_hole,
+    reduces_in_one_beta,
     star_compose,
     subst_pvar,
     t_close,
@@ -42,6 +45,7 @@ from ptq import (
     term_str,
 )
 from ptq.lam import _LamNode, lam_free_vars
+from ptq.syntax import _Node
 
 A = Base("A")
 
@@ -209,6 +213,33 @@ def test_lam_subst_free_names_exact(m, p):
             assert lam_free_vars(out) == (lam_free_vars(m) - {x}) | brought
 
 
+def contractions_reference(m):
+    """Every one-step reduct of m, by the recursive definition."""
+    match m:
+        case Lam(x, xty, body):
+            return [Lam(x, xty, b) for b in contractions_reference(body)]
+        case App(fn, arg):
+            out = [lam_subst(fn.body, fn.x, arg)] if isinstance(fn, Lam) else []
+            out += [App(f, arg) for f in contractions_reference(fn)]
+            return out + [App(fn, a) for a in contractions_reference(arg)]
+        case PairTerm(fst, snd):
+            out = [PairTerm(f, snd) for f in contractions_reference(fst)]
+            return out + [PairTerm(fst, s) for s in contractions_reference(snd)]
+        case PairPatLam(x, h, body):
+            return [PairPatLam(x, h, b) for b in contractions_reference(body)]
+    return []
+
+
+@settings(max_examples=200, derandomize=True)
+@given(lamterms(4), lamterms(3))
+def test_beta_contractions_same_as_reference(m, n):
+    # the same reducts in the same order, also under a pair
+    for t in (m, PairTerm(m, n), App(Lam("x", None, n), m)):
+        got = beta_contractions(t)
+        assert got == contractions_reference(t)
+        assert all(reduces_in_one_beta(t, c) for c in got)
+
+
 # Substitution shares every subterm it does not enter, so lam_alpha_eq
 # meets terms that share nodes. It must answer on them as on copies that
 # share none: a comparison that stopped at a shared node would have to see
@@ -270,6 +301,75 @@ def sharing_pairs(draw):
 def test_lam_alpha_eq_same_on_shared_and_unshared(pair):
     a, b = pair
     assert lam_alpha_eq(a, b) == lam_alpha_eq(unshared(a), unshared(b))
+
+
+# The same for calculus terms, which the one walk compares too: the states
+# of a machine run share every node a rule leaves untouched.
+
+
+def test_alpha_eq_shared_body_under_other_binder():
+    m = PApp(STAR, PVar("x"))
+    assert not alpha_eq(XLam("x", A, m), XLam("y", A, m))
+    assert alpha_eq(XLam("x", A, m), XLam("x", A, m))
+    x = PVar("x")
+    assert alpha_eq(
+        XLam("y", A, PApp(Pair(x, STAR), PVar("y"))),
+        XLam("z", A, PApp(Pair(x, STAR), PVar("z"))),
+    )
+
+
+def unshared_term(t):
+    """A copy of calculus term t that shares no node with t or any other term."""
+    return type(t)(
+        *(
+            unshared_term(v) if isinstance(v, _Node) else v
+            for v in (getattr(t, f.name) for f in dataclasses.fields(t))
+        )
+    )
+
+
+# a program term over a pool of three: a leaf is an index into the pool
+P_SHAPES = st.recursive(
+    st.integers(0, 2),
+    lambda sub: st.one_of(
+        st.tuples(st.just(PairLam), NAMES, sub),
+        st.tuples(st.just(XLam), NAMES, sub),
+        st.tuples(st.just(KLam), sub, sub),
+    ),
+    max_leaves=6,
+)
+
+
+def p_over(shape, pool):
+    if isinstance(shape, int):
+        return pool[shape]
+    if shape[0] is PairLam:
+        return PairLam(shape[1], A, A, PApp(KVar(), p_over(shape[2], pool)))
+    if shape[0] is XLam:
+        x = shape[1]
+        body = PApp(KVar(), p_over(shape[2], pool))
+        return KLam(A, PApp(XLam(x, A, body), PVar(x)))
+    return KLam(A, PApp(Pair(p_over(shape[1], pool), KVar()), p_over(shape[2], pool)))
+
+
+@st.composite
+def calculus_sharing_pairs(draw):
+    """Two program terms that share subterms, built as `sharing_pairs`
+    builds lambda terms."""
+    pool = draw(st.lists(pterms(2), min_size=3, max_size=3))
+    a = p_over(draw(P_SHAPES), pool)
+    if draw(st.booleans()):
+        return a, p_over(draw(P_SHAPES), pool)
+    x, y = draw(NAMES), draw(NAMES)
+    b = subst_pvar(a, x, PVar(y))
+    return PairLam(x, A, A, PApp(KVar(), a)), PairLam(y, A, A, PApp(KVar(), b))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(calculus_sharing_pairs())
+def test_alpha_eq_same_on_shared_and_unshared(pair):
+    a, b = pair
+    assert alpha_eq(a, b) == alpha_eq(unshared_term(a), unshared_term(b))
 
 
 @settings(max_examples=200, derandomize=True)
