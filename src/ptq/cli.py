@@ -344,9 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser `main` reuses, built on its first call: building it costs more
+# than most commands, and at import it would slow every start
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except PtqError as exc:

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import ParseError, UncurriedNeedsPairs
+from .errors import ParseError, PtqError, UncurriedNeedsPairs
 from .syntax import (
     _NO_NAMES,
     _alpha_eq,
@@ -282,28 +282,53 @@ def _contractions(m: LamTerm):
 # printing
 
 
+class _Text(str):
+    """Text that `lam_str` puts between nodes: a class of its own, so that a
+    stray str inside a term is still rejected."""
+
+
+_OPEN, _CLOSE, _SPACE, _SPACE_OPEN, _COMMA = map(_Text, ("(", ")", " ", " (", ", "))
+
+
 def lam_str(m: LamTerm) -> str:
-    match m:
-        case Var(name):
-            return name
-        case Lam(x, xty, body):
-            ann = f"{x}:{type_str(xty)}" if xty is not None else x
-            return f"\\{ann}. {lam_str(body)}"
-        case App(fn, arg):
-            f = lam_str(fn)
-            if isinstance(fn, (Lam, PairPatLam)):
-                f = f"({f})"
-            a = lam_str(arg)
-            if isinstance(arg, (App, Lam, PairPatLam)):
-                a = f"({a})"
-            return f"{f} {a}"
-        case Hole(ty):
-            return "[]" if ty is None else f"([]:{type_str(ty)})"
-        case PairTerm(fst, snd):
-            return f"({lam_str(fst)}, {lam_str(snd)})"
-        case PairPatLam(x, h, body):
-            return f"\\({x}, {h}). {lam_str(body)}"
-    raise TypeError(f"not a lambda term: {m!r}")
+    """The text of a lambda term, which `parse_lam` reads back.
+
+    The walk keeps an explicit stack of nodes still to print and the text
+    that goes between them, so no depth of nesting can exhaust the Python
+    stack, and joins the pieces once at the end.
+    """
+    out: list[str] = []
+    todo: list = [m]
+    while todo:
+        match todo.pop():
+            case _Text() as text:
+                out.append(text)
+            case Var(name):
+                out.append(name)
+            case Lam(x, xty, body):
+                ann = f"{x}:{type_str(xty)}" if xty is not None else x
+                out.append(f"\\{ann}. ")
+                todo.append(body)
+            case App(fn, arg):
+                # pushed in reverse: fn, then a space, then arg
+                if isinstance(arg, (App, Lam, PairPatLam)):
+                    todo += (_CLOSE, arg, _SPACE_OPEN)
+                else:
+                    todo += (arg, _SPACE)
+                if isinstance(fn, (Lam, PairPatLam)):
+                    todo += (_CLOSE, fn, _OPEN)
+                else:
+                    todo.append(fn)
+            case Hole(ty):
+                out.append("[]" if ty is None else f"([]:{type_str(ty)})")
+            case PairTerm(fst, snd):
+                todo += (_CLOSE, snd, _COMMA, fst, _OPEN)
+            case PairPatLam(x, h, body):
+                out.append(f"\\({x}, {h}). ")
+                todo.append(body)
+            case other:
+                raise TypeError(f"not a lambda term: {other!r}")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +419,13 @@ def _parse_lam_atom(ts: TokenStream) -> LamTerm:
 
 
 def require_plain(m: LamTerm, what: str = "this operation") -> None:
-    """Reject the pair extension where only the plain language is allowed."""
+    """Reject holes and the pair extension where only the plain language is
+    allowed."""
     match m:
-        case Var() | Hole():
+        case Var():
             return
+        case Hole():
+            raise PtqError(f"{what} handles terms without holes")
         case Lam(_, _, body):
             require_plain(body, what)
         case App(fn, arg):

@@ -206,22 +206,20 @@ _CHILDREN = {
     QApp: lambda t: (t.fn, t.test),
 }
 
-_P_SORTS = (PVar, PairLam, KLam)
-_T_SORTS = (Star, KVar, Pair, XLam)
-_E_SORTS = (PApp, QApp)
+_SORT = {
+    PVar: "p", PairLam: "p", KLam: "p",
+    Star: "t", KVar: "t", Pair: "t", XLam: "t",
+    QLam: "q",
+    PApp: "e", QApp: "e",
+}
 
 
 def sort_of(term: Term) -> str:
     """One of 'p', 't', 'q', 'e'."""
-    if isinstance(term, _P_SORTS):
-        return "p"
-    if isinstance(term, _T_SORTS):
-        return "t"
-    if isinstance(term, QLam):
-        return "q"
-    if isinstance(term, _E_SORTS):
-        return "e"
-    raise TypeError(f"not a term: {term!r}")
+    sort = _SORT.get(type(term))
+    if sort is None:
+        raise TypeError(f"not a term: {term!r}")
+    return sort
 
 
 def fresh_name(stem: str, avoid: Container[str]) -> str:
@@ -266,7 +264,7 @@ def spine(term: Term) -> str:
             return "star"
         elif cls is KVar:
             return "k"
-        elif cls in _P_SORTS or cls is QLam:
+        elif cls in _SORT:  # a p- or q-term
             return "none"
         else:
             raise TypeError(f"not a term: {term!r}")
@@ -610,25 +608,30 @@ _FORMAT = {
 # lexer, shared with the judgment parser
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<punct>[\\()\[\]<>,;!%*:.|-]))"
-)
+# one token, captured: `split` returns the text between tokens at even
+# indices and the tokens at odd ones
+_TOKEN_RE = re.compile(r"(->|[A-Za-z][A-Za-z0-9_]*|[\\()\[\]<>,;!%*:.|-])")
 
 
 def tokenize(text: str) -> list[str]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"cannot tokenize at: {rest[:20]!r}")
-        pos = m.end()
-        tok = m.group("arrow") or m.group("ident") or m.group("punct")
-        toks.append(tok)
+    """The tokens of text, with `|>` and `|-` glued back together.
+
+    One C-level `split` finds every token, and the text is valid when all it
+    leaves between tokens is whitespace. That check is what keeps the scan
+    linear: one pattern matching the whole text as whitespace and tokens,
+    `(?:\\s*(?:token))*\\s*`, backtracks exponentially on text such as
+    "abab…ab@", and Python 3.10 has no atomic groups to stop it.
+    """
+    parts = _TOKEN_RE.split(text)
+    gaps = "".join(parts[0::2])
+    if gaps and not gaps.isspace():
+        for i in range(0, len(parts), 2):
+            if parts[i] and not parts[i].isspace():
+                rest = text[sum(map(len, parts[:i])) :].lstrip()
+                raise ParseError(f"cannot tokenize at: {rest[:20]!r}")
+    toks = parts[1::2]
+    if "|" not in toks:
+        return toks
     # glue |> and |- back together
     out: list[str] = []
     i = 0
@@ -647,17 +650,23 @@ _TYNAME_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
 
 class TokenStream:
+    __slots__ = ("tokens", "pos")
+
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
 
     def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        try:
+            return self.tokens[self.pos]
+        except IndexError:
+            return None
 
     def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
+        try:
+            tok = self.tokens[self.pos]
+        except IndexError:
+            raise ParseError("unexpected end of input") from None
         self.pos += 1
         return tok
 
@@ -685,7 +694,7 @@ def parse_type(text: str, *, allow_o: bool = False) -> Type:
 def _parse_type(ts: TokenStream, allow_o: bool) -> Type:
     left = _parse_type_atom(ts, allow_o)
     if ts.peek() == "->":
-        ts.next()
+        ts.pos += 1
         return Arrow(left, _parse_type(ts, allow_o))
     return left
 
@@ -718,7 +727,7 @@ def parse_term(text: str) -> Term:
 
 
 def _expected(term: Term, sorts: str, what: str) -> Term:
-    if sort_of(term) not in sorts:
+    if _SORT[type(term)] not in sorts:
         raise ParseError(f"{what} must be a {sorts}-term, got a {sort_of(term)}-term")
     return term
 
@@ -727,12 +736,12 @@ def _parse_term(ts: TokenStream) -> Term:
     left = _parse_operand(ts)
     while True:
         nxt = ts.peek()
-        if nxt == ";" and sort_of(left) == "t":
-            ts.next()
+        if nxt == ";" and _SORT[type(left)] == "t":
+            ts.pos += 1
             right = _expected(_parse_operand(ts), "p", "right of ';'")
             left = PApp(left, right)
-        elif nxt == "!" and sort_of(left) == "q":
-            ts.next()
+        elif nxt == "!" and _SORT[type(left)] == "q":
+            ts.pos += 1
             right = _expected(_parse_operand(ts), "t", "right of '!'")
             left = QApp(left, right)
         else:
@@ -752,7 +761,7 @@ def _parse_ident(ts: TokenStream, *, allow_k: bool = False) -> str:
 
 def _parse_opt_ann(ts: TokenStream) -> Optional[Type]:
     if ts.peek() == ":":
-        ts.next()
+        ts.pos += 1
         return _parse_type(ts, allow_o=False)
     return None
 
@@ -760,7 +769,7 @@ def _parse_opt_ann(ts: TokenStream) -> Optional[Type]:
 def _parse_body(ts: TokenStream) -> ETerm:
     ts.expect(".")
     body = _parse_term(ts)
-    if sort_of(body) != "e":
+    if _SORT[type(body)] != "e":
         raise ParseError("binder body must be a computation")
     return body
 
@@ -769,35 +778,30 @@ def _parse_operand(ts: TokenStream) -> Term:
     tok = ts.peek()
     if tok is None:
         raise ParseError("unexpected end of input")
+    ts.pos += 1  # the cases below start after tok
     if tok == "(":
-        ts.next()
         term = _parse_term(ts)
         ts.expect(")")
         return term
     if tok == "*":
-        ts.next()
         return STAR
     if tok == "k":
-        ts.next()
         return K
     if tok == "<":
-        ts.next()
         fst = _expected(_parse_term(ts), "p", "first pair component")
         ts.expect(",")
         snd = _expected(_parse_term(ts), "t", "second pair component")
         ts.expect(">")
         return Pair(fst, snd)
     if tok == "%":
-        ts.next()
         if ts.next() != "k":
             raise ParseError("jump binder must bind k")
         kty = _parse_opt_ann(ts)
         return QLam(kty, _parse_body(ts))
     if tok == "\\":
-        ts.next()
         nxt = ts.peek()
         if nxt == "(":
-            ts.next()
+            ts.pos += 1
             x = _parse_ident(ts)
             xty = _parse_opt_ann(ts)
             ts.expect(",")
@@ -807,13 +811,12 @@ def _parse_operand(ts: TokenStream) -> Term:
             ts.expect(")")
             return PairLam(x, xty, kty, _parse_body(ts))
         if nxt == "k":
-            ts.next()
+            ts.pos += 1
             kty = _parse_opt_ann(ts)
             return KLam(kty, _parse_body(ts))
         x = _parse_ident(ts)
         xty = _parse_opt_ann(ts)
         return XLam(x, xty, _parse_body(ts))
-    ts.next()
     if _IDENT_RE.match(tok) and tok not in RESERVED:
         return PVar(tok)
     raise ParseError(f"unexpected token {tok!r}")

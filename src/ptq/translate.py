@@ -23,7 +23,6 @@ from typing import Mapping, Optional
 from .errors import PtqError, ReservedBaseType
 from .lam import (
     App,
-    Hole,
     Lam,
     LamTerm,
     PairPatLam,
@@ -165,11 +164,8 @@ class _Fresh:
 # Each clause returns the image of its source subterm and that subterm's type.
 
 
-def _no_clause(m: LamTerm) -> Exception:
-    """The error for a source node that no translation clause takes: a hole,
-    which `require_plain` lets through, is rejected input."""
-    if isinstance(m, Hole):
-        return PtqError("translation handles terms without holes")
+def _no_clause(m: LamTerm) -> TypeError:
+    """The error for a source node that no translation clause takes."""
     return TypeError(f"not a lambda term: {m!r}")
 
 
@@ -243,8 +239,6 @@ def _aux_cbv(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[PTerm, Optional[Type
         case Lam(x, xty, body):
             img, bty = _cbv(body, _bind(env, x, xty), fresh)
             return PairLam(x, xty, bty, QApp(img, K)), _arrow(xty, bty)
-        case Hole():
-            raise _no_clause(m)
     raise TypeError("aux translation is defined on values")
 
 

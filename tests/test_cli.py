@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import ptq
-from ptq.cli import main
+from ptq import cli
+from ptq.cli import build_parser, main
 from test_printer import church_image
 
 
@@ -273,6 +274,15 @@ class TestEval:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "--fuel" in err
 
+    @pytest.mark.parametrize(
+        "strategy, source", [("cbn", "[]"), ("cbv", r"(\x:A. x) []")]
+    )
+    def test_hole_is_rejected(self, capsys, strategy, source):
+        # a hole used to be evaluated and printed, with exit 0
+        code, out, err = run(capsys, "eval", "--strategy", strategy, source)
+        assert code == 1 and out == ""
+        assert err == "error: evaluation handles terms without holes\n"
+
 
 class TestVerify:
     def test_single_property(self, capsys):
@@ -317,6 +327,48 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    TERM = TestReduce.GOLDEN
+
+    @pytest.fixture(autouse=True)
+    def fresh_process(self, monkeypatch):
+        # as in a new process: no parser built yet, and build_parser counted
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        return calls
+
+    def test_built_once(self, capsys, fresh_process):
+        for argv in (["parse", "x"], ["reduce", self.TERM], ["eval", "--strategy", "cbn", "y"]):
+            assert run(capsys, *argv)[0] == 0
+        assert len(fresh_process) == 1
+
+    def test_build_parser_is_fresh(self):
+        assert build_parser() is not build_parser()
+
+    def test_no_flag_carries_over(self, capsys):
+        code, out, _ = run(capsys, "reduce", "--json", self.TERM)
+        assert code == 0 and json.loads(out)["normal"] is True
+        assert run(capsys, "reduce", self.TERM) == (0, "* ; y\n", "")
+
+    def test_fuel_default_comes_back(self, capsys):
+        code, _, err = run(capsys, "reduce", "--fuel", "0", self.TERM)
+        assert code == 1 and err.startswith("error:")
+        assert run(capsys, "reduce", self.TERM) == (0, "* ; y\n", "")
+
+    def test_usage_error_leaves_the_next_call_working(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", "--fuel", "many", self.TERM])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "reduce", self.TERM) == (0, "* ; y\n", "")
 
 
 class TestDeepInput:

@@ -5,6 +5,7 @@ import pytest
 from ptq import (
     EvalOrder,
     FuelExhausted,
+    PtqError,
     Strategy,
     UncurriedNeedsPairs,
     eval_big,
@@ -112,3 +113,14 @@ class TestFuel:
     def test_pairs_rejected(self):
         with pytest.raises(UncurriedNeedsPairs):
             eval_small(L("(x, y)"), CBV, ARG, 10)
+
+    @pytest.mark.parametrize("text", ["[]", r"(\x:A. x) []", r"\x:A. ([]:A)"])
+    def test_holes_rejected(self, text):
+        # the evaluators are defined on the plain language, without holes
+        for evaluate in (
+            lambda m: eval_small(m, CBN, ARG, 10),
+            lambda m: eval_big(m, CBV, FN, 10),
+            lambda m: step_lambda(m, CBV),
+        ):
+            with pytest.raises(PtqError, match="^evaluation handles terms without holes$"):
+                evaluate(L(text))

@@ -4,30 +4,40 @@ formatted once per memo, and nesting deeper than the Python stack."""
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import ptq.syntax
 from ptq import (
+    App,
+    Arrow,
+    Base,
+    Hole,
     KLam,
+    Lam,
     Pair,
     PairLam,
     PApp,
+    PairPatLam,
+    PairTerm,
     PVar,
     QApp,
     QLam,
     STAR,
     Strategy,
+    Var,
     XLam,
     KVar,
     Star,
+    lam_str,
     normalize,
     parse_lam,
     parse_type,
     ptq_translate_e,
     term_str,
     trace_to_json,
+    type_str,
 )
-from test_syntax_properties import CLOSED_E, CLOSED_T, DEEP_E, OPEN_T, P
+from test_syntax_properties import CLOSED_E, CLOSED_T, DEEP_E, NAMES, OPEN_T, P
 
 
 def reference_str(term, top=True):
@@ -145,3 +155,70 @@ def test_memo_entries_are_top_level_text():
 def test_not_a_term():
     with pytest.raises(TypeError):
         term_str(PApp(STAR, "y"))
+
+
+# ---------------------------------------------------------------------------
+# lambda terms
+
+
+def reference_lam_str(m):
+    """The recursive printer `lam_str` replaced; it recurses once per level
+    of nesting."""
+    match m:
+        case Var(name):
+            return name
+        case Lam(x, xty, body):
+            ann = f"{x}:{type_str(xty)}" if xty is not None else x
+            return f"\\{ann}. {reference_lam_str(body)}"
+        case App(fn, arg):
+            f = reference_lam_str(fn)
+            if isinstance(fn, (Lam, PairPatLam)):
+                f = f"({f})"
+            a = reference_lam_str(arg)
+            if isinstance(arg, (App, Lam, PairPatLam)):
+                a = f"({a})"
+            return f"{f} {a}"
+        case Hole(ty):
+            return "[]" if ty is None else f"([]:{type_str(ty)})"
+        case PairTerm(fst, snd):
+            return f"({reference_lam_str(fst)}, {reference_lam_str(snd)})"
+        case PairPatLam(x, h, body):
+            return f"\\({x}, {h}). {reference_lam_str(body)}"
+    raise TypeError(f"not a lambda term: {m!r}")
+
+
+A, B = Base("A"), Base("B")
+TYPES = st.sampled_from([None, A, Arrow(A, B), Arrow(Arrow(A, B), A)])
+
+
+def annotated_lamterms(depth):
+    leaf = st.one_of(NAMES.map(Var), TYPES.map(Hole))
+    if depth <= 0:
+        return leaf
+    sub = annotated_lamterms(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Lam, NAMES, TYPES, sub),
+        st.builds(App, sub, sub),
+        st.builds(PairTerm, sub, sub),
+        st.builds(PairPatLam, NAMES, NAMES, sub),
+    )
+
+
+@settings(max_examples=500, derandomize=True)
+@given(annotated_lamterms(5))
+def test_lam_str_same_text_as_reference(m):
+    assert lam_str(m) == reference_lam_str(m)
+
+
+def test_lam_str_nesting_deeper_than_the_stack():
+    n = 10_000
+    m = Var("x")
+    for _ in range(n):
+        m = Lam("x", None, App(Var("x"), m))
+    assert lam_str(m) == "\\x. x (" * (n - 1) + "\\x. x x" + ")" * (n - 1)
+
+
+def test_lam_str_not_a_lambda_term():
+    with pytest.raises(TypeError):
+        lam_str(App(Var("x"), "y"))
