@@ -18,9 +18,10 @@ Machine runs are instrumented: every state is checked against the typing
 judgment, every step certifies the readback (control steps preserve it, Beta
 steps advance it by one beta step), and control steps must drop the measure
 by exactly one. A rule shares every subterm it does not touch with the next
-state, so within one run each distinct closed program or jump node is typed
-and read back once. Any violation becomes a counterexample in the report,
-replayable from (property, size, seed).
+state, and a node keeps its type and its readback image once they are
+computed, so each distinct closed program or jump node is typed once and
+each program or jump node is read back once. Any violation becomes a
+counterexample in the report, replayable from (property, size, seed).
 """
 
 from __future__ import annotations
@@ -173,22 +174,19 @@ def run_checked(
     state is read back once, and its control_length is carried to the next
     step.
 
-    The states share every node a rule leaves untouched, and a closed
-    program or jump node has one type in every state that holds it, so a
-    dict that lives for this call types each such node once. Every state is
-    still checked in full: a node is skipped only where it was typed before
-    with no free names to vary, and a node that fails is never stored, so it
-    fails in every state that holds it. A program or jump node, closed or
-    not, also has one image wherever it sits, so a second dict reads each
-    such node back once, and neighbouring readbacks share those images,
-    which the alpha-equivalence walk passes over without entering them.
-    Every state still passes readback's t-closure check.
+    The states share every node a rule leaves untouched. A closed program
+    or jump node keeps its type, and any program or jump node its image, on
+    itself (see `ptq.syntax._Node`), so each such node is typed and read
+    back once, and neighbouring readbacks share those images, which the
+    alpha-equivalence walk passes over without entering them. Every state
+    is still checked in full: a node is skipped only where it was typed
+    before with no free names to vary, and a failure is never kept, so a
+    node that fails does so in every state that holds it. Every state still
+    passes readback's t-closure check.
     """
     env = TypeEnv((), ("star", anchor_ty))
-    types: dict = {}
-    images: dict = {}
     try:
-        if infer_ptq(env, u, types) is not E_OK:
+        if infer_ptq(env, u) is not E_OK:
             report.fail(
                 f"initial term failed to check: {term_str(u)}", "subject-reduction"
             )
@@ -197,12 +195,12 @@ def run_checked(
     trace = normalize(u, MACHINE_FUEL).trace
     chain = trace.terms()
     report.steps = len(trace.steps)
-    readbacks = [readback(t, images) for t in chain]
+    readbacks = [readback(t) for t in chain]
     len_before = None
     for i, s in enumerate(trace.steps):
         current, tag, after = chain[i], s.rule, s.term
         try:
-            if infer_ptq(env, after, types) is not E_OK:
+            if infer_ptq(env, after) is not E_OK:
                 report.fail(
                     f"subject reduction broke after {tag.value}", "subject-reduction"
                 )

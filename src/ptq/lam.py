@@ -15,12 +15,12 @@ neutral element.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import ParseError, PtqError, UncurriedNeedsPairs
 from .syntax import (
+    _IDENT_RE,
     _NO_NAMES,
     _alpha_eq,
     Type,
@@ -138,23 +138,6 @@ def lam_free_vars(m: LamTerm) -> frozenset[str]:
     if not isinstance(m, _LamNode):
         raise TypeError(f"not a lambda term: {m!r}")
     return m._fv - {_HOLE_NAME}
-
-
-def lam_all_names(m: LamTerm) -> frozenset[str]:
-    match m:
-        case Var(name):
-            return frozenset((name,))
-        case Lam(x, _, body):
-            return lam_all_names(body) | {x}
-        case App(fn, arg):
-            return lam_all_names(fn) | lam_all_names(arg)
-        case Hole():
-            return frozenset()
-        case PairTerm(fst, snd):
-            return lam_all_names(fst) | lam_all_names(snd)
-        case PairPatLam(x, h, body):
-            return lam_all_names(body) | {x, h}
-    raise TypeError(f"not a lambda term: {m!r}")
 
 
 def lam_subst(m: LamTerm, name: str, payload: LamTerm) -> LamTerm:
@@ -348,12 +331,11 @@ def _parse_lam_to_end(ts: TokenStream) -> LamTerm:
 
 
 _LAM_RESERVED = ("o",)
-_LAM_IDENT_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
 
 def _is_var(tok: str) -> bool:
     """Whether tok spells a lambda variable."""
-    return bool(_LAM_IDENT_RE.match(tok)) and tok not in _LAM_RESERVED
+    return bool(_IDENT_RE.match(tok)) and tok not in _LAM_RESERVED
 
 
 def _starts_atom(tok: Optional[str]) -> bool:
@@ -418,20 +400,28 @@ def _parse_lam_atom(ts: TokenStream) -> LamTerm:
     raise ParseError(f"unexpected token {tok!r}")
 
 
-def require_plain(m: LamTerm, what: str = "this operation") -> None:
+def require_plain(m: LamTerm, what: str = "this operation") -> set[str]:
     """Reject holes and the pair extension where only the plain language is
-    allowed."""
-    match m:
-        case Var():
-            return
-        case Hole():
+    allowed; return every name m holds, bound or free. The walk is a loop
+    that goes left to right, so the leftmost offending node decides the
+    error."""
+    names: set[str] = set()
+    stack = [m]
+    while stack:
+        m = stack.pop()
+        cls = type(m)
+        if cls is Var:
+            names.add(m.name)
+        elif cls is Lam:
+            names.add(m.x)
+            stack.append(m.body)
+        elif cls is App:
+            stack.append(m.arg)
+            stack.append(m.fn)
+        elif cls is Hole:
             raise PtqError(f"{what} handles terms without holes")
-        case Lam(_, _, body):
-            require_plain(body, what)
-        case App(fn, arg):
-            require_plain(fn, what)
-            require_plain(arg, what)
-        case PairTerm() | PairPatLam():
+        elif cls is PairTerm or cls is PairPatLam:
             raise UncurriedNeedsPairs(f"{what} handles the plain language only")
-        case _:
+        else:
             raise TypeError(f"not a lambda term: {m!r}")
+    return names

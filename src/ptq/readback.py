@@ -14,17 +14,16 @@ the top, so the walk reads k and * alike and reads bodies as they stand.
 
 A program or jump node binds every test position it holds, so the walk
 reads it with the bare hole and its image does not depend on where it sits:
-`_image` builds it once per memo, which the readbacks of one machine run's
-states share (see `readback`). Test and computation nodes are read with the
-filler of their place, anew each time.
+`_image` builds it once and keeps it on the node, so every readback of a
+term that holds the node, such as the states of one machine run, shares it.
+Test and computation nodes are read with the filler of their place, anew
+each time.
 
 Control steps of the machine leave the readback fixed up to alpha; the Beta
 step becomes exactly one beta step.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .errors import IllTyped
 from .lam import App, HOLE, Lam, LamTerm, Var, lam_subst, plug_hole
@@ -57,51 +56,49 @@ def hole_compose(outer: LamTerm, inner: LamTerm) -> LamTerm:
     return plug_hole(outer, inner)
 
 
-def readback(term: Term, _images: Optional[dict] = None) -> LamTerm:
+def readback(term: Term) -> LamTerm:
     """The lambda image of a term; test/computation input must be t-closed.
 
-    `_images` is private: a dict from id(node) to (node, image) that one
-    caller passes to every readback of a set of terms sharing nodes, such as
-    the states of one machine run, so each program or jump node among them
-    is read back once. The node is kept in its entry, so no id is reused
-    while the dict lives. By default each call uses a fresh dict.
+    Each program or jump node is read back once, however many terms hold it
+    (see `_image`).
     """
     _require_t_closed(term)
-    return _rb(term, HOLE, {} if _images is None else _images)
+    return _rb(term, HOLE)
 
 
-def _rb(term: Term, plug: LamTerm, images: dict) -> LamTerm:
+def _rb(term: Term, plug: LamTerm) -> LamTerm:
     """readback(term)[plug/[]]; the filler goes down the spine."""
     match term:
         case Star() | KVar():
             return plug
         case Pair(fst, snd):
-            return _rb(snd, App(plug, _image(fst, images)), images)
+            return _rb(snd, App(plug, _image(fst)))
         case XLam(x, _, body):
-            return lam_subst(_rb(body, HOLE, images), x, plug)
+            return lam_subst(_rb(body, HOLE), x, plug)
         case PApp(test, proof):
-            return _rb(test, _image(proof, images), images)
+            return _rb(test, _image(proof))
         case QApp(fn, test):
-            return _rb(test, _image(fn, images), images)
-    return _image(term, images)
+            return _rb(test, _image(fn))
+    return _image(term)
 
 
-def _image(term: Term, images: dict) -> LamTerm:
-    """The image of a program or jump node, built once per `images`. It
-    takes no plug: these nodes bind every test position they hold."""
-    hit = images.get(id(term))
-    if hit is not None:
-        return hit[1]
+def _image(term: Term) -> LamTerm:
+    """The image of a program or jump node, built once and kept on the node
+    (`_Node._image`). It takes no plug: these nodes bind every test position
+    they hold."""
+    image = getattr(term, "_image", None)  # a non-term reaches the TypeError
+    if image is not None:
+        return image
     match term:
         case PVar(name):
             image = Var(name)
         case PairLam(x, xty, _, body):
-            image = Lam(x, xty, _rb(body, HOLE, images))
+            image = Lam(x, xty, _rb(body, HOLE))
         case KLam(_, body) | QLam(_, body):
-            image = _rb(body, HOLE, images)
+            image = _rb(body, HOLE)
         case _:
             raise TypeError(f"not a term: {term!r}")
-    images[id(term)] = (term, image)
+    object.__setattr__(term, "_image", image)  # the dataclasses are frozen
     return image
 
 
@@ -118,7 +115,7 @@ def readback_judgment(j: Judgment) -> LamJudgment:
         raise IllTyped(str(res.error))
     gamma = tuple(j.env.gamma)
     sort = sort_of(j.subject)
-    image = _rb(j.subject, HOLE, {})
+    image = _rb(j.subject, HOLE)
     if sort in ("p", "q"):
         return LamJudgment(LamEnv(gamma, None), image, j.claimed.carrier)
     _, aty = j.env.anchor

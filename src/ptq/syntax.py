@@ -104,11 +104,22 @@ class _FreeNames:
 
 
 class _Node:
-    """Base of the term nodes. The cached free names are an instance
+    """Base of the term nodes. A node is immutable, so a fact that depends
+    on the node alone is computed once and kept on it, as an instance
     attribute outside the dataclass fields, so equality, hashing, printing
-    and `dataclasses.fields` never see them."""
+    and `dataclasses.fields` never see it:
+
+      _fv     its free program names (every node)
+      _type   its type, once typed (`typecheck`; closed program and jump
+              nodes only, which have one type under every environment)
+      _image  its readback image, once read back (`readback`; program and
+              jump nodes only, which bind every test position they hold)
+
+    A failure is never kept, so a node that fails a check fails it again."""
 
     _fv = _FreeNames()
+    _type = None
+    _image = None
 
 
 @dataclass(frozen=True)
@@ -748,10 +759,8 @@ def _parse_term(ts: TokenStream) -> Term:
             return left
 
 
-def _parse_ident(ts: TokenStream, *, allow_k: bool = False) -> str:
+def _parse_ident(ts: TokenStream) -> str:
     tok = ts.next()
-    if allow_k and tok == "k":
-        return tok
     if tok in RESERVED:
         raise ParseError(f"{tok!r} is reserved")
     if not _IDENT_RE.match(tok):

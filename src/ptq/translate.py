@@ -29,7 +29,6 @@ from .lam import (
     PairTerm,
     Var,
     is_value,
-    lam_all_names,
     lam_free_vars,
     require_plain,
 )
@@ -140,8 +139,8 @@ def _cod(fty: Optional[Type]) -> Optional[Type]:
 
 
 class _Fresh:
-    def __init__(self, root: LamTerm):
-        self.used = set(lam_all_names(root))
+    def __init__(self, used: set[str]):
+        self.used = used  # every name of the source, bound or free
         self.counts: dict[str, int] = {}
 
     def __call__(self, stem: str) -> str:
@@ -174,8 +173,7 @@ def _source(
 ) -> tuple[LamTerm, _Env, _Fresh]:
     """The source, its root env and its fresh names. k is the calculus's test
     variable, so a bound k is renamed apart and a free k is rejected."""
-    require_plain(m, "translation")
-    fresh = _Fresh(m)
+    fresh = _Fresh(require_plain(m, "translation"))
     if "k" in fresh.used:
         if "k" in lam_free_vars(m):
             raise PtqError("free variable 'k' clashes with the test variable k")
@@ -313,9 +311,9 @@ def plotkin_translate(
 ) -> LamTerm:
     """Plain-lambda CPS. CbN ignores the order; uncurried pairing produces
     unannotated terms in the pair-extended grammar."""
-    require_plain(m, "translation")
+    fresh = _Fresh(require_plain(m, "translation"))
     pairs = Pairing(pairing) is Pairing.UNCURRIED
-    env, fresh = None if pairs else _typed_env(m, env), _Fresh(m)
+    env = None if pairs else _typed_env(m, env)
     if strategy is Strategy.CBN:
         return _plo_cbn(m, env, fresh, pairs)[0]
     return _plo_cbv(m, env, fresh, order, pairs)[0]

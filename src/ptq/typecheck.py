@@ -28,7 +28,7 @@ from .errors import (
     UnboundVariable,
     UncurriedNeedsPairs,
 )
-from .lam import App, Hole, Lam, LamTerm, Var, _parse_lam_to_end, lam_str
+from .lam import App, Hole, Lam, LamTerm, Var, _is_var, _parse_lam_to_end, lam_str
 from .syntax import (
     Arrow,
     Base,
@@ -116,45 +116,45 @@ def _need(ty: Optional[Type], where: str) -> Type:
     return ty
 
 
-def _typed(infer, env: TypeEnv, node, types: dict) -> Type:
-    """infer(env, node, types), looked up in `types` by id when node is
-    closed: such a node has one type under every environment. An entry
-    (node, type) holds its node, so its id is not reused while `types` lives;
-    a node that fails to check raises before anything is stored."""
+def _typed(infer, env: TypeEnv, node) -> Type:
+    """infer(env, node), kept on node (`_Node._type`) when node is closed:
+    such a node has one type under every environment. A node that fails to
+    check raises before anything is kept."""
     if node._fv:
-        return infer(env, node, types)
-    hit = types.get(id(node))
-    if hit is None:
-        hit = types[id(node)] = (node, infer(env, node, types))
-    return hit[1]
+        return infer(env, node)
+    ty = node._type
+    if ty is None:
+        ty = infer(env, node)
+        object.__setattr__(node, "_type", ty)  # the dataclasses are frozen
+    return ty
 
 
-def _infer_p(env: TypeEnv, p, types: dict) -> Type:
+def _infer_p(env: TypeEnv, p) -> Type:
     match p:
         case PVar(name):
             return env.lookup(name)
         case PairLam(x, xty, kty, body):
             a = _need(xty, f"\\({x}, k)")
             b = _need(kty, f"\\({x}, k)")
-            _infer_e(env.extend(x, a).with_anchor("k", b), body, types)
+            _infer_e(env.extend(x, a).with_anchor("k", b), body)
             return Arrow(a, b)
         case KLam(kty, body):
             a = _need(kty, "\\k")
-            _infer_e(env.with_anchor("k", a), body, types)
+            _infer_e(env.with_anchor("k", a), body)
             return a
     raise TypeError(f"not a program term: {p!r}")
 
 
-def _infer_q(env: TypeEnv, q, types: dict) -> Type:
+def _infer_q(env: TypeEnv, q) -> Type:
     match q:
         case QLam(kty, body):
             a = _need(kty, "%k")
-            _infer_e(env.with_anchor("k", a), body, types)
+            _infer_e(env.with_anchor("k", a), body)
             return a
     raise TypeError(f"not a jump term: {q!r}")
 
 
-def _infer_t(env: TypeEnv, t, types: dict) -> Type:
+def _infer_t(env: TypeEnv, t) -> Type:
     kind, aty = env.anchor
     match t:
         case Star():
@@ -166,24 +166,24 @@ def _infer_t(env: TypeEnv, t, types: dict) -> Type:
                 raise AnchorMismatch("term uses k but the anchor is *")
             return aty
         case Pair(fst, snd):
-            a = _typed(_infer_p, env, fst, types)
-            b = _infer_t(env, snd, types)
+            a = _typed(_infer_p, env, fst)
+            b = _infer_t(env, snd)
             return Arrow(a, b)
         case XLam(x, xty, body):
             a = _need(xty, f"\\{x}")
-            _infer_e(env.extend(x, a), body, types)
+            _infer_e(env.extend(x, a), body)
             return a
     raise TypeError(f"not a test term: {t!r}")
 
 
-def _infer_e(env: TypeEnv, u: ETerm, types: dict) -> None:
+def _infer_e(env: TypeEnv, u: ETerm) -> None:
     match u:
         case PApp(test, proof):
-            a = _typed(_infer_p, env, proof, types)
-            b = _infer_t(env, test, types)
+            a = _typed(_infer_p, env, proof)
+            b = _infer_t(env, test)
         case QApp(fn, test):
-            a = _typed(_infer_q, env, fn, types)
-            b = _infer_t(env, test, types)
+            a = _typed(_infer_q, env, fn)
+            b = _infer_t(env, test)
         case _:
             raise TypeError(f"not a computation: {u!r}")
     if a != b:
@@ -192,26 +192,23 @@ def _infer_e(env: TypeEnv, u: ETerm, types: dict) -> None:
         )
 
 
-def infer_ptq(
-    env: TypeEnv, subject: Term, _types: Optional[dict] = None
-) -> Union[PtqType, EMark]:
+def infer_ptq(env: TypeEnv, subject: Term) -> Union[PtqType, EMark]:
     """Infer the role and type of a subject under env, or raise.
 
-    `_types` is private: one dict passed to the checks of many terms types
-    each closed program or jump node they share once (see `_typed`).
+    A closed program or jump node is typed once, however many terms hold it
+    (see `_typed`).
     """
-    types = {} if _types is None else _types
     sort = sort_of(subject)
     if sort in ("p", "q"):
         if env.anchor is not None:
             raise AnchorMismatch(f"a {sort}-judgment carries no anchor")
         infer = _infer_p if sort == "p" else _infer_q
-        return PtqType(sort, _typed(infer, env, subject, types))
+        return PtqType(sort, _typed(infer, env, subject))
     if env.anchor is None:
         raise AnchorMismatch(f"a {sort}-judgment needs an anchor")
     if sort == "t":
-        return PtqType("t", _infer_t(env, subject, types))
-    _infer_e(env, subject, types)
+        return PtqType("t", _infer_t(env, subject))
+    _infer_e(env, subject)
     return E_OK
 
 
@@ -425,6 +422,8 @@ def parse_lam_judgment(text: str) -> LamJudgment:
             hole = _parse_type(ts, allow_o=True)
         else:
             name = ts.next()
+            if not _is_var(name):
+                raise ParseError(f"bad environment variable {name!r}")
             ts.expect(":")
             if any(x == name for x, _ in vars_):
                 raise DuplicateVariable(f"{name} is already bound")

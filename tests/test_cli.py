@@ -61,6 +61,13 @@ class TestTypecheck:
         code, out, _ = run(capsys, "typecheck", "x:pX |- x : pA")
         assert code == 1 and out.startswith("FAIL TypeClash")
 
+    @pytest.mark.parametrize("name", ["->", "X", "o", "*"])
+    def test_lambda_context_name_must_be_a_variable(self, capsys, name):
+        # every one of these printed `OK A -> A` and exited 0
+        code, out, err = run(capsys, "typecheck", rf"{name}:A |- \x:A. x : A -> A")
+        assert code == 1 and out == ""
+        assert err == f"error: bad environment variable {name!r}\n"
+
 
 class TestTranslate:
     def test_cbn(self, capsys):

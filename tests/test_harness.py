@@ -16,9 +16,14 @@ from ptq import (
     PVar,
     QLam,
     Strategy,
+    TypeEnv,
     infer_lambda_box,
+    infer_ptq,
     lam_alpha_eq,
     lam_str,
+    parse_term,
+    readback,
+    term_str,
 )
 from ptq.harness import (
     CHECKS,
@@ -222,10 +227,10 @@ class TestOneCheckPerNode:
         for name in ("_infer_p", "_infer_q"):
             infer = getattr(ptq.typecheck, name)
 
-            def recorded(env, node, types, infer=infer):
+            def recorded(env, node, infer=infer):
                 if is_closed_pq(node):
                     typed.append(node)  # held, so no id is reused
-                return infer(env, node, types)
+                return infer(env, node)
 
             monkeypatch.setattr(ptq.typecheck, name, recorded)
         report = PropertyReport("completeness", -1, -1, "", True)
@@ -241,10 +246,10 @@ class TestOneCheckPerNode:
         m = TestOneRunPerCheck.long_instance()
         built, image = [], readback_module._image
 
-        def recorded(node, images):
-            if id(node) not in images:
+        def recorded(node):
+            if node._image is None:
                 built.append(node)  # held, so no id is reused
-            return image(node, images)
+            return image(node)
 
         monkeypatch.setattr(readback_module, "_image", recorded)
         checked = TestOneRunPerCheck.counting(
@@ -260,6 +265,41 @@ class TestOneCheckPerNode:
         assert {id(node) for node in built} == {id(node) for node in held}
         # the states share program and jump nodes, so the count is not vacuous
         assert len(held) > 2 * len(built)
+
+
+class TestNodeCaches:
+    """A node keeps its type and its readback image on itself; what is kept
+    never changes a result and never shows in the node's value."""
+
+    def test_caches_never_change_a_result(self, corpus):
+        # every other state of every checked run, against a copy read from
+        # its text, which shares no node and holds no cache
+        states = 0
+        for m, ty, size, _ in corpus:
+            env = TypeEnv((), ("star", ty))
+            for strategy in (Strategy.CBN, Strategy.CBV):
+                report = PropertyReport("completeness", -1, -1, "", True)
+                chain, images = run_checked(_start_term(m, strategy), ty, report)
+                assert report.ok
+                for state, image in list(zip(chain, images))[size % 2 :: 2]:
+                    copy = parse_term(term_str(state))
+                    assert copy == state
+                    assert readback(copy) == image == readback(state)
+                    assert infer_ptq(env, copy) == infer_ptq(env, state)
+                    states += 1
+        assert states > 500
+
+    def test_caches_do_not_show(self):
+        text = r"\(x:A, k:A). (%k:A. k ; x) ! k"
+        node, twin = parse_term(text), parse_term(text)
+        fields = dataclasses.fields(node)
+        seen = (repr(node), hash(node), term_str(node))
+        infer_ptq(TypeEnv(), node)
+        readback(node)
+        assert node._type is not None and node._image is not None
+        assert node == twin and hash(node) == hash(twin)
+        assert (repr(node), hash(node), term_str(node)) == seen
+        assert dataclasses.fields(node) == fields
 
 
 class TestSharedFault:

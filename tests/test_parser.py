@@ -178,6 +178,28 @@ class TestJudgments:
                 parse(text)
             assert str(exc.value) == "trailing input after term: ')'"
 
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            (r"->:A |- \x:A. x : A -> A", "->"),
+            (r"X:A |- \x:A. x : A -> A", "X"),
+            (r"o:A |- \x:A. x : A -> A", "o"),
+            (r"*:A, ;:B |- \x:A. x : A -> A", "*"),
+            (r"x:A, ;:B |- \x:A. x : A -> A", ";"),
+        ],
+    )
+    def test_lam_context_names_a_variable(self, text, name):
+        # a lambda context entry is named by a lambda variable, as a
+        # calculus context entry is by a program variable
+        with pytest.raises(ParseError) as exc:
+            parse_lam_judgment(text)
+        assert str(exc.value) == f"bad environment variable {name!r}"
+
+    def test_lam_context_takes_k(self):
+        # k is the calculus's test variable, but an ordinary lambda variable
+        j = parse_lam_judgment("k:A |- k : A")
+        assert j.env.vars == (("k", Base("A")),)
+
     def test_duplicate_context_entry(self):
         from ptq import DuplicateVariable
 

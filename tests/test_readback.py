@@ -171,43 +171,52 @@ class TestReadbackFacts:
 
 class TestSharedNodes:
     """A program or jump node reads back alike wherever it sits, so its image
-    is built once per memo; a test or computation node does not, so it is
-    read anew under each plug."""
+    is built once and kept on the node; a test or computation node does not,
+    so it is read anew under each plug."""
 
-    # Y_PROG and T each sit in two places: T reads with Y_PROG's image as its
-    # plug in one place and with d in the other, so its pair and its binder
-    # do too; Y_PROG sits once under T and once in a pair on the top spine
-    Y_PROG = parse_term(r"\(y:A, k:A). k ; y")
-    T = parse_term(r"<a, (\x:A. k ; x)>")
-    SHARED = PApp(
-        Pair(KLam(A, PApp(T, Y_PROG)), Pair(Y_PROG, STAR)), KLam(A, PApp(T, PVar("d")))
-    )
     WANT = r"d a ((\y:A. y) a) (\y:A. y)"
 
+    @staticmethod
+    def shared():
+        """A term built anew, so no node of it holds an image yet. Y_PROG and
+        T each sit in two places: T reads with Y_PROG's image as its plug in
+        one place and with d in the other, so its pair and its binder do too;
+        Y_PROG sits once under T and once in a pair on the top spine."""
+        y_prog = parse_term(r"\(y:A, k:A). k ; y")
+        t = parse_term(r"<a, (\x:A. k ; x)>")
+        return PApp(
+            Pair(KLam(A, PApp(t, y_prog)), Pair(y_prog, STAR)),
+            KLam(A, PApp(t, PVar("d"))),
+        )
+
     def test_program_node_shared_under_two_plugs(self):
+        shared = self.shared()
         # the text parses back to a copy that shares no node
-        assert lam_str(readback(parse_term(term_str(self.SHARED)))) == self.WANT
-        assert lam_str(readback(self.SHARED)) == self.WANT
-        images = {}
-        first = readback(self.SHARED, images)
-        assert readback(self.SHARED, images) == first
+        assert lam_str(readback(parse_term(term_str(shared)))) == self.WANT
+        first = readback(shared)
         assert lam_str(first) == self.WANT
+        # the second readback reads the images the first one kept
+        y_prog = shared.test.snd.fst
+        assert y_prog._image is not None
+        assert readback(shared) == first
 
     @pytest.mark.parametrize("cls", [XLam, Pair])
     def test_memo_of_a_test_node_is_caught(self, monkeypatch, cls):
-        # memoising a class whose image depends on its plug must break the
-        # test above: the second place of T would get the first one's image
+        # keeping the image of a class whose image depends on its plug must
+        # break the test above: the second place of T would get the first
+        # one's image. The term is built anew: images kept by an earlier
+        # readback would spare T the mutant walk and hide the fault
         rb = readback_module._rb
 
-        def memoised(term, plug, images):
+        def memoised(term, plug):
             if type(term) is not cls:
-                return rb(term, plug, images)
-            if id(term) not in images:
-                images[id(term)] = (term, rb(term, plug, images))
-            return images[id(term)][1]
+                return rb(term, plug)
+            if term._image is None:
+                object.__setattr__(term, "_image", rb(term, plug))
+            return term._image
 
         monkeypatch.setattr(readback_module, "_rb", memoised)
-        assert lam_str(readback(self.SHARED)) != self.WANT
+        assert lam_str(readback(self.shared())) != self.WANT
 
 
 class TestJudgmentReadback:

@@ -9,6 +9,7 @@ from ptq import (
     DuplicateVariable,
     HoleTypeClash,
     K,
+    KLam,
     LamEnv,
     MissingAnnotation,
     PApp,
@@ -120,6 +121,16 @@ class TestJumpAndComputationRules:
         good, bad = PairLam("x", A, A, body), PairLam("x", B, A, body)
         with pytest.raises(TypeClash):
             infer_ptq(env("", ("star", A)), Pair(good, Pair(bad, STAR)))
+
+    def test_failure_is_never_kept(self):
+        # a closed node that fails to type keeps no type, so it fails again,
+        # alone and in every term that holds it
+        bad = PairLam("x", A, None, PApp(K, PVar("x")))
+        holder = KLam(Arrow(A, A), PApp(K, bad))
+        for subject in (bad, bad, holder, holder, bad):
+            with pytest.raises(MissingAnnotation):
+                infer_ptq(env(), subject)
+        assert bad._type is None and holder._type is None
 
     def test_anchor_required(self):
         with pytest.raises(AnchorMismatch):
