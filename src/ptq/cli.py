@@ -30,7 +30,7 @@ from .lambda_eval import DEFAULT_FUEL, EvalOrder, Strategy, eval_small
 from .machine import normalize, trace_to_json
 from .measure import control_length, measure, identity, o
 from .readback import readback, readback_judgment
-from .syntax import parse_term, parse_type, sort_of, term_str, type_str
+from .syntax import parse_term, parse_type, sort_of, term_str, tokenize, type_str
 from .typecheck import (
     EMark,
     PtqType,
@@ -46,8 +46,13 @@ from .translate import Pairing, plotkin_translate, ptq_translate, ptq_translate_
 
 def _read_input(args, what: str) -> str:
     if getattr(args, "file", None):
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return fh.read().strip()
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                return fh.read().strip()
+        except OSError as exc:
+            raise PtqError(f"cannot read {args.file}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise PtqError(f"cannot read {args.file}: not UTF-8 text") from None
     if args.term is None:
         raise PtqError(f"no {what} given; pass it as an argument or via --file")
     if args.term == "-":
@@ -95,11 +100,25 @@ def _require_at_least(value: int, low: int, flag: str) -> None:
 
 
 def _parse_any_judgment(text: str):
-    """A ptq judgment if it reads as one, else a lambda judgment."""
+    """A ptq judgment if it reads as one, else a lambda judgment. When both
+    parsers reject the text, the error is the calculus parser's if the text
+    has an anchor or its claimed type a role (`pA`, `t(`…), else the lambda
+    parser's."""
     try:
         return "ptq", parse_judgment(text)
-    except PtqError:
+    except PtqError as exc:
+        calculus_error = exc
+    try:
         return "lam", parse_lam_judgment(text)
+    except PtqError:
+        tokens = tokenize(text)
+        claim = tokens[len(tokens) - tokens[::-1].index(":") :] if ":" in tokens else []
+        head = claim[0] if claim else ""
+        marked = head[1:2].isupper() or claim[1:2] == ["("]  # pA, or p(A -> B)
+        role = head[:1] in ("p", "t", "q") and marked
+        if "|>" in tokens or role:
+            raise calculus_error from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +202,9 @@ def _cmd_reduce(args) -> int:
 def _cmd_readback(args) -> int:
     text = _read_input(args, "input")
     if args.judgment or _lang_of(args, "ptq") == "judgment":
-        _, j = _parse_any_judgment(text)
+        kind, j = _parse_any_judgment(text)
+        if kind != "ptq":
+            raise PtqError("readback wants a calculus judgment, got a lambda judgment")
         print(lam_judgment_str(readback_judgment(j)))
         return 0
     term = parse_term(text)

@@ -20,7 +20,11 @@ Test and computation nodes are read with the filler of their place, anew
 each time.
 
 Control steps of the machine leave the readback fixed up to alpha; the Beta
-step becomes exactly one beta step.
+step becomes exactly one beta step when every test binder (`XLam`) binds its
+variable exactly once, as in every translation image. A binder puts the
+filler at each occurrence of its variable, so otherwise a redex in the filler
+is contracted in every copy: zero beta steps when the variable does not
+occur, two when it occurs twice.
 """
 
 from __future__ import annotations

@@ -110,8 +110,9 @@ class _Node:
     and `dataclasses.fields` never see it:
 
       _fv     its free program names (every node)
-      _type   its type, once typed (`typecheck`; closed program and jump
-              nodes only, which have one type under every environment)
+      _type   its type, once typed (kept by `typecheck._kept`, and
+              returned as it is by `_infer_p`/`_infer_q`; closed program and
+              jump nodes only, which have one type under every environment)
       _image  its readback image, once read back (`readback`; program and
               jump nodes only, which bind every test position they hold)
 

@@ -116,20 +116,17 @@ def _need(ty: Optional[Type], where: str) -> Type:
     return ty
 
 
-def _typed(infer, env: TypeEnv, node) -> Type:
-    """infer(env, node), kept on node (`_Node._type`) when node is closed:
-    such a node has one type under every environment. A node that fails to
-    check raises before anything is kept."""
-    if node._fv:
-        return infer(env, node)
-    ty = node._type
-    if ty is None:
-        ty = infer(env, node)
+def _kept(node, ty: Type) -> Type:
+    """ty, kept on node (`_Node._type`) if node is closed, as such a node has
+    one type everywhere; called once ty is inferred, so a failure keeps nothing."""
+    if not node._fv:
         object.__setattr__(node, "_type", ty)  # the dataclasses are frozen
     return ty
 
 
 def _infer_p(env: TypeEnv, p) -> Type:
+    if p._type is not None:  # see `_kept`
+        return p._type
     match p:
         case PVar(name):
             return env.lookup(name)
@@ -137,20 +134,22 @@ def _infer_p(env: TypeEnv, p) -> Type:
             a = _need(xty, f"\\({x}, k)")
             b = _need(kty, f"\\({x}, k)")
             _infer_e(env.extend(x, a).with_anchor("k", b), body)
-            return Arrow(a, b)
+            return _kept(p, Arrow(a, b))
         case KLam(kty, body):
             a = _need(kty, "\\k")
             _infer_e(env.with_anchor("k", a), body)
-            return a
+            return _kept(p, a)
     raise TypeError(f"not a program term: {p!r}")
 
 
 def _infer_q(env: TypeEnv, q) -> Type:
+    if q._type is not None:
+        return q._type
     match q:
         case QLam(kty, body):
             a = _need(kty, "%k")
             _infer_e(env.with_anchor("k", a), body)
-            return a
+            return _kept(q, a)
     raise TypeError(f"not a jump term: {q!r}")
 
 
@@ -166,7 +165,7 @@ def _infer_t(env: TypeEnv, t) -> Type:
                 raise AnchorMismatch("term uses k but the anchor is *")
             return aty
         case Pair(fst, snd):
-            a = _typed(_infer_p, env, fst)
+            a = _infer_p(env, fst)
             b = _infer_t(env, snd)
             return Arrow(a, b)
         case XLam(x, xty, body):
@@ -179,10 +178,10 @@ def _infer_t(env: TypeEnv, t) -> Type:
 def _infer_e(env: TypeEnv, u: ETerm) -> None:
     match u:
         case PApp(test, proof):
-            a = _typed(_infer_p, env, proof)
+            a = _infer_p(env, proof)
             b = _infer_t(env, test)
         case QApp(fn, test):
-            a = _typed(_infer_q, env, fn)
+            a = _infer_q(env, fn)
             b = _infer_t(env, test)
         case _:
             raise TypeError(f"not a computation: {u!r}")
@@ -196,14 +195,14 @@ def infer_ptq(env: TypeEnv, subject: Term) -> Union[PtqType, EMark]:
     """Infer the role and type of a subject under env, or raise.
 
     A closed program or jump node is typed once, however many terms hold it
-    (see `_typed`).
+    (see `_kept`).
     """
     sort = sort_of(subject)
     if sort in ("p", "q"):
         if env.anchor is not None:
             raise AnchorMismatch(f"a {sort}-judgment carries no anchor")
         infer = _infer_p if sort == "p" else _infer_q
-        return PtqType(sort, _typed(infer, env, subject))
+        return PtqType(sort, infer(env, subject))
     if env.anchor is None:
         raise AnchorMismatch(f"a {sort}-judgment needs an anchor")
     if sort == "t":

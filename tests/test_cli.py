@@ -248,6 +248,44 @@ class TestReadback:
             assert err == f"error: not t-closed, k is free in: {argv[1]}\n"
 
 
+class TestRejectedInput:
+    """Input the CLI rejects gives one `error:` line and exit 1, never a
+    Python traceback."""
+
+    @pytest.mark.parametrize(
+        "case", ["lambda-judgment", "missing", "directory", "not-utf8"]
+    )
+    def test_one_error_line(self, capsys, tmp_path, case):
+        (tmp_path / "bad.ptq").write_bytes(b"* ; \xff\xfe")
+        argv = {
+            "lambda-judgment": ["readback", "--judgment", "x:A |- x : A"],
+            "missing": ["parse", "--file", str(tmp_path / "none.ptq")],
+            "directory": ["parse", "--file", str(tmp_path)],
+            "not-utf8": ["parse", "--file", str(tmp_path / "bad.ptq")],
+        }[case]
+        code, out, err = run(capsys, *argv)  # an exception escaping main fails here
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            # the calculus's errors; each read `expected a base type, got 'pX'`
+            ("x:pX, x:pX |- x : pX", "x is already bound"),
+            ("x:pX |- x : qX q", "trailing input after judgment: 'q'"),
+            ("x:pX |> *:tX |- <x, *> ; ", "unexpected end of input"),
+            # a lambda judgment keeps the lambda parser's error
+            ("x:A |- x : A B", "trailing input after judgment: 'B'"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["typecheck"], ["parse", "--lang", "judgment"], ["readback", "--judgment"]],
+    )
+    def test_malformed_judgment_error(self, capsys, command, text, error):
+        assert run(capsys, *command, text) == (1, "", f"error: {error}\n")
+
+
 class TestMeasure:
     def test_e_term(self, capsys):
         code, out, _ = run(capsys, "measure", r"* ; \k:A. (k ; x)")

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import random
+import re
 
 import pytest
 
@@ -27,8 +29,10 @@ from ptq import (
 )
 from ptq.harness import (
     CHECKS,
+    TOP_MENU,
     PropertyReport,
     _closed_ty,
+    _gen,
     _start_term,
     check_completeness,
     check_measure,
@@ -94,6 +98,15 @@ class TestGenerator:
         for seed in range(10):
             m, _ = gen_typed_term(6, seed)
             check(m, set())
+
+    def test_top_level_draw_never_dead_ends(self):
+        # gen_typed_term draws once with no retry: every TOP_MENU target ends
+        # in X -> X, so the top-level _gen can always finish the term
+        for seed in range(300):
+            budget = seed % 13
+            for target in TOP_MENU:
+                rng = random.Random(f"{target}:{seed}")
+                _gen(rng, (), target, budget, 0)  # raises _Dead on a dead end
 
 
 class TestProperties:
@@ -223,21 +236,32 @@ class TestOneCheckPerNode:
 
     def test_each_closed_node_typed_once(self, monkeypatch):
         m = TestOneRunPerCheck.long_instance()
-        typed = []
+        typed, kept = [], []
         for name in ("_infer_p", "_infer_q"):
             infer = getattr(ptq.typecheck, name)
 
             def recorded(env, node, infer=infer):
-                if is_closed_pq(node):
+                # a node that keeps its type returns it without typing again
+                if is_closed_pq(node) and node._type is None:
                     typed.append(node)  # held, so no id is reused
                 return infer(env, node)
 
             monkeypatch.setattr(ptq.typecheck, name, recorded)
+        keep = ptq.typecheck._kept
+
+        def keeping(node, ty):
+            if is_closed_pq(node):
+                kept.append(node)
+            return keep(node, ty)
+
+        monkeypatch.setattr(ptq.typecheck, "_kept", keeping)
         report = PropertyReport("completeness", -1, -1, "", True)
         chain, _ = run_checked(_start_term(m, Strategy.CBV), _closed_ty(m), report)
         assert report.ok and report.steps >= 20
         held = [node for t in chain for node in nodes(t) if is_closed_pq(node)]
         assert len(typed) == len({id(node) for node in typed})
+        # a node with a kept type is never typed again
+        assert sorted(map(id, kept)) == sorted(map(id, typed))
         assert {id(node) for node in typed} == {id(node) for node in held}
         # the states share closed nodes, so the count is not vacuous
         assert len(held) > 2 * len(typed)
@@ -338,6 +362,15 @@ class TestSharedFault:
                 any(node is planted[0] for node in nodes(t)) for t in chain
             )
             assert report.count("subject-reduction") == holding
+            node = planted[0]
+            where = rf"\({node.x}, k)" if isinstance(node, PairLam) else r"\k"
+            rules = "|".join(tag.value for tag in RuleTag)
+            text = f"subject reduction broke after ({rules}): missing annotation on "
+            assert all(
+                re.fullmatch(text + re.escape(where), failure)
+                for failure, kind in zip(report.failures, report.kinds)
+                if kind == "subject-reduction"
+            )
             runs += holding >= 4
         assert runs >= 3, "too few runs share the planted node"
 

@@ -38,9 +38,10 @@ from ptq import (
     t_close,
     term_str,
 )
-from ptq.harness import gen_typed_term
-from ptq.translate import ptq_translate_e
-from ptq.typecheck import lam_judgment_str
+from ptq.harness import PropertyReport, gen_typed_term, run_checked
+from ptq.syntax import _CHILDREN
+from ptq.translate import ptq_translate, ptq_translate_e
+from ptq.typecheck import E_OK, TypeEnv, infer_ptq, lam_judgment_str
 
 # the module, which `ptq.readback` is not: the package binds that name to the
 # function
@@ -281,3 +282,51 @@ class TestOpenBodies:
             assert lam_alpha_eq(readback(KLam(None, b)), readback(closed))
             assert measure(KLam(None, b), o) == measure(closed, o)(identity)
             assert measure(QLam(None, b), o)(odd) == measure(closed, o)(odd)
+
+
+def free_occurrences(u, x):
+    """How often the program variable x occurs free in u."""
+    count, stack = 0, [u]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, PVar):
+            count += t.name == x
+        elif not (isinstance(t, (PairLam, XLam)) and t.x == x):
+            stack.extend(_CHILDREN[type(t)](t))
+    return count
+
+
+class TestBetaStepCondition:
+    """A Beta step is exactly one beta step on readbacks when every test
+    binder \\x:A. u binds x exactly once: the readback puts the filler at
+    each occurrence of x, so a redex in the filler is copied as often."""
+
+    def test_translation_images_bind_test_variables_once(self, corpus):
+        binders = 0
+        for m, _, _, _ in corpus:
+            for strategy in (Strategy.CBN, Strategy.CBV):
+                for image in (ptq_translate(m, strategy), ptq_translate_e(m, strategy)):
+                    stack = [image]
+                    while stack:
+                        t = stack.pop()
+                        if isinstance(t, XLam):
+                            assert free_occurrences(t.body, t.x) == 1, term_str(t)
+                            binders += 1
+                        stack.extend(_CHILDREN[type(t)](t))
+        assert binders == 540
+
+    def test_binder_without_its_variable_breaks_the_law(self):
+        # \y:X -> X binds nothing, so the Beta redex that the filler holds
+        # vanishes from the readback: zero beta steps, not one
+        u = parse_term(
+            r"<\(z:X, k:X). k ; z, \y:X -> X. * ; \(z:X, k:X). k ; z>"
+            r" ; \(x:X -> X, k:X -> X). k ; x"
+        )
+        anchor = parse_type("X -> X")
+        assert infer_ptq(TypeEnv((), ("star", anchor)), u) is E_OK
+        report = PropertyReport("completeness", -1, -1, "", True)
+        run_checked(u, anchor, report)
+        assert report.kinds == ["rb-soundness"]
+        assert report.failures == [
+            r"Beta step is not one beta step on readbacks: \z:X. z to \z:X. z"
+        ]

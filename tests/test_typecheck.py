@@ -1,5 +1,7 @@
 """Both type systems: the derivation rules, the judgment checkers, errors."""
 
+import sys
+
 import pytest
 
 from ptq import (
@@ -19,6 +21,7 @@ from ptq import (
     PtqType,
     RoleMismatch,
     STAR,
+    Strategy,
     TypeClash,
     TypeEnv,
     UnboundVariable,
@@ -31,6 +34,7 @@ from ptq import (
     parse_lam_judgment,
     parse_term,
     parse_type,
+    ptq_translate_e,
 )
 from ptq.typecheck import E_OK
 
@@ -205,3 +209,22 @@ class TestLambdaBox:
         j = parse_lam_judgment("x:A |- x : B")
         result = check_lambda_judgment(j)
         assert not result.ok and isinstance(result.error, TypeClash)
+
+
+class TestDepth:
+    """Inference takes one frame per program or jump level, with no wrapper
+    frame around each such node, so deep e-images type at the default
+    recursion limit."""
+
+    @pytest.mark.parametrize("strategy, n", [(Strategy.CBN, 270), (Strategy.CBV, 400)])
+    def test_church_image_types_at_default_limit(self, strategy, n):
+        body = "f (" * n + "x" + ")" * n
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 20000))  # to parse and translate
+        try:
+            m = parse_lam(rf"(\f:A->A. \x:A. {body}) (\y:A. y) z")
+            image = ptq_translate_e(m, strategy, {"z": A})
+            sys.setrecursionlimit(1000)
+            assert infer_ptq(TypeEnv((("z", A),), ("star", A)), image) is E_OK
+        finally:
+            sys.setrecursionlimit(limit)
