@@ -27,7 +27,7 @@ from .errors import ParseError, PtqError
 from .harness import VERIFY_PROPERTIES, run_property
 from .lam import _is_var, lam_str, parse_lam
 from .lambda_eval import DEFAULT_FUEL, EvalOrder, Strategy, eval_small
-from .machine import normalize, trace_to_json
+from .machine import _write_trace_json, normalize, trace_to_json
 from .measure import control_length, measure, identity, o
 from .readback import readback, readback_judgment
 from .syntax import parse_term, parse_type, sort_of, term_str, tokenize, type_str
@@ -181,9 +181,7 @@ def _cmd_reduce(args) -> int:
     result = normalize(u, fuel=args.fuel)
     trace = result.trace
     if args.json:
-        # built in full first, so an error cannot leave half a document
-        doc = trace_to_json(trace)
-        json.dump(doc, sys.stdout, indent=2)
+        _write_trace_json(trace, sys.stdout)
         sys.stdout.write("\n")
         return 0
     if args.trace:

@@ -47,6 +47,7 @@ from .syntax import (
     STAR,
     Star,
     XLam,
+    _JSON_FORMAT,
     _require_t_closed,
     _subst_k,
     _subst_p,
@@ -206,6 +207,11 @@ def trace_to_json(trace: Trace) -> dict:
     call while the trace keeps its terms alive. Consecutive states share
     every subterm a rule leaves untouched, so each distinct node of the run
     is formatted once, not once per state that contains it.
+
+    `ptq reduce --json` prints `json.dumps(trace_to_json(trace), indent=2)`
+    without this dict: `_write_trace_json` builds it from the escaped text
+    of each distinct node, so a node is escaped once per run, not once per
+    state.
     """
     memo: dict[int, str] = {}
     return {
@@ -220,6 +226,33 @@ def trace_to_json(trace: Trace) -> dict:
         ],
         "normal": trace.normal,
     }
+
+
+# a step's text up to its term, laid out as json.dumps(..., indent=2) does
+_STEP_HEAD = {
+    tag: f'\n    {{\n      "rule": "{tag.value}",\n      "class": "{tag.rule_class}",\n      "term": "'
+    for tag in RuleTag
+}
+
+
+def _write_trace_json(trace: Trace, out) -> None:
+    """Write `json.dumps(trace_to_json(trace), indent=2)` to the text stream
+    `out`, byte for byte. Each state is printed JSON-escaped with one memo
+    (`term_str`); rule names and classes need no escaping. The document is
+    built whole before any of it is written, so an error writes nothing, and
+    written piece by piece, which spares a copy of it."""
+    memo: dict[int, str] = {}
+    initial = term_str(trace.initial, memo, _format=_JSON_FORMAT)
+    parts = ['{\n  "initial": "', initial, '",\n  "steps": [']
+    for s in trace.steps:
+        term = term_str(s.term, memo, _format=_JSON_FORMAT)
+        parts += (_STEP_HEAD[s.rule], term, '"\n    },')
+    if trace.steps:
+        parts[-1] = '"\n    }\n  ]'
+    else:
+        parts.append("]")
+    parts.append(',\n  "normal": true\n}' if trace.normal else ',\n  "normal": false\n}')
+    out.writelines(parts)
 
 
 def trace_from_json(doc) -> Trace:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Container, Optional, Union
 
 from .errors import NotTClosed, ParseError, ReservedBaseType, TClosureError
@@ -553,7 +554,47 @@ def _ann(name: str, ty: Optional[Type]) -> str:
     return f"{name}:{type_str(ty)}" if ty is not None else name
 
 
-def term_str(term: Term, memo: Optional[dict[int, str]] = None) -> str:
+def _emb(child: Term, memo: dict[int, str]) -> str:
+    """The text of a child: a binder embedded in a larger term is wrapped."""
+    s = memo[id(child)]
+    return f"({s})" if isinstance(child, (PairLam, KLam, XLam, QLam)) else s
+
+
+def _format_table(lam: str, ann, var) -> dict:
+    """The text of one node from the memo entries of its children, per node
+    class; a binder's body is a computation, which needs no parentheses.
+    `lam` is the binder sign, `ann(name, type)` prints a binder's name and
+    annotation, and `var(node, memo)` a program variable."""
+    return {
+        PVar: var,
+        PairLam: lambda t, m: f"{lam}({ann(t.x, t.xty)}, {ann('k', t.kty)}). {m[id(t.body)]}",
+        KLam: lambda t, m: f"{lam}{ann('k', t.kty)}. {m[id(t.body)]}",
+        Star: lambda t, m: "*",
+        KVar: lambda t, m: "k",
+        Pair: lambda t, m: f"<{_emb(t.fst, m)}, {_emb(t.snd, m)}>",
+        XLam: lambda t, m: f"{lam}{ann(t.x, t.xty)}. {m[id(t.body)]}",
+        QLam: lambda t, m: f"%{ann('k', t.kty)}. {m[id(t.body)]}",
+        PApp: lambda t, m: f"{_emb(t.test, m)} ; {_emb(t.proof, m)}",
+        QApp: lambda t, m: f"({m[id(t.fn)]}) ! {_emb(t.test, m)}",
+    }
+
+
+# The canonical text, and the same text JSON-escaped (`json.dumps(text)`
+# without its quotes). `json.dumps` escapes each code point on its own, so a
+# node's escaped text joins the escaped pieces of its canonical text: `\\`
+# for the binder sign, the C escaper's output for names and annotations, and
+# the children's escaped texts. The rest of what a table prints is printable
+# ASCII other than `"` and `\`, which JSON keeps as it is. The canonical
+# table prints a name as it is, with no call.
+_FORMAT = _format_table("\\", _ann, lambda t, m: t.name)
+_JSON_FORMAT = _format_table(
+    "\\\\",
+    lambda name, ty: encode_basestring_ascii(_ann(name, ty))[1:-1],
+    lambda t, m: encode_basestring_ascii(t.name)[1:-1],
+)
+
+
+def term_str(term: Term, memo: Optional[dict[int, str]] = None, *, _format=_FORMAT) -> str:
     """The canonical text of a term, which `parse_term` reads back.
 
     `memo` maps id(node) to the node's text and is filled bottom-up with an
@@ -566,6 +607,10 @@ def term_str(term: Term, memo: Optional[dict[int, str]] = None) -> str:
     Without a memo the call uses a fresh one and frees each child's text as
     soon as its parent is formatted, so memory stays linear in the output; a
     subterm shared within the term may then be formatted more than once.
+
+    `_format=_JSON_FORMAT` gives `json.dumps(term_str(term))[1:-1]` instead,
+    so a trace written as JSON (`machine._write_trace_json`) escapes each distinct
+    node once, not once per state; a memo serves one table only.
     """
     keep = memo is not None
     if memo is None:
@@ -587,33 +632,11 @@ def term_str(term: Term, memo: Optional[dict[int, str]] = None) -> str:
                 ready = False
         if ready:
             stack.pop()
-            memo[id(node)] = _FORMAT[type(node)](node, memo)
+            memo[id(node)] = _format[type(node)](node, memo)
             if not keep:
                 for c in kids:
                     memo.pop(id(c), None)
     return memo[id(term)]
-
-
-def _emb(child: Term, memo: dict[int, str]) -> str:
-    """The text of a child: a binder embedded in a larger term is wrapped."""
-    s = memo[id(child)]
-    return f"({s})" if isinstance(child, (PairLam, KLam, XLam, QLam)) else s
-
-
-# The text of one node from the memo entries of its children. A binder's body
-# is a computation, which needs no parentheses.
-_FORMAT = {
-    PVar: lambda t, m: t.name,
-    PairLam: lambda t, m: f"\\({_ann(t.x, t.xty)}, {_ann('k', t.kty)}). {m[id(t.body)]}",
-    KLam: lambda t, m: f"\\{_ann('k', t.kty)}. {m[id(t.body)]}",
-    Star: lambda t, m: "*",
-    KVar: lambda t, m: "k",
-    Pair: lambda t, m: f"<{_emb(t.fst, m)}, {_emb(t.snd, m)}>",
-    XLam: lambda t, m: f"\\{_ann(t.x, t.xty)}. {m[id(t.body)]}",
-    QLam: lambda t, m: f"%{_ann('k', t.kty)}. {m[id(t.body)]}",
-    PApp: lambda t, m: f"{_emb(t.test, m)} ; {_emb(t.proof, m)}",
-    QApp: lambda t, m: f"({m[id(t.fn)]}) ! {_emb(t.test, m)}",
-}
 
 
 # ---------------------------------------------------------------------------

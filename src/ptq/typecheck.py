@@ -125,8 +125,11 @@ def _kept(node, ty: Type) -> Type:
 
 
 def _infer_p(env: TypeEnv, p) -> Type:
-    if p._type is not None:  # see `_kept`
-        return p._type
+    try:
+        if p._type is not None:  # see `_kept`
+            return p._type
+    except AttributeError:  # every term node has `_type`
+        raise TypeError(f"not a program term: {p!r}") from None
     match p:
         case PVar(name):
             return env.lookup(name)
@@ -143,8 +146,11 @@ def _infer_p(env: TypeEnv, p) -> Type:
 
 
 def _infer_q(env: TypeEnv, q) -> Type:
-    if q._type is not None:
-        return q._type
+    try:
+        if q._type is not None:
+            return q._type
+    except AttributeError:
+        raise TypeError(f"not a jump term: {q!r}") from None
     match q:
         case QLam(kty, body):
             a = _need(kty, "%k")

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ptq
+import ptq.machine
 from ptq import cli
 from ptq.cli import build_parser, main
 from test_printer import church_image
@@ -178,6 +179,38 @@ class TestReduce:
         trace = ptq.normalize(ptq.parse_term(text)).trace
         assert code == 0 and len(trace.steps) > 10
         assert out == json.dumps(ptq.trace_to_json(trace), indent=2) + "\n"
+
+    def assert_json_is_trace_to_json(self, capsys, text, fuel=ptq.machine.DEFAULT_FUEL):
+        code, out, _ = run(capsys, "reduce", "--json", "--fuel", str(fuel), text)
+        trace = ptq.normalize(ptq.parse_term(text), fuel).trace
+        assert code == 0
+        assert out == json.dumps(ptq.trace_to_json(trace), indent=2) + "\n"
+        return trace
+
+    @pytest.mark.parametrize("strategy", list(ptq.Strategy))
+    def test_json_is_trace_to_json_on_corpus(self, capsys, corpus, strategy):
+        for m, _, _, _ in corpus:
+            u = ptq.ptq_translate_e(m, strategy)
+            self.assert_json_is_trace_to_json(capsys, ptq.term_str(u))
+
+    @pytest.mark.parametrize("strategy", list(ptq.Strategy))
+    @pytest.mark.parametrize("n", [0, 1, 3, 20])
+    def test_json_is_trace_to_json_on_church(self, capsys, n, strategy):
+        text = ptq.term_str(church_image(n, strategy))
+        assert self.assert_json_is_trace_to_json(capsys, text).normal
+
+    def test_json_is_trace_to_json_when_already_normal(self, capsys):
+        trace = self.assert_json_is_trace_to_json(capsys, "* ; y")
+        assert trace.steps == () and trace.normal
+
+    def test_json_is_trace_to_json_when_fuel_runs_out(self, capsys):
+        text = ptq.term_str(church_image(3, ptq.Strategy.CBV))
+        trace = self.assert_json_is_trace_to_json(capsys, text, fuel=2)
+        assert len(trace.steps) == 2 and not trace.normal
+
+    def test_json_is_trace_to_json_with_renaming(self, capsys):
+        trace = self.assert_json_is_trace_to_json(capsys, self.RENAMING)
+        assert "y_2" in ptq.term_str(trace.steps[0].term)
 
     @pytest.mark.parametrize("strategy", list(ptq.Strategy))
     def test_trace_lines_are_trace_to_json_strings(self, capsys, strategy):

@@ -2,10 +2,14 @@
 formatted once per memo, and nesting deeper than the Python stack."""
 
 import dataclasses
+import hashlib
+import io
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ptq.machine
 import ptq.syntax
 from ptq import (
     App,
@@ -22,8 +26,11 @@ from ptq import (
     PVar,
     QApp,
     QLam,
+    RuleTag,
     STAR,
     Strategy,
+    Trace,
+    TraceStep,
     Var,
     XLam,
     KVar,
@@ -114,8 +121,8 @@ def distinct_nodes(terms):
     return seen
 
 
-def test_trace_formats_each_distinct_node_once(monkeypatch):
-    trace = normalize(church_image(20, Strategy.CBV)).trace
+def count_formats(monkeypatch, table):
+    """The ids of the nodes that `table` formats from now on, in order."""
     calls = []
 
     def counting(fmt):
@@ -125,13 +132,76 @@ def test_trace_formats_each_distinct_node_once(monkeypatch):
 
         return wrapped
 
-    for cls, fmt in list(ptq.syntax._FORMAT.items()):
-        monkeypatch.setitem(ptq.syntax._FORMAT, cls, counting(fmt))
+    for cls, fmt in list(table.items()):
+        monkeypatch.setitem(table, cls, counting(fmt))
+    return calls
+
+
+def test_trace_formats_each_distinct_node_once(monkeypatch):
+    trace = normalize(church_image(20, Strategy.CBV)).trace
+    calls = count_formats(monkeypatch, ptq.syntax._FORMAT)
     doc = trace_to_json(trace)
     distinct = distinct_nodes(trace.terms())
     # printed in full, the states hold more than 30 times as many nodes
     assert len(calls) == len(set(calls)) == len(distinct) < 1000
     assert doc["steps"][-1]["term"] == term_str(trace.final)
+
+
+def test_json_writer_escapes_each_distinct_node_once(monkeypatch):
+    trace = normalize(church_image(20, Strategy.CBV)).trace
+    calls = count_formats(monkeypatch, ptq.syntax._JSON_FORMAT)
+    ptq.machine._write_trace_json(trace, io.StringIO())
+    assert len(calls) == len(set(calls)) == len(distinct_nodes(trace.terms()))
+
+
+def test_canonical_text_digest(corpus):
+    """The text of every state of the corpus runs and of church(0..30), in
+    both strategies, is the text the printer gave before its format table
+    became shared with the JSON printer."""
+    digest = hashlib.sha256()
+    for strategy in Strategy:
+        for m, _, _, _ in corpus:
+            for u in normalize(ptq_translate_e(m, strategy)).trace.terms():
+                digest.update(term_str(u).encode() + b"\n")
+        for n in range(31):
+            digest.update(term_str(church_image(n, strategy)).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "6357dc2b8ee1e0b6a8a98e1683d59b25f31b7ca295b37177c10c3e346894375c"
+    )
+
+
+def test_json_text_of_hand_built_traces():
+    # names and base types that JSON must escape: a quote, a backslash, a
+    # control character, a non-ASCII letter and a character outside the BMP
+    a, b, c, e, s = 'q"', "b\\", "c\x01", "\u00e9", "\U0001F600"
+    ty = Arrow(Base(a), Base(e))
+    u = PApp(
+        Pair(PVar(a), STAR),
+        PairLam(b, ty, Base(s), PApp(XLam(c, Base(b), PApp(KVar(), PVar(c))), PVar(b))),
+    )
+    run = normalize(u).trace
+    assert len(run.steps) == 2
+    jump = QLam(ty, PApp(KVar(), KLam(Base(c), PApp(STAR, PVar(s)))))
+    odd = Trace(QApp(jump, Pair(PVar(e), STAR)), (TraceStep(RuleTag.QAPP, u),), False)
+    empty = Trace(PApp(STAR, PVar(s)), (), True)
+    for trace in (run, odd, empty):
+        out = io.StringIO()
+        ptq.machine._write_trace_json(trace, out)
+        text = out.getvalue()
+        assert text == json.dumps(trace_to_json(trace), indent=2)
+        assert text.isascii() and json.loads(text) == trace_to_json(trace)
+
+
+@pytest.mark.parametrize("terms", [CLOSED_T, OPEN_T, CLOSED_E, DEEP_E, P],
+                         ids=["closed_t", "open_t", "closed_e", "deep_e", "p"])
+def test_json_table_is_escaped_canonical_text(terms):
+    @settings(max_examples=100, derandomize=True)
+    @given(terms)
+    def check(term):
+        escaped = term_str(term, _format=ptq.syntax._JSON_FORMAT)
+        assert escaped == json.dumps(term_str(term))[1:-1]
+
+    check()
 
 
 def test_nesting_deeper_than_the_stack():

@@ -12,6 +12,7 @@ from ptq import (
     HoleTypeClash,
     K,
     KLam,
+    Lam,
     LamEnv,
     MissingAnnotation,
     PApp,
@@ -25,6 +26,7 @@ from ptq import (
     TypeClash,
     TypeEnv,
     UnboundVariable,
+    Var,
     check_judgment,
     check_lambda_judgment,
     infer_lambda_box,
@@ -135,6 +137,15 @@ class TestJumpAndComputationRules:
             with pytest.raises(MissingAnnotation):
                 infer_ptq(env(), subject)
         assert bad._type is None and holder._type is None
+
+    @pytest.mark.parametrize("subject", [
+        Pair(Var("x"), STAR),
+        PApp(STAR, Var("x")),
+        PApp(STAR, Lam("x", A, Var("x"))),
+    ], ids=["pair", "papp_var", "papp_lam"])
+    def test_lambda_child_is_not_a_program_term(self, subject):
+        with pytest.raises(TypeError, match="not a program term"):
+            infer_ptq(env("", ("star", A)), subject)
 
     def test_anchor_required(self):
         with pytest.raises(AnchorMismatch):
