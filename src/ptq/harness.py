@@ -14,32 +14,36 @@ the machine:
   sim-beta      the normal form of the machine run reads back to the lazy
                 normal form of the source
 
-Machine runs are instrumented: every state is checked against the typing
-judgment, every step certifies the readback (control steps preserve it, Beta
-steps advance it by one beta step, which holds when each test binder binds
-its variable exactly once, as in translation images; see `ptq.readback`),
-and control steps must drop the measure by exactly one. A rule shares every
-subterm it does not touch with the next state, and a node keeps its type and
-its readback image once they are computed, so each distinct closed program
-or jump node is typed once and each program or jump node is read back once.
-Any violation becomes a counterexample in the report, replayable from
-(property, size, seed).
+Machine runs are instrumented and anchored at the source's type, which the
+translation's own walk returns with the image (an untyped source raises the
+error `infer_lambda_box` gives); `check_typing` alone infers that type
+apart, with `infer_lambda_box`, as the reference it checks the images
+against. Every state is checked against the typing judgment, every step
+certifies the readback (control steps preserve it, Beta steps advance it by
+one beta step, which holds when each test binder binds its variable exactly
+once, as in translation images; see `ptq.readback`), and control steps must
+drop the measure by exactly one. A rule shares every subterm it does not
+touch with the next state, and a node keeps its type and its readback image
+once they are computed, so each distinct closed program or jump node is
+typed once and each program or jump node is read back once. Any violation
+becomes a counterexample in the report, replayable from (property, size,
+seed).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 from .errors import OracleDiverged, FuelExhausted, PtqError
 from .lam import App, Lam, LamTerm, Var, lam_alpha_eq, lam_str, reduces_in_one_beta
 from .lambda_eval import EvalOrder, Strategy, eval_small, step_lambda
-from .machine import classify, normalize
+from .machine import classify, control_prefix, normalize
 from .measure import control_length
 from .readback import readback
 from .syntax import Arrow, Base, ETerm, PApp, QApp, STAR, Type, alpha_eq, term_str
-from .translate import ptq_translate, ptq_translate_e
+from .translate import _translate, ptq_translate, ptq_translate_e
 from .typecheck import LamEnv, TypeEnv, infer_lambda_box, infer_ptq
 
 ORACLE_FUEL = 10**4
@@ -144,14 +148,21 @@ def _oracle_chain(m: LamTerm, strategy: Strategy) -> list[LamTerm]:
     return chain
 
 
-def _start_term(m: LamTerm, strategy: Strategy) -> ETerm:
-    """The computation that runs the plain translation against *."""
+def _start_term(m: LamTerm, strategy: Strategy) -> tuple[ETerm, Optional[Type]]:
+    """The computation that runs the plain translation against *, and the
+    type of m read off the translation's walk (None when m is untyped)."""
+    image, ty = _translate(m, strategy)
     if strategy is Strategy.CBN:
-        return PApp(STAR, ptq_translate(m, strategy))
-    return QApp(ptq_translate(m, strategy), STAR)
+        return PApp(STAR, image), ty
+    return QApp(image, STAR), ty
 
 
-def _closed_ty(m: LamTerm) -> Type:
+def _closed_ty(m: LamTerm, walked: Optional[Type]) -> Type:
+    """The anchor type of m's run: walked, the type the translation's walk
+    read off m; when that walk found m untyped, `infer_lambda_box` raises
+    why."""
+    if walked is not None:
+        return walked
     return infer_lambda_box(LamEnv((), None), m)
 
 
@@ -176,6 +187,8 @@ def run_checked(
 ) -> tuple[list[ETerm], list[LamTerm]]:
     """Check the per-step laws on normalize's trace from u, record its step
     count in the report, and return its states and their readbacks.
+    anchor_ty is the type of the source that u translates; the checks take
+    it from the translation's walk.
 
     Checks, per step: the judgment G |> *:tA |- u survives; control steps
     keep the readback fixed up to alpha while Beta steps advance it by one
@@ -245,8 +258,8 @@ def check_completeness(
     the evaluator's normal form."""
     report = PropertyReport("completeness", size, seed, lam_str(m), True)
     normal = _oracle_chain(m, strategy)[-1]
-    start = _start_term(m, strategy)
-    chain, _ = run_checked(start, _closed_ty(m), report)
+    start, ty = _start_term(m, strategy)
+    chain, _ = run_checked(start, _closed_ty(m, ty), report)
     expected = ptq_translate_e(normal, strategy)
     if not any(alpha_eq(t, expected) for t in chain):
         report.fail(
@@ -266,8 +279,8 @@ def check_soundness(
     """Every readback along the machine run lies on the evaluator's chain."""
     report = PropertyReport("soundness", size, seed, lam_str(m), True)
     oracle = _oracle_chain(m, strategy)
-    start = _start_term(m, strategy)
-    _, readbacks = run_checked(start, _closed_ty(m), report)
+    start, ty = _start_term(m, strategy)
+    _, readbacks = run_checked(start, _closed_ty(m, ty), report)
     for rb in readbacks:
         if not any(lam_alpha_eq(rb, o) for o in oracle):
             report.fail(f"readback {lam_str(rb)} is not reachable from {lam_str(m)}")
@@ -280,7 +293,7 @@ def check_simulation(
     """One evaluator step corresponds to a machine segment between e-images,
     and e-images of normal forms are machine-normal."""
     report = PropertyReport("simulation", size, seed, lam_str(m), True)
-    image = ptq_translate_e(m, strategy)
+    image, ty = _translate(m, strategy, computation=True)
     nxt = step_lambda(m, strategy)
     image_normal = classify(image) is None
     if nxt is None:
@@ -291,7 +304,7 @@ def check_simulation(
         report.fail(f"{term_str(image)} should not be machine-normal")
         return report
     target = ptq_translate_e(nxt, strategy)
-    chain, _ = run_checked(image, _closed_ty(m), report)
+    chain, _ = run_checked(image, _closed_ty(m, ty), report)
     if not any(alpha_eq(t, target) for t in chain):
         report.fail(
             f"machine run from {term_str(image)} misses {term_str(target)}"
@@ -304,8 +317,8 @@ def check_sim_beta(
 ) -> PropertyReport:
     """The machine normal form reads back to the lazy normal form."""
     report = PropertyReport("sim-beta", size, seed, lam_str(m), True)
-    image = ptq_translate_e(m, strategy)
-    _, readbacks = run_checked(image, _closed_ty(m), report)
+    image, ty = _translate(m, strategy, computation=True)
+    _, readbacks = run_checked(image, _closed_ty(m, ty), report)
     rb = readbacks[-1]
     lazy_nf = _oracle_chain(m, strategy)[-1]
     if not lam_alpha_eq(rb, lazy_nf):
@@ -321,7 +334,7 @@ def check_typing(
     """The translation of a term of type A checks at pA (by name) or qA (by
     value), and its e-image checks under the * anchor at A."""
     report = PropertyReport("typing", size, seed, lam_str(m), True)
-    ty = _closed_ty(m)
+    ty = infer_lambda_box(LamEnv((), None), m)  # the reference, apart from the walk
     want_role = "p" if strategy is Strategy.CBN else "q"
     try:
         got = infer_ptq(TypeEnv((), None), ptq_translate(m, strategy))
@@ -355,10 +368,8 @@ def check_measure(
 ) -> PropertyReport:
     """control_length predicts the exact number of machine steps before the
     first Beta step (or to the normal form when no Beta fires)."""
-    from .machine import control_prefix
-
     report = PropertyReport("measure", size, seed, lam_str(m), True)
-    start = _start_term(m, strategy)
+    start, _ = _start_term(m, strategy)
     _, n_control = control_prefix(start, MACHINE_FUEL)
     predicted = control_length(start)
     if predicted != n_control:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, Optional, Union
 import warnings
 
-from .errors import MeasureZero, MissingVariableMeasure
+from .errors import MeasureZero, MissingVariableMeasure, PtqError
 from .syntax import (
     ETerm,
     KLam,
@@ -39,6 +39,7 @@ from .syntax import (
     sort_of,
     term_str,
 )
+from .typecheck import infer_ptq
 
 
 def identity(n: int) -> int:
@@ -126,9 +127,6 @@ def control_length(u: ETerm, env=None) -> int:
         raise TypeError("control_length takes a computation")
     value = measure(u, o)(identity)
     if env is not None:
-        from .typecheck import infer_ptq
-        from .errors import PtqError
-
         try:
             infer_ptq(env, u)
         except PtqError as exc:

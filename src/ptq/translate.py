@@ -9,10 +9,14 @@ orders.
 When the source is fully annotated and well typed (given types for its free
 variables), every binder of the image is annotated so the result checks
 without any inference beyond the typing rules; otherwise the image is left
-unannotated and still reduces fine. One inference at the root decides which;
-below it, each clause returns its source subterm's type next to the image,
-read off the same walk: a variable's from the env, an abstraction's as the
-arrow to its body's, an application's as the codomain of its function's.
+unannotated and still reduces fine. The translation's own walk decides
+which: each clause returns its source subterm's type next to the image, a
+variable's from the env, an abstraction's as the arrow to its body's, an
+application's as the codomain of its function's, and checks on the way what
+simply typed inference checks (every variable bound, every binder annotated,
+every function type an arrow whose domain is its argument's type). The first
+check that fails abandons the typed walk, and the source is walked again
+without types.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from .syntax import (
     XLam,
     fresh_name,
 )
-from .typecheck import LamEnv, infer_lambda_box
 
 O = Base("o")
 
@@ -102,28 +105,30 @@ def _tr_ty(ty: Type, strategy: Strategy, form: str) -> Type:
 # source types along the walk
 #
 # `env` maps the variables in scope to their types, or is None when the source
-# is untyped; then every type below is None as well.
+# is walked untyped; then every type below is None as well, and no check runs.
 
 _Env = Optional[dict[str, Type]]
 
 
-def _typed_env(m: LamTerm, env: Optional[Mapping[str, Type]]) -> _Env:
-    """The root env when m is fully annotated and well typed under it, else
-    None. The only inference: the clauses read every other type off their walk."""
-    env = dict(env or {})
-    try:
-        infer_lambda_box(LamEnv(tuple(env.items()), None), m)
-    except PtqError:
-        return None
-    return env
+class _Untyped(Exception):
+    """A check of the typed walk failed: the source is walked again untyped."""
 
 
 def _bind(env: _Env, x: str, ty: Optional[Type]) -> _Env:
-    return None if env is None else {**env, x: ty}
+    if env is None:
+        return None
+    if ty is None:
+        raise _Untyped
+    return {**env, x: ty}
 
 
 def _lookup(env: _Env, name: str) -> Optional[Type]:
-    return None if env is None else env[name]
+    if env is None:
+        return None
+    try:
+        return env[name]
+    except KeyError:
+        raise _Untyped from None
 
 
 def _arrow(dom: Optional[Type], cod: Optional[Type]) -> Optional[Type]:
@@ -131,11 +136,21 @@ def _arrow(dom: Optional[Type], cod: Optional[Type]) -> Optional[Type]:
 
 
 def _dom(fty: Optional[Type]) -> Optional[Type]:
-    return None if fty is None else fty.dom
+    if fty is None:
+        return None
+    if not isinstance(fty, Arrow):
+        raise _Untyped
+    return fty.dom
 
 
-def _cod(fty: Optional[Type]) -> Optional[Type]:
-    return None if fty is None else fty.cod
+def _apply(fty: Optional[Type], aty: Optional[Type]) -> Optional[Type]:
+    """The type of an application of fty to aty: fty's codomain, once fty is
+    an arrow from aty."""
+    if fty is None:
+        return None
+    if _dom(fty) != aty:
+        raise _Untyped
+    return fty.cod
 
 
 class _Fresh:
@@ -168,17 +183,15 @@ def _no_clause(m: LamTerm) -> TypeError:
     return TypeError(f"not a lambda term: {m!r}")
 
 
-def _source(
-    m: LamTerm, env: Optional[Mapping[str, Type]]
-) -> tuple[LamTerm, _Env, _Fresh]:
-    """The source, its root env and its fresh names. k is the calculus's test
+def _source(m: LamTerm) -> tuple[LamTerm, set[str]]:
+    """The source and every name it holds. k is the calculus's test
     variable, so a bound k is renamed apart and a free k is rejected."""
-    fresh = _Fresh(require_plain(m, "translation"))
-    if "k" in fresh.used:
+    used = require_plain(m, "translation")
+    if "k" in used:
         if "k" in lam_free_vars(m):
             raise PtqError("free variable 'k' clashes with the test variable k")
-        m = _rename_k(m, fresh_name("k", fresh.used))
-    return m, _typed_env(m, env), fresh
+        m = _rename_k(m, fresh_name("k", used))
+    return m, used
 
 
 def _rename_k(m: LamTerm, k1: str) -> LamTerm:
@@ -193,14 +206,38 @@ def _rename_k(m: LamTerm, k1: str) -> LamTerm:
     raise _no_clause(m)
 
 
+def _walk(
+    clause, m: LamTerm, used: set[str], env: Optional[Mapping[str, Type]], *args
+):
+    """clause(m, env, fresh, *args), typed under env when every check of the
+    typed walk passes, else walked again with env None. The typed attempt
+    uses up fresh names, so the second walk numbers them afresh."""
+    try:
+        return clause(m, dict(env or {}), _Fresh(set(used)), *args)
+    except _Untyped:
+        return clause(m, None, _Fresh(used), *args)
+
+
+def _translate(
+    m: LamTerm,
+    strategy: Strategy,
+    env: Optional[Mapping[str, Type]] = None,
+    computation: bool = False,
+):
+    """The image of m, or with `computation` the computation that runs it
+    against the empty continuation, and m's type under env, which is None
+    when m is not fully annotated and well typed there."""
+    m, used = _source(m)
+    if strategy is Strategy.CBN:
+        return _walk(_var_cbn if computation else _cbn, m, used, env)
+    return _walk(_var_cbv if computation else _cbv, m, used, env)
+
+
 def ptq_translate(
     m: LamTerm, strategy: Strategy, env: Optional[Mapping[str, Type]] = None
 ):
     """Call by name yields a program term, call by value a jump term."""
-    m, env, fresh = _source(m, env)
-    if strategy is Strategy.CBN:
-        return _cbn(m, env, fresh)[0]
-    return _cbv(m, env, fresh)[0]
+    return _translate(m, strategy, env)[0]
 
 
 def _cbn(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[PTerm, Optional[Type]]:
@@ -211,9 +248,9 @@ def _cbn(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[PTerm, Optional[Type]]:
             img, bty = _cbn(body, _bind(env, x, xty), fresh)
             return PairLam(x, xty, bty, PApp(K, img)), _arrow(xty, bty)
         case App(fn, arg):
-            arg_img, _ = _cbn(arg, env, fresh)
+            arg_img, aty = _cbn(arg, env, fresh)
             fn_img, fty = _cbn(fn, env, fresh)
-            ty = _cod(fty)
+            ty = _apply(fty, aty)
             return KLam(ty, PApp(Pair(arg_img, K), fn_img)), ty
     raise _no_clause(m)
 
@@ -224,8 +261,8 @@ def _cbv(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[QLam, Optional[Type]]:
         return QLam(ty, PApp(K, img)), ty
     z = fresh("x")
     fn_img, fty = _cbv(m.fn, env, fresh)
-    arg_img, _ = _cbv(m.arg, env, fresh)
-    ty = _cod(fty)
+    arg_img, aty = _cbv(m.arg, env, fresh)
+    ty = _apply(fty, aty)
     cont = XLam(z, _dom(fty), QApp(fn_img, Pair(PVar(z), K)))
     return QLam(ty, QApp(arg_img, cont)), ty
 
@@ -240,16 +277,19 @@ def _aux_cbv(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[PTerm, Optional[Type
     raise TypeError("aux translation is defined on values")
 
 
+def _aux_cbn(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[PTerm, Optional[Type]]:
+    if not is_value(m):
+        raise TypeError("aux translation is defined on values")
+    return _cbn(m, env, fresh)
+
+
 def aux_translate(
     m: LamTerm, strategy: Strategy, env: Optional[Mapping[str, Type]] = None
 ) -> PTerm:
     """The program-term image of a value."""
-    m, env, fresh = _source(m, env)
-    if strategy is Strategy.CBN:
-        if not is_value(m):
-            raise TypeError("aux translation is defined on values")
-        return _cbn(m, env, fresh)[0]
-    return _aux_cbv(m, env, fresh)[0]
+    m, used = _source(m)
+    aux = _aux_cbn if strategy is Strategy.CBN else _aux_cbv
+    return _walk(aux, m, used, env)[0]
 
 
 def ptq_translate_e(
@@ -262,32 +302,40 @@ def ptq_translate_e(
     names of the fresh x binders by value, since the two translations number
     their fresh names in different walks.
     """
-    m, env, fresh = _source(m, env)
-    if strategy is Strategy.CBN:
-        return _var_cbn(m, env, fresh, STAR)
-    return _var_cbv(m, env, fresh, STAR)
+    return _translate(m, strategy, env, computation=True)[0]
 
 
 # Down the application spine, each argument joins the test `cont` that the
-# head value is finally run against.
+# head value is finally run against. Each returns the computation and m's type.
 
 
-def _var_cbn(m: LamTerm, env: _Env, fresh: _Fresh, cont: TTerm) -> ETerm:
+def _var_cbn(
+    m: LamTerm, env: _Env, fresh: _Fresh, cont: TTerm = STAR
+) -> tuple[ETerm, Optional[Type]]:
     if is_value(m):
-        return PApp(cont, _cbn(m, env, fresh)[0])
-    return _var_cbn(m.fn, env, fresh, Pair(_cbn(m.arg, env, fresh)[0], cont))
+        img, ty = _cbn(m, env, fresh)
+        return PApp(cont, img), ty
+    arg_img, aty = _cbn(m.arg, env, fresh)
+    out, fty = _var_cbn(m.fn, env, fresh, Pair(arg_img, cont))
+    return out, _apply(fty, aty)
 
 
-def _var_cbv(m: LamTerm, env: _Env, fresh: _Fresh, cont: TTerm) -> ETerm:
+def _var_cbv(
+    m: LamTerm, env: _Env, fresh: _Fresh, cont: TTerm = STAR
+) -> tuple[ETerm, Optional[Type]]:
     if is_value(m):
-        return PApp(cont, _aux_cbv(m, env, fresh)[0])
+        img, ty = _aux_cbv(m, env, fresh)
+        return PApp(cont, img), ty
     fn, arg = m.fn, m.arg
     if is_value(arg):
-        return _var_cbv(fn, env, fresh, Pair(_aux_cbv(arg, env, fresh)[0], cont))
+        arg_img, aty = _aux_cbv(arg, env, fresh)
+        out, fty = _var_cbv(fn, env, fresh, Pair(arg_img, cont))
+        return out, _apply(fty, aty)
     z = fresh("x")
     fn_img, fty = _cbv(fn, env, fresh)
     cont = XLam(z, _dom(fty), QApp(fn_img, Pair(PVar(z), cont)))
-    return _var_cbv(arg, env, fresh, cont)
+    out, aty = _var_cbv(arg, env, fresh, cont)
+    return out, _apply(fty, aty)
 
 
 def bracket_list(items: list[PTerm]) -> TTerm:
@@ -311,12 +359,15 @@ def plotkin_translate(
 ) -> LamTerm:
     """Plain-lambda CPS. CbN ignores the order; uncurried pairing produces
     unannotated terms in the pair-extended grammar."""
-    fresh = _Fresh(require_plain(m, "translation"))
+    used = require_plain(m, "translation")
     pairs = Pairing(pairing) is Pairing.UNCURRIED
-    env = None if pairs else _typed_env(m, env)
     if strategy is Strategy.CBN:
-        return _plo_cbn(m, env, fresh, pairs)[0]
-    return _plo_cbv(m, env, fresh, order, pairs)[0]
+        clause, args = _plo_cbn, (pairs,)
+    else:
+        clause, args = _plo_cbv, (order, pairs)
+    if pairs:
+        return clause(m, None, _Fresh(used), *args)[0]
+    return _walk(clause, m, used, env, *args)[0]
 
 
 def _cont_ty(ty: Optional[Type], strategy: Strategy) -> Optional[Type]:
@@ -342,18 +393,19 @@ def _plo_cbn(
         case Lam(x, xty, body):
             kv = fresh("k")
             hv = fresh("h") if pairs else None
+            body_env = _bind(env, x, xty)
             xs = _tr_ty(xty, Strategy.CBN, "star") if env is not None else None
-            img, bty = _plo_cbn(body, _bind(env, x, xty), fresh, pairs)
+            img, bty = _plo_cbn(body, body_env, fresh, pairs)
             ty = _arrow(xty, bty)
             kty = _cont_ty(ty, Strategy.CBN)
             return Lam(kv, kty, App(Var(kv), _abs(x, xs, img, hv))), ty
         case App(fn, arg):
             kv = fresh("k")
             mv = fresh("m")
-            arg_img, _ = _plo_cbn(arg, env, fresh, pairs)
+            arg_img, aty = _plo_cbn(arg, env, fresh, pairs)
             fn_img, fty = _plo_cbn(fn, env, fresh, pairs)
+            ty = _apply(fty, aty)
             mty = _tr_ty(fty, Strategy.CBN, "circ") if fty is not None else None
-            ty = _cod(fty)
             body = Lam(mv, mty, _call(Var(mv), arg_img, Var(kv), pairs))
             return Lam(kv, _cont_ty(ty, Strategy.CBN), App(fn_img, body)), ty
     raise _no_clause(m)
@@ -369,18 +421,19 @@ def _plo_cbv(
             out = App(Var(kv), Var(name))
         case Lam(x, xty, body):
             hv = fresh("h") if pairs else None
+            body_env = _bind(env, x, xty)
             xs = _tr_ty(xty, Strategy.CBV, "circ") if env is not None else None
-            img, bty = _plo_cbv(body, _bind(env, x, xty), fresh, order, pairs)
+            img, bty = _plo_cbv(body, body_env, fresh, order, pairs)
             ty = _arrow(xty, bty)
             out = App(Var(kv), _abs(x, xs, img, hv))
         case App(fn, arg):
             mv = fresh("m")
             nv = fresh("n")
             fn_t, fty = _plo_cbv(fn, env, fresh, order, pairs)
-            arg_t, _ = _plo_cbv(arg, env, fresh, order, pairs)
+            arg_t, aty = _plo_cbv(arg, env, fresh, order, pairs)
+            ty = _apply(fty, aty)
             mty = _tr_ty(fty, Strategy.CBV, "circ") if fty is not None else None
             nty = _dom(mty)
-            ty = _cod(fty)
             core = _call(Var(mv), Var(nv), Var(kv), pairs)
             if order is EvalOrder.FUNCTION_FIRST:
                 out = App(fn_t, Lam(mv, mty, App(arg_t, Lam(nv, nty, core))))

@@ -124,12 +124,14 @@ def _kept(node, ty: Type) -> Type:
     return ty
 
 
+# the program classes that keep a type: a variable is never closed
+_KEEPING_P = frozenset({PairLam, KLam})
+
+
 def _infer_p(env: TypeEnv, p) -> Type:
-    try:
-        if p._type is not None:  # see `_kept`
-            return p._type
-    except AttributeError:  # every term node has `_type`
-        raise TypeError(f"not a program term: {p!r}") from None
+    # the class is tested first, so a jump's kept type is never returned here
+    if type(p) in _KEEPING_P and p._type is not None:  # see `_kept`
+        return p._type
     match p:
         case PVar(name):
             return env.lookup(name)
@@ -146,17 +148,13 @@ def _infer_p(env: TypeEnv, p) -> Type:
 
 
 def _infer_q(env: TypeEnv, q) -> Type:
-    try:
-        if q._type is not None:
-            return q._type
-    except AttributeError:
-        raise TypeError(f"not a jump term: {q!r}") from None
-    match q:
-        case QLam(kty, body):
-            a = _need(kty, "%k")
-            _infer_e(env.with_anchor("k", a), body)
-            return _kept(q, a)
-    raise TypeError(f"not a jump term: {q!r}")
+    if type(q) is not QLam:
+        raise TypeError(f"not a jump term: {q!r}")
+    if q._type is not None:  # see `_kept`
+        return q._type
+    a = _need(q.kty, "%k")
+    _infer_e(env.with_anchor("k", a), q.body)
+    return _kept(q, a)
 
 
 def _infer_t(env: TypeEnv, t) -> Type:

@@ -161,7 +161,7 @@ def test_c06_precomputation(corpus):
     bad = []
     for m, _, size, seed in corpus:
         for strategy in STRATEGIES:
-            start = _start_term(m, strategy)
+            start, _ = _start_term(m, strategy)
             stopped, _ = control_prefix(start, MACHINE_FUEL)
             expected = ptq_translate_e(m, strategy)
             if not alpha_eq(stopped, expected):

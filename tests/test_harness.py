@@ -23,20 +23,22 @@ from ptq import (
     infer_ptq,
     lam_alpha_eq,
     lam_str,
+    parse_lam,
     parse_term,
     readback,
     term_str,
 )
+from ptq.errors import MissingAnnotation
 from ptq.harness import (
     CHECKS,
     TOP_MENU,
     PropertyReport,
-    _closed_ty,
     _gen,
     _start_term,
     check_completeness,
     check_measure,
     check_readback,
+    check_sim_beta,
     check_simulation,
     check_soundness,
     check_typing,
@@ -211,6 +213,31 @@ class TestOneRunPerCheck:
         assert calls[0] == report.steps + 1
 
 
+class TestAnchorFromTheWalk:
+    """The checks that run the machine anchor it at the type the
+    translation's walk read off the source; `check_typing` alone keeps
+    `infer_lambda_box`, as the reference it checks the images against."""
+
+    @pytest.mark.parametrize("strategy", [Strategy.CBN, Strategy.CBV])
+    def test_reference_inference_only_in_check_typing(self, monkeypatch, strategy):
+        calls = TestOneRunPerCheck.counting(monkeypatch, ptq.harness, "infer_lambda_box")
+        m, _ = gen_typed_term(6, 3)
+        for name, check in CHECKS.items():
+            calls[0] = 0
+            assert check(m, strategy).ok
+            assert calls[0] == (name == "typing"), name
+
+    @pytest.mark.parametrize("strategy", [Strategy.CBN, Strategy.CBV])
+    def test_untyped_source_raises_the_reference_error(self, strategy):
+        m = parse_lam(r"(\x. x) (\y:X. y)")
+        for check in (check_completeness, check_soundness, check_simulation, check_sim_beta):
+            with pytest.raises(MissingAnnotation, match=r"missing annotation on \\x$"):
+                check(m, strategy)
+        # no machine run, so no anchor: an untyped normal form is not an error
+        assert check_simulation(parse_lam(r"\x. x"), strategy).ok
+        assert check_measure(m, strategy).ok
+
+
 def nodes(term):
     """Every node occurrence of a calculus term, shared nodes once per
     occurrence."""
@@ -256,7 +283,7 @@ class TestOneCheckPerNode:
 
         monkeypatch.setattr(ptq.typecheck, "_kept", keeping)
         report = PropertyReport("completeness", -1, -1, "", True)
-        chain, _ = run_checked(_start_term(m, Strategy.CBV), _closed_ty(m), report)
+        chain, _ = run_checked(*_start_term(m, Strategy.CBV), report)
         assert report.ok and report.steps >= 20
         held = [node for t in chain for node in nodes(t) if is_closed_pq(node)]
         assert len(typed) == len({id(node) for node in typed})
@@ -280,7 +307,7 @@ class TestOneCheckPerNode:
             monkeypatch, readback_module, "_require_t_closed"
         )
         report = PropertyReport("completeness", -1, -1, "", True)
-        chain, _ = run_checked(_start_term(m, Strategy.CBV), _closed_ty(m), report)
+        chain, _ = run_checked(*_start_term(m, Strategy.CBV), report)
         assert report.ok and report.steps >= 20
         # every state still passes readback's entry check
         assert checked[0] == len(chain)
@@ -303,7 +330,7 @@ class TestNodeCaches:
             env = TypeEnv((), ("star", ty))
             for strategy in (Strategy.CBN, Strategy.CBV):
                 report = PropertyReport("completeness", -1, -1, "", True)
-                chain, images = run_checked(_start_term(m, strategy), ty, report)
+                chain, images = run_checked(_start_term(m, strategy)[0], ty, report)
                 assert report.ok
                 for state, image in list(zip(chain, images))[size % 2 :: 2]:
                     copy = parse_term(term_str(state))
@@ -355,7 +382,7 @@ class TestSharedFault:
             m, _ = gen_typed_term(8, seed)
             planted.clear()
             report = PropertyReport("completeness", 8, seed, lam_str(m), True)
-            chain, _ = run_checked(_start_term(m, Strategy.CBV), _closed_ty(m), report)
+            chain, _ = run_checked(*_start_term(m, Strategy.CBV), report)
             if not planted:
                 continue
             holding = sum(

@@ -1,5 +1,7 @@
 """By-name, by-value, and CPS translations."""
 
+from collections import Counter
+
 import pytest
 
 from ptq import (
@@ -30,6 +32,11 @@ from ptq import (
     term_str,
     translate_type,
 )
+from ptq import lam, syntax
+from ptq.errors import PtqError
+from ptq.lam import App, Lam, Var
+from ptq.syntax import PairLam
+from ptq.translate import _translate
 
 A, B, X = Base("A"), Base("B"), Base("X")
 CBN, CBV = Strategy.CBN, Strategy.CBV
@@ -268,34 +275,64 @@ def church(n):
     return L(rf"(\f:A->A. \x:A. {body}) (\y:A. y) z")
 
 
+def annotations(term):
+    """The annotations on the binders of a calculus or lambda term, but for
+    the argument types of program abstractions, which the calculus images
+    copy from their sources."""
+    out = []
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        table = syntax if type(t) in syntax._BINDS else lam
+        binds = table._BINDS[type(t)]
+        if binds is not None:
+            out += [getattr(t, f) for f in binds[1] if (type(t), f) != (PairLam, "xty")]
+        stack.extend(table._CHILDREN[type(t)](t))
+    return out
+
+
+def annotated(term):
+    """Every binder of the image carries its annotations."""
+    return None not in annotations(term)
+
+
+def bare(term):
+    """No binder of the image carries an annotation the translation made."""
+    return all(ty is None for ty in annotations(term))
+
+
 class TestOnePass:
-    """Types come off the translation's own walk: one inference at the root,
-    and e-images built down the spine without recomposing."""
+    """Types come off the translation's own walk, with no inference before
+    it, and e-images are built down the spine without recomposing."""
 
     @pytest.mark.parametrize("strat", [CBN, CBV])
-    def test_one_inference_per_translation(self, monkeypatch, strat):
-        import ptq.translate
+    def test_no_inference_per_translation(self, monkeypatch, strat):
+        import sys
+
+        import ptq.typecheck
 
         calls = []
-        real = ptq.translate.infer_lambda_box
+        real = ptq.typecheck.infer_lambda_box
 
         def counting(env, m):
             calls.append(m)
             return real(env, m)
 
-        monkeypatch.setattr(ptq.translate, "infer_lambda_box", counting)
+        # every binding of the name, wherever a ptq module imported it
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("ptq") and vars(mod).get("infer_lambda_box") is real:
+                monkeypatch.setattr(mod, "infer_lambda_box", counting)
         env = {"z": A}
+        outs = []
         for n in (10, 50, 100):
             m = church(n)
-            for translate in (
-                lambda: ptq_translate(m, strat, env),
-                lambda: ptq_translate_e(m, strat, env),
-                lambda: aux_translate(m.fn.fn, strat, env),
-                lambda: plotkin_translate(m, strat, env=env),
-            ):
-                calls.clear()
-                translate()
-                assert len(calls) == 1
+            outs.append(ptq_translate(m, strat, env))
+            outs.append(ptq_translate_e(m, strat, env))
+            outs.append(aux_translate(m.fn.fn, strat, env))
+            outs.append(plotkin_translate(m, strat, env=env))
+        assert calls == []
+        # typed walks: every binder of every image is annotated
+        assert all(annotated(out) for out in outs)
 
     def test_deep_numeral_by_name(self):
         from ptq.syntax import PApp
@@ -374,3 +411,106 @@ def test_untyped_sources_print_as_before(source):
                 out = plotkin_translate(m, strat, order, pairing, env)
                 got[f"{s} {pairing.value} {order.value}"] = lam_str(out)
     assert got == UNTYPED[source]
+
+
+# Faults for the reference test: each takes a node of the class it names and
+# gives the node that replaces it. Sources are typed under REF_ENV, which
+# binds c at a base type, so `c` applied is a non-function head.
+REF_ENV = {"c": X}
+FAULTS = {
+    "dropped annotation": (Lam, lambda t: Lam(t.x, None, t.body)),
+    "wrong binder type": (Lam, lambda t: Lam(t.x, Arrow(t.xty, t.xty), t.body)),
+    "unbound variable": (Var, lambda t: Var("u")),
+    "non-function head": (App, lambda t: App(Var("c"), t.arg)),
+}
+
+
+def spots(m):
+    """Every node of m, each with the function that rebuilds m around a
+    replacement for it."""
+    out = []
+
+    def go(t, rebuild):
+        out.append((t, rebuild))
+        match t:
+            case Lam(x, xty, body):
+                go(body, lambda b: rebuild(Lam(x, xty, b)))
+            case App(fn, arg):
+                go(fn, lambda f: rebuild(App(f, arg)))
+                go(arg, lambda a: rebuild(App(fn, a)))
+
+    go(m, lambda t: t)
+    return out
+
+
+def faulty(m, seed):
+    """(kind, copy of m with that one fault) per kind that m has a node for;
+    seed picks the node."""
+    nodes = spots(m)
+    for kind, (cls, fault) in FAULTS.items():
+        hits = [(t, rebuild) for t, rebuild in nodes if type(t) is cls]
+        if hits:
+            t, rebuild = hits[seed % len(hits)]
+            yield kind, rebuild(fault(t))
+
+
+class TestReference:
+    """The walk's own typing against `infer_lambda_box`, the reference, on
+    the conftest corpus and on copies with one fault each."""
+
+    def test_walk_types_as_the_reference(self, corpus):
+        seen = Counter()
+        sources = [("corpus", m) for m, *_ in corpus]
+        sources += [f for m, _, _, seed in corpus for f in faulty(m, seed)]
+        for kind, m in sources:
+            try:
+                want = infer_lambda_box(LamEnv(tuple(REF_ENV.items())), m)
+            except PtqError:
+                want = None
+            seen[kind, want is not None] += 1
+            images = []
+            for strat in (CBN, CBV):
+                for computation in (False, True):
+                    image, ty = _translate(m, strat, REF_ENV, computation)
+                    assert ty == want, (lam_str(m), strat, computation)
+                    images.append(image)
+                if is_value(m):
+                    images.append(aux_translate(m, strat, REF_ENV))
+                for order in EvalOrder:
+                    images.append(plotkin_translate(m, strat, order, env=REF_ENV))
+            for image in images:
+                assert (annotated if want is not None else bare)(image), lam_str(m)
+        # the corpus types; every fault is met, and each is rejected
+        assert seen["corpus", False] == 0 and seen["corpus", True] == len(corpus)
+        for kind in FAULTS:
+            assert seen[kind, False] > 0
+        assert seen["dropped annotation", True] == seen["unbound variable", True] == 0
+        assert seen["non-function head", True] == 0
+
+    def test_retry_numbers_fresh_names_afresh(self):
+        # the typed attempt fails at the head c, a base-type variable, after
+        # the walk took fresh names; the untyped walk numbers them from 1
+        m = L(r"c (\x:A. x) ((\y:A. y) c)")
+        assert term_str(ptq_translate(m, CBV, REF_ENV)) == (
+            r"%k. (%k. (%k. k ; c) ! (\x3. (%k. k ; (\(y:A, k). (%k. k ; y) ! k)) ! <x3, k>))"
+            r" ! (\x1. (%k. (%k. k ; (\(x:A, k). (%k. k ; x) ! k)) ! (\x2. (%k. k ; c) ! <x2, k>))"
+            r" ! <x1, k>)"
+        )
+        assert term_str(ptq_translate_e(m, CBV, REF_ENV)) == (
+            r"<c, (\x1. (%k. (%k. k ; (\(x:A, k). (%k. k ; x) ! k)) ! (\x2. (%k. k ; c) ! <x2, k>))"
+            r" ! <x1, *>)> ; (\(y:A, k). (%k. k ; y) ! k)"
+        )
+        assert lam_str(plotkin_translate(m, CBN, env=REF_ENV)) == (
+            r"\k. (\k3. c (\m2. m2 (\k4. k4 (\x. x)) k3))"
+            r" (\m. m (\k1. (\k2. k2 (\y. y)) (\m1. m1 c k1)) k)"
+        )
+        assert lam_str(plotkin_translate(m, CBV, env=REF_ENV)) == (
+            r"\k. (\k1. (\k2. k2 c) (\m1. (\k3. k3 (\x. \k4. k4 x)) (\n1. m1 n1 k1)))"
+            r" (\m. (\k5. (\k6. k6 (\y. \k7. k7 y)) (\m2. (\k8. k8 c) (\n2. m2 n2 k5))) (\n. m n k))"
+        )
+
+    def test_unannotated_binder_under_plotkin(self):
+        # the annotation is translated only once the binder has one
+        m = L(r"(\x. x) y")
+        for strat in (CBN, CBV):
+            assert bare(plotkin_translate(m, strat, env={"y": A}))

@@ -20,6 +20,7 @@ from ptq import (
     PairLam,
     PVar,
     PtqType,
+    QApp,
     RoleMismatch,
     STAR,
     Strategy,
@@ -146,6 +147,22 @@ class TestJumpAndComputationRules:
     def test_lambda_child_is_not_a_program_term(self, subject):
         with pytest.raises(TypeError, match="not a program term"):
             infer_ptq(env("", ("star", A)), subject)
+
+    @pytest.mark.parametrize("typed_first", [False, True], ids=["fresh", "kept"])
+    def test_kept_type_keeps_its_role(self, typed_first):
+        # a closed jump in a program's place, and a closed program in a
+        # jump's, fail alike whether or not they keep a type from before
+        q = parse_term(r"%k:A -> A. k ; \(x:A, k:A). k ; x")
+        p = parse_term(r"\(x:A, k:A). k ; x")
+        if typed_first:
+            assert infer_ptq(env(), q) == PtqType("q", Arrow(A, A))
+            assert infer_ptq(env(), p) == PtqType("p", Arrow(A, A))
+            assert q._type is not None and p._type is not None
+        anchor = env("", ("star", Arrow(A, A)))
+        with pytest.raises(TypeError, match="not a program term"):
+            infer_ptq(anchor, PApp(STAR, q))
+        with pytest.raises(TypeError, match="not a jump term"):
+            infer_ptq(anchor, QApp(p, STAR))
 
     def test_anchor_required(self):
         with pytest.raises(AnchorMismatch):
