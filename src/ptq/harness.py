@@ -152,7 +152,7 @@ def _start_term(m: LamTerm, strategy: Strategy) -> tuple[ETerm, Optional[Type]]:
     """The computation that runs the plain translation against *, and the
     type of m read off the translation's walk (None when m is untyped)."""
     image, ty = _translate(m, strategy)
-    if strategy is Strategy.CBN:
+    if Strategy(strategy) is Strategy.CBN:
         return PApp(STAR, image), ty
     return QApp(image, STAR), ty
 
@@ -335,7 +335,7 @@ def check_typing(
     value), and its e-image checks under the * anchor at A."""
     report = PropertyReport("typing", size, seed, lam_str(m), True)
     ty = infer_lambda_box(LamEnv((), None), m)  # the reference, apart from the walk
-    want_role = "p" if strategy is Strategy.CBN else "q"
+    want_role = "p" if Strategy(strategy) is Strategy.CBN else "q"
     try:
         got = infer_ptq(TypeEnv((), None), ptq_translate(m, strategy))
         if got.role != want_role or got.carrier != ty:

@@ -6,6 +6,9 @@ application rule (reduce the function part); call-by-value substitutes
 values only and comes in two orders. FunctionFirst reduces the function part
 to a value before touching the argument; ArgumentFirst mirrors it. Open
 terms are allowed, and a stuck application is a normal form, not an error.
+
+Each entry point takes a strategy or an order as its enum member or as its
+value ("cbn", "fn-first"), and raises ValueError on any other value.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ def step_lambda(
 ) -> Optional[LamTerm]:
     """One step, or None on a value or stuck term. CbN ignores the order."""
     require_plain(m, "evaluation")
+    strategy, order = Strategy(strategy), EvalOrder(order)
     if strategy is Strategy.CBN:
         return _step_cbn(m)
     return _step_cbv(m, order)
@@ -91,6 +95,7 @@ def eval_small(
     if fuel > 0:  # with no fuel the run reports exhaustion before any check
         require_plain(m, "evaluation")
     chain = [m]
+    strategy, order = Strategy(strategy), EvalOrder(order)
     cbn = strategy is Strategy.CBN
     for _ in range(fuel):
         # a step of a plain term is plain, so the one check above covers all
@@ -113,6 +118,7 @@ def eval_big(
     """
     require_plain(m, "evaluation")
     budget = [fuel]
+    strategy, order = Strategy(strategy), EvalOrder(order)
     if strategy is Strategy.CBN:
         return _big_cbn(m, budget)
     return _big_cbv(m, order, budget)

@@ -71,18 +71,19 @@ def readback(term: Term) -> LamTerm:
 
 
 def _rb(term: Term, plug: LamTerm) -> LamTerm:
-    """readback(term)[plug/[]]; the filler goes down the spine."""
-    match term:
-        case Star() | KVar():
-            return plug
-        case Pair(fst, snd):
-            return _rb(snd, App(plug, _image(fst)))
-        case XLam(x, _, body):
-            return lam_subst(_rb(body, HOLE), x, plug)
-        case PApp(test, proof):
-            return _rb(test, _image(proof))
-        case QApp(fn, test):
-            return _rb(test, _image(fn))
+    """readback(term)[plug/[]]; the filler goes down the spine. Each node is
+    dispatched once, on its class."""
+    cls = type(term)
+    if cls is PApp:
+        return _rb(term.test, _image(term.proof))
+    if cls is QApp:
+        return _rb(term.test, _image(term.fn))
+    if cls is Pair:
+        return _rb(term.snd, App(plug, _image(term.fst)))
+    if cls is XLam:
+        return lam_subst(_rb(term.body, HOLE), term.x, plug)
+    if cls is Star or cls is KVar:
+        return plug
     return _image(term)
 
 
@@ -93,15 +94,15 @@ def _image(term: Term) -> LamTerm:
     image = getattr(term, "_image", None)  # a non-term reaches the TypeError
     if image is not None:
         return image
-    match term:
-        case PVar(name):
-            image = Var(name)
-        case PairLam(x, xty, _, body):
-            image = Lam(x, xty, _rb(body, HOLE))
-        case KLam(_, body) | QLam(_, body):
-            image = _rb(body, HOLE)
-        case _:
-            raise TypeError(f"not a term: {term!r}")
+    cls = type(term)
+    if cls is PVar:
+        image = Var(term.name)
+    elif cls is PairLam:
+        image = Lam(term.x, term.xty, _rb(term.body, HOLE))
+    elif cls is KLam or cls is QLam:
+        image = _rb(term.body, HOLE)
+    else:
+        raise TypeError(f"not a term: {term!r}")
     object.__setattr__(term, "_image", image)  # the dataclasses are frozen
     return image
 

@@ -112,8 +112,9 @@ class _Node:
 
       _fv     its free program names (every node)
       _type   its type, once typed (kept by `typecheck._kept`, and
-              returned as it is by `_infer_p`/`_infer_q`; closed program and
-              jump nodes only, which have one type under every environment)
+              returned as it is by `typecheck._infer_p`/`_infer_q` whatever
+              their scope; closed program and jump nodes only, which bind
+              their own anchor and so have one type in every scope)
       _image  its readback image, once read back (`readback`; program and
               jump nodes only, which bind every test position they hold)
 

@@ -17,6 +17,10 @@ simply typed inference checks (every variable bound, every binder annotated,
 every function type an arrow whose domain is its argument's type). The first
 check that fails abandons the typed walk, and the source is walked again
 without types.
+
+Each entry point takes a strategy, an order or a pairing as its enum member
+or as its value ("cbn", "fn-first", "uncurried"), and raises ValueError on
+any other value.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ def translate_type(ty: Type, strategy: Strategy, form: str = "star") -> Type:
     _check_no_o(ty)
     if form not in ("star", "circ"):
         raise ValueError(f"unknown form {form!r}")
-    return _tr_ty(ty, strategy, form)
+    return _tr_ty(ty, Strategy(strategy), form)
 
 
 def _tr_ty(ty: Type, strategy: Strategy, form: str) -> Type:
@@ -228,7 +232,7 @@ def _translate(
     against the empty continuation, and m's type under env, which is None
     when m is not fully annotated and well typed there."""
     m, used = _source(m)
-    if strategy is Strategy.CBN:
+    if Strategy(strategy) is Strategy.CBN:
         return _walk(_var_cbn if computation else _cbn, m, used, env)
     return _walk(_var_cbv if computation else _cbv, m, used, env)
 
@@ -288,7 +292,7 @@ def aux_translate(
 ) -> PTerm:
     """The program-term image of a value."""
     m, used = _source(m)
-    aux = _aux_cbn if strategy is Strategy.CBN else _aux_cbv
+    aux = _aux_cbn if Strategy(strategy) is Strategy.CBN else _aux_cbv
     return _walk(aux, m, used, env)[0]
 
 
@@ -361,6 +365,7 @@ def plotkin_translate(
     unannotated terms in the pair-extended grammar."""
     used = require_plain(m, "translation")
     pairs = Pairing(pairing) is Pairing.UNCURRIED
+    strategy, order = Strategy(strategy), EvalOrder(order)
     if strategy is Strategy.CBN:
         clause, args = _plo_cbn, (pairs,)
     else:

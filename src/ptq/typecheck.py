@@ -6,8 +6,9 @@ the spine test position and is either k:tA or *:tA. Inference is syntax
 directed: each constructor matches exactly one rule, so checking a judgment
 means inferring and comparing.
 
-Environments bind program variables only, all at role p, and reject duplicate
-names instead of shadowing.
+Environments bind program variables only, all at role p. A written judgment
+context rejects a name declared twice, at parse time; inside a term, inference
+lets an inner binder shadow an outer one of the same name.
 """
 
 from __future__ import annotations
@@ -84,19 +85,8 @@ class TypeEnv:
     gamma: tuple[tuple[str, Type], ...] = ()
     anchor: Optional[tuple[str, Type]] = None  # ('k' | 'star', carrier)
 
-    def lookup(self, name: str) -> Type:
-        for x, ty in reversed(self.gamma):
-            if x == name:
-                return ty
-        raise UnboundVariable(name)
-
     def extend(self, name: str, ty: Type) -> "TypeEnv":
-        """Bind name, shadowing any outer binding of the same name.
-
-        Substitution can nest two binders with one name without capture, so
-        inference must allow shadowing; declaring a name twice in a written
-        judgment context is still rejected, at parse time.
-        """
+        """Bind name, shadowing any outer binding of the same name."""
         return TypeEnv(self.gamma + ((name, ty),), self.anchor)
 
     def with_anchor(self, kind: str, ty: Type) -> "TypeEnv":
@@ -124,72 +114,78 @@ def _kept(node, ty: Type) -> Type:
     return ty
 
 
-# the program classes that keep a type: a variable is never closed
-_KEEPING_P = frozenset({PairLam, KLam})
+# The walks below carry the scope as a dict from program variables to their
+# types, extended at each binder by copying, and the anchor as two arguments,
+# its kind ('k' or 'star') and its carrier. Each node is dispatched once, on
+# its class. An inner binder shadows an outer one of the same name:
+# substitution can nest two binders with one name without capture, so
+# inference must allow it; declaring a name twice in a written judgment
+# context is still rejected, at parse time.
 
 
-def _infer_p(env: TypeEnv, p) -> Type:
+def _infer_p(scope: dict, p) -> Type:
+    cls = type(p)
+    if cls is PVar:
+        try:
+            return scope[p.name]
+        except KeyError:
+            raise UnboundVariable(p.name) from None
     # the class is tested first, so a jump's kept type is never returned here
-    if type(p) in _KEEPING_P and p._type is not None:  # see `_kept`
+    if (cls is PairLam or cls is KLam) and p._type is not None:  # see `_kept`
         return p._type
-    match p:
-        case PVar(name):
-            return env.lookup(name)
-        case PairLam(x, xty, kty, body):
-            a = _need(xty, f"\\({x}, k)")
-            b = _need(kty, f"\\({x}, k)")
-            _infer_e(env.extend(x, a).with_anchor("k", b), body)
-            return _kept(p, Arrow(a, b))
-        case KLam(kty, body):
-            a = _need(kty, "\\k")
-            _infer_e(env.with_anchor("k", a), body)
-            return _kept(p, a)
+    if cls is PairLam:
+        a = _need(p.xty, f"\\({p.x}, k)")
+        b = _need(p.kty, f"\\({p.x}, k)")
+        _infer_e({**scope, p.x: a}, "k", b, p.body)
+        return _kept(p, Arrow(a, b))
+    if cls is KLam:
+        a = _need(p.kty, "\\k")
+        _infer_e(scope, "k", a, p.body)
+        return _kept(p, a)
     raise TypeError(f"not a program term: {p!r}")
 
 
-def _infer_q(env: TypeEnv, q) -> Type:
+def _infer_q(scope: dict, q) -> Type:
     if type(q) is not QLam:
         raise TypeError(f"not a jump term: {q!r}")
     if q._type is not None:  # see `_kept`
         return q._type
     a = _need(q.kty, "%k")
-    _infer_e(env.with_anchor("k", a), q.body)
+    _infer_e(scope, "k", a, q.body)
     return _kept(q, a)
 
 
-def _infer_t(env: TypeEnv, t) -> Type:
-    kind, aty = env.anchor
-    match t:
-        case Star():
-            if kind != "star":
-                raise AnchorMismatch("term uses * but the anchor is k")
-            return aty
-        case KVar():
-            if kind != "k":
-                raise AnchorMismatch("term uses k but the anchor is *")
-            return aty
-        case Pair(fst, snd):
-            a = _infer_p(env, fst)
-            b = _infer_t(env, snd)
-            return Arrow(a, b)
-        case XLam(x, xty, body):
-            a = _need(xty, f"\\{x}")
-            _infer_e(env.extend(x, a), body)
-            return a
+def _infer_t(scope: dict, kind: str, aty: Type, t) -> Type:
+    cls = type(t)
+    if cls is Pair:
+        a = _infer_p(scope, t.fst)
+        return Arrow(a, _infer_t(scope, kind, aty, t.snd))
+    if cls is XLam:
+        a = _need(t.xty, f"\\{t.x}")
+        _infer_e({**scope, t.x: a}, kind, aty, t.body)
+        return a
+    if cls is Star:
+        if kind != "star":
+            raise AnchorMismatch("term uses * but the anchor is k")
+        return aty
+    if cls is KVar:
+        if kind != "k":
+            raise AnchorMismatch("term uses k but the anchor is *")
+        return aty
     raise TypeError(f"not a test term: {t!r}")
 
 
-def _infer_e(env: TypeEnv, u: ETerm) -> None:
-    match u:
-        case PApp(test, proof):
-            a = _infer_p(env, proof)
-            b = _infer_t(env, test)
-        case QApp(fn, test):
-            a = _infer_q(env, fn)
-            b = _infer_t(env, test)
-        case _:
-            raise TypeError(f"not a computation: {u!r}")
-    if a != b:
+def _infer_e(scope: dict, kind: str, aty: Type, u: ETerm) -> None:
+    cls = type(u)
+    if cls is PApp:
+        a = _infer_p(scope, u.proof)
+        b = _infer_t(scope, kind, aty, u.test)
+    elif cls is QApp:
+        a = _infer_q(scope, u.fn)
+        b = _infer_t(scope, kind, aty, u.test)
+    else:
+        raise TypeError(f"not a computation: {u!r}")
+    if a is not b and a != b:
         raise TypeClash(
             f"{type_str(a)} against {type_str(b)} in {term_str(u)}"
         )
@@ -202,16 +198,18 @@ def infer_ptq(env: TypeEnv, subject: Term) -> Union[PtqType, EMark]:
     (see `_kept`).
     """
     sort = sort_of(subject)
+    scope = dict(env.gamma)  # a later binding of a name shadows an earlier one
     if sort in ("p", "q"):
         if env.anchor is not None:
             raise AnchorMismatch(f"a {sort}-judgment carries no anchor")
         infer = _infer_p if sort == "p" else _infer_q
-        return PtqType(sort, infer(env, subject))
+        return PtqType(sort, infer(scope, subject))
     if env.anchor is None:
         raise AnchorMismatch(f"a {sort}-judgment needs an anchor")
+    kind, aty = env.anchor
     if sort == "t":
-        return PtqType("t", _infer_t(env, subject))
-    _infer_e(env, subject)
+        return PtqType("t", _infer_t(scope, kind, aty, subject))
+    _infer_e(scope, kind, aty, subject)
     return E_OK
 
 

@@ -145,6 +145,25 @@ class TestProperties:
         }
 
 
+class TestStrategyValues:
+    """Every check takes a strategy by its value as its enum member, and
+    refuses any other value."""
+
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_value_is_member(self, name):
+        m, _ = gen_typed_term(6, 3)
+        for strategy in Strategy:
+            got = CHECKS[name](m, strategy.value).to_dict()
+            assert got == CHECKS[name](m, strategy).to_dict()
+            assert got["ok"], got
+
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_unknown_value_raises(self, name):
+        m, _ = gen_typed_term(6, 3)
+        with pytest.raises(ValueError):
+            CHECKS[name](m, "bogus")
+
+
 class TestFaultInjection:
     """A machine whose KPair redexes read as normal forms must make the
     completeness check fail: evidence that the harness catches a broken

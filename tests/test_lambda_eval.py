@@ -84,6 +84,36 @@ class TestStrategiesDiffer:
         assert len(chain_strs(m, CBV)) == 3
 
 
+class TestStrategyValues:
+    """A strategy or order given by its value is its enum member; any other
+    value is refused, not read as by value or argument first."""
+
+    CALLS = [step_lambda, eval_small, eval_big]
+    M = r"(\x:A. w) ((\y:A. y) z)"
+    # by value, the two orders first reduce different redexes
+    M_ORDERS = r"((\f:A -> A. f) (\x:A. x)) ((\y:A. y) z)"
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_strategy_value_is_member(self, call):
+        m = L(self.M)
+        assert call(m, "cbn") == call(m, CBN) != call(m, CBV)
+        assert call(m, "cbv") == call(m, CBV)
+
+    @pytest.mark.parametrize("call", CALLS[:2])
+    def test_order_value_is_member(self, call):
+        m = L(self.M_ORDERS)
+        assert call(m, CBV, "fn-first") == call(m, CBV, FN) != call(m, CBV, ARG)
+        assert call(m, CBV, "arg-first") == call(m, CBV, ARG)
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_unknown_values_raise(self, call):
+        with pytest.raises(ValueError):
+            call(L(self.M), "bogus")
+        for strategy in (CBN, CBV):
+            with pytest.raises(ValueError):
+                call(L(self.M), strategy, "bogus")
+
+
 class TestBigStep:
     @pytest.mark.parametrize("strategy,order", [(CBN, ARG), (CBV, ARG), (CBV, FN)])
     def test_agrees_with_small_step(self, corpus, strategy, order):

@@ -226,6 +226,39 @@ class TestTypeTranslations:
             translate_type(Arrow(Base("o"), X), CBN)
 
 
+class TestStrategyValues:
+    """A strategy or order given by its value is its enum member; any other
+    value is refused, not read as by value."""
+
+    ENV = {"f": parse_type("X -> X"), "g": parse_type("X -> X"), "y": X}
+    CALLS = [
+        lambda s: ptq_translate(L("f (g y)"), s, TestStrategyValues.ENV),
+        lambda s: ptq_translate_e(L("f (g y)"), s, TestStrategyValues.ENV),
+        lambda s: aux_translate(L(r"\x:X. f x"), s, TestStrategyValues.ENV),
+        lambda s: plotkin_translate(L("f (g y)"), s, env=TestStrategyValues.ENV),
+        lambda s: translate_type(Arrow(X, X), s, "circ"),
+    ]
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_strategy_value_is_member(self, call):
+        assert call("cbn") == call(CBN) != call(CBV)
+        assert call("cbv") == call(CBV)
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_unknown_strategy_raises(self, call):
+        with pytest.raises(ValueError):
+            call("bogus")
+
+    def test_order_value_is_member(self):
+        m = L("f (g y)")
+        fn_first = plotkin_translate(m, CBV, "fn-first", env=self.ENV)
+        assert fn_first == plotkin_translate(m, CBV, EvalOrder.FUNCTION_FIRST, env=self.ENV)
+        assert fn_first != plotkin_translate(m, CBV, "arg-first", env=self.ENV)
+        for strategy in (CBN, CBV):
+            with pytest.raises(ValueError):
+                plotkin_translate(m, strategy, "bogus", env=self.ENV)
+
+
 class TestPlotkin:
     def test_cbn_shape(self):
         got = plotkin_translate(L("x"), CBN, env={"x": X})

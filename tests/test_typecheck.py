@@ -1,5 +1,7 @@
 """Both type systems: the derivation rules, the judgment checkers, errors."""
 
+import dataclasses
+import hashlib
 import sys
 
 import pytest
@@ -19,6 +21,7 @@ from ptq import (
     Pair,
     PairLam,
     PVar,
+    PtqError,
     PtqType,
     QApp,
     RoleMismatch,
@@ -32,13 +35,18 @@ from ptq import (
     check_lambda_judgment,
     infer_lambda_box,
     infer_ptq,
+    lam_str,
+    normalize,
     parse_judgment,
     parse_lam,
     parse_lam_judgment,
     parse_term,
     parse_type,
+    ptq_translate,
     ptq_translate_e,
+    readback,
 )
+from ptq.syntax import _Node
 from ptq.typecheck import E_OK
 
 A, B, X = Base("A"), Base("B"), Base("X")
@@ -204,6 +212,8 @@ class TestJudgmentChecker:
         # a binder may reuse a context name; the inner binding wins
         t = parse_term(r"\(x:B, k:B). k ; x")
         assert infer_ptq(env("x:A"), t) == PtqType("p", Arrow(B, B))
+        t = parse_term(r"\x:B. * ; x")
+        assert infer_ptq(env("x:A", ("star", B)), t) == PtqType("t", B)
 
 
 class TestLambdaBox:
@@ -256,3 +266,66 @@ class TestDepth:
             assert infer_ptq(TypeEnv((("z", A),), ("star", A)), image) is E_OK
         finally:
             sys.setrecursionlimit(limit)
+
+
+def _faults(term, fault):
+    """Each copy of term with `fault` applied at one of its nodes, in
+    preorder; fault yields the faulted copies of one node."""
+    yield from fault(term)
+    for field in dataclasses.fields(term):
+        child = getattr(term, field.name)
+        if isinstance(child, _Node):
+            for copy in _faults(child, fault):
+                yield dataclasses.replace(term, **{field.name: copy})
+
+
+def _drop_annotation(node):
+    for name in ("xty", "kty"):
+        if getattr(node, name, None) is not None:
+            yield dataclasses.replace(node, **{name: None})
+
+
+def _swap_binder_type(node):
+    for name in ("xty", "kty"):
+        ty = getattr(node, name, None)
+        if ty is not None:
+            yield dataclasses.replace(node, **{name: Arrow(ty, ty)})
+
+
+def _unbind_variable(node):
+    if type(node) is PVar:
+        yield PVar("unbound")
+
+
+def _outcome(run, *args):
+    try:
+        return str(run(*args))
+    except PtqError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_typing_and_readback_digest(corpus):
+    """The inferred type (or the error class and message) and the readback
+    of each corpus image in both strategies, plain and under the anchor k,
+    of every state of its run, and of each one-fault copy of its e-image
+    (an annotation dropped, a binder type A swapped for A -> A, a variable
+    unbound) are the ones that inference over a TypeEnv and readback by
+    `match` gave. The copies share every untouched node with states typed
+    and read back before, so the kept types and images are read as well."""
+    digest = hashlib.sha256()
+    for strategy in Strategy:
+        for m, ty, _, _ in corpus:
+            p_image, e_image = ptq_translate(m, strategy), ptq_translate_e(m, strategy)
+            e_env = TypeEnv((), ("star", ty))
+            cases = [(TypeEnv(), p_image), (TypeEnv((), ("k", ty)), p_image)]
+            cases += [(e_env, u) for u in normalize(e_image).trace.terms()]
+            cases.append((TypeEnv((), ("k", ty)), e_image))
+            for fault in (_drop_annotation, _swap_binder_type, _unbind_variable):
+                cases += [(e_env, copy) for copy in _faults(e_image, fault)]
+            for env, term in cases:
+                typed = _outcome(infer_ptq, env, term)
+                read = _outcome(lambda t: lam_str(readback(t)), term)
+                digest.update(f"{typed}\n{read}\n".encode())
+    assert digest.hexdigest() == (
+        "a2e09547b69767e6d5b8cba2e7f97c3e4db5601ebd9bb0967085f142f4e674bf"
+    )
