@@ -1,11 +1,14 @@
 """Reference small-step and big-step evaluators for plain lambda terms.
 
 Both strategies are lazy: no reduction ever happens under a binder, and a
-value is any term that is not an application. Call-by-name has one
-application rule (reduce the function part); call-by-value substitutes
-values only and comes in two orders. FunctionFirst reduces the function part
-to a value before touching the argument; ArgumentFirst mirrors it. Open
-terms are allowed, and a stuck application is a normal form, not an error.
+value is any term that is not an application. The three regimes differ only
+in which sides of an application reduce before it contracts, in order: by
+name the function only; by value both sides, the function first
+(FunctionFirst) or the argument first (ArgumentFirst). One rule serves all
+three. An application whose reducing sides are values contracts when its
+function is an abstraction and is stuck otherwise; an application with a
+stuck reducing side is stuck too. Open terms are allowed, and a stuck
+application is a normal form, not an error.
 
 Each entry point takes a strategy or an order as its enum member or as its
 value ("cbn", "fn-first"), and raises ValueError on any other value.
@@ -17,7 +20,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import FuelExhausted
-from .lam import App, Lam, LamTerm, is_value, lam_subst, require_plain
+from .lam import App, Lam, LamTerm, lam_subst, require_plain
 
 
 class Strategy(Enum):
@@ -32,6 +35,19 @@ class EvalOrder(Enum):
 
 DEFAULT_FUEL = 10**6
 
+# the sides of an application that reduce before it contracts, in order:
+# 0 is the function, 1 the argument; by name the order is ignored
+_SIDES = {
+    (Strategy.CBN, EvalOrder.FUNCTION_FIRST): (0,),
+    (Strategy.CBN, EvalOrder.ARGUMENT_FIRST): (0,),
+    (Strategy.CBV, EvalOrder.FUNCTION_FIRST): (0, 1),
+    (Strategy.CBV, EvalOrder.ARGUMENT_FIRST): (1, 0),
+}
+
+
+def _sides(strategy: Strategy, order: EvalOrder) -> tuple[int, ...]:
+    return _SIDES[Strategy(strategy), EvalOrder(order)]
+
 
 def step_lambda(
     m: LamTerm,
@@ -40,48 +56,29 @@ def step_lambda(
 ) -> Optional[LamTerm]:
     """One step, or None on a value or stuck term. CbN ignores the order."""
     require_plain(m, "evaluation")
-    strategy, order = Strategy(strategy), EvalOrder(order)
-    if strategy is Strategy.CBN:
-        return _step_cbn(m)
-    return _step_cbv(m, order)
+    return _step(m, _sides(strategy, order))
 
 
-def _step_cbn(m: LamTerm) -> Optional[LamTerm]:
-    match m:
-        case App(Lam(x, _, body), arg):
-            return lam_subst(body, x, arg)
-        case App(fn, arg):
-            s = _step_cbn(fn)
-            return App(s, arg) if s is not None else None
-    return None
-
-
-def _step_cbv(m: LamTerm, order: EvalOrder) -> Optional[LamTerm]:
-    if not isinstance(m, App):
-        return None
-    fn, arg = m.fn, m.arg
-    if order is EvalOrder.FUNCTION_FIRST:
-        s = _step_cbv(fn, order)
-        if s is not None:
-            return App(s, arg)
-        if not is_value(fn):
-            return None
-        s = _step_cbv(arg, order)
-        if s is not None:
-            return App(fn, s)
-        if isinstance(fn, Lam) and is_value(arg):
-            return lam_subst(fn.body, fn.x, arg)
-        return None
-    s = _step_cbv(arg, order)
-    if s is not None:
-        return App(fn, s)
-    if not is_value(arg):
-        return None
-    s = _step_cbv(fn, order)
-    if s is not None:
-        return App(s, arg)
-    if isinstance(fn, Lam):
-        return lam_subst(fn.body, fn.x, arg)
+def _step(m: LamTerm, sides: tuple[int, ...]) -> Optional[LamTerm]:
+    """In a loop down to the redex: enter the first reducing side that is an
+    application, and rebuild only the path back up, by each side's index
+    (substitution can make both sides one node)."""
+    path = []
+    while type(m) is App:
+        for i in sides:
+            side = m.arg if i else m.fn
+            if type(side) is App:
+                path.append((m, i))
+                m = side
+                break
+        else:
+            fn = m.fn
+            if type(fn) is not Lam:
+                return None
+            m = lam_subst(fn.body, fn.x, m.arg)
+            for parent, i in reversed(path):
+                m = App(parent.fn, m) if i else App(m, parent.arg)
+            return m
     return None
 
 
@@ -91,19 +88,16 @@ def eval_small(
     order: EvalOrder = EvalOrder.ARGUMENT_FIRST,
     fuel: int = DEFAULT_FUEL,
 ) -> tuple[LamTerm, list[LamTerm]]:
-    """Iterate step_lambda to a normal form; returns it and the full chain."""
-    if fuel > 0:  # with no fuel the run reports exhaustion before any check
-        require_plain(m, "evaluation")
+    """Iterate step_lambda to a normal form, taking at most `fuel` steps;
+    returns it and the full chain."""
+    require_plain(m, "evaluation")  # a step of a plain term is plain
+    sides = _sides(strategy, order)
     chain = [m]
-    strategy, order = Strategy(strategy), EvalOrder(order)
-    cbn = strategy is Strategy.CBN
-    for _ in range(fuel):
-        # a step of a plain term is plain, so the one check above covers all
-        s = _step_cbn(chain[-1]) if cbn else _step_cbv(chain[-1], order)
-        if s is None:
-            return chain[-1], chain
+    while (s := _step(chain[-1], sides)) is not None:
+        if len(chain) > fuel:
+            raise FuelExhausted(f"no normal form within {fuel} steps")
         chain.append(s)
-    raise FuelExhausted(f"no normal form within {fuel} steps")
+    return chain[-1], chain
 
 
 def eval_big(
@@ -117,49 +111,25 @@ def eval_big(
     Agrees with iterating step_lambda, including on stuck open terms.
     """
     require_plain(m, "evaluation")
-    budget = [fuel]
-    strategy, order = Strategy(strategy), EvalOrder(order)
-    if strategy is Strategy.CBN:
-        return _big_cbn(m, budget)
-    return _big_cbv(m, order, budget)
+    return _big(m, _sides(strategy, order), [fuel])
 
 
-def _spend(budget: list[int]) -> None:
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise FuelExhausted("evaluation fuel exhausted")
-
-
-def _big_cbn(m: LamTerm, budget: list[int]) -> tuple[LamTerm, int]:
-    if not isinstance(m, App):
-        return m, 0
-    fn, s1 = _big_cbn(m.fn, budget)
-    if isinstance(fn, Lam):
-        _spend(budget)
-        v, s2 = _big_cbn(lam_subst(fn.body, fn.x, m.arg), budget)
-        return v, s1 + 1 + s2
-    return App(fn, m.arg), s1
-
-
-def _big_cbv(m: LamTerm, order: EvalOrder, budget: list[int]) -> tuple[LamTerm, int]:
-    if not isinstance(m, App):
-        return m, 0
-    if order is EvalOrder.FUNCTION_FIRST:
-        fn, s1 = _big_cbv(m.fn, order, budget)
-        if isinstance(fn, App):
-            return App(fn, m.arg), s1
-        arg, s2 = _big_cbv(m.arg, order, budget)
-        steps = s1 + s2
-    else:
-        arg, s2 = _big_cbv(m.arg, order, budget)
-        if isinstance(arg, App):
-            return App(m.fn, arg), s2
-        fn, s1 = _big_cbv(m.fn, order, budget)
-        steps = s1 + s2
-        if isinstance(fn, App):
+def _big(m: LamTerm, sides: tuple[int, ...], budget: list[int]) -> tuple[LamTerm, int]:
+    """Each reducing side in turn, then the contraction, in a loop."""
+    steps = 0
+    while type(m) is App:
+        parts = [m.fn, m.arg]
+        for i in sides:
+            parts[i], n = _big(parts[i], sides, budget)
+            steps += n
+            if type(parts[i]) is App:
+                return App(*parts), steps
+        fn, arg = parts
+        if type(fn) is not Lam:
             return App(fn, arg), steps
-    if isinstance(fn, Lam) and is_value(arg):
-        _spend(budget)
-        v, s3 = _big_cbv(lam_subst(fn.body, fn.x, arg), order, budget)
-        return v, steps + 1 + s3
-    return App(fn, arg), steps
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise FuelExhausted("evaluation fuel exhausted")
+        m = lam_subst(fn.body, fn.x, arg)
+        steps += 1
+    return m, steps

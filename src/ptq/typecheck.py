@@ -85,6 +85,10 @@ class TypeEnv:
     gamma: tuple[tuple[str, Type], ...] = ()
     anchor: Optional[tuple[str, Type]] = None  # ('k' | 'star', carrier)
 
+    def __post_init__(self):
+        if self.anchor is not None and self.anchor[0] not in ("k", "star"):
+            raise ValueError(f"anchor kind must be 'k' or 'star', not {self.anchor[0]!r}")
+
     def extend(self, name: str, ty: Type) -> "TypeEnv":
         """Bind name, shadowing any outer binding of the same name."""
         return TypeEnv(self.gamma + ((name, ty),), self.anchor)

@@ -352,6 +352,12 @@ class TestEval:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "--fuel" in err
 
+    @pytest.mark.parametrize("fuel, source, nf", [("0", "x", "x"), ("1", r"(\x:X. x) y", "y")])
+    def test_exactly_fuel_steps_suffice(self, capsys, fuel, source, nf):
+        # as `ptq reduce --fuel 0 '* ; y'` prints `* ; y`
+        code, out, err = run(capsys, "eval", "--strategy", "cbn", "--fuel", fuel, source)
+        assert (code, out, err) == (0, nf + "\n", "")
+
     @pytest.mark.parametrize(
         "strategy, source", [("cbn", "[]"), ("cbv", r"(\x:A. x) []")]
     )

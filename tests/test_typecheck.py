@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 import sys
 
 import pytest
@@ -179,6 +180,15 @@ class TestJumpAndComputationRules:
     def test_anchor_refused_for_programs(self):
         with pytest.raises(AnchorMismatch):
             infer_ptq(env("x:A", ("star", A)), parse_term("x"))
+
+    @pytest.mark.parametrize("kind", ["*", "bogus"])
+    def test_unknown_anchor_kind_is_refused(self, kind):
+        # "*" is how judgments print the anchor; read as k, it made
+        # `* ; x` fail with "term uses * but the anchor is k"
+        with pytest.raises(ValueError, match=re.escape(f"not '{kind}'")):
+            env("x:A", (kind, A))
+        with pytest.raises(ValueError):
+            env("x:A").with_anchor(kind, A)
 
 
 class TestJudgmentChecker:
