@@ -6,11 +6,11 @@ uncurried mode additionally produce pairs and pair-pattern abstractions; those
 two constructors never reach the evaluators.
 
 Substitution M[N/x] and hole composition M[N/[]] are one capture-avoiding
-walk, the scheme the calculus terms use (see `ptq.syntax`). Every node caches
-its free names, and a hole counts as the name [], which no variable can be
-spelled as, so a variable and the hole are one kind of target. Hole
-composition plugs N into every hole of M and is associative with [] as
-neutral element.
+walk, the scheme the calculus terms use (see `ptq.syntax`). Each node's
+constructor sets its free names; a hole counts as the name [], which no
+variable can be spelled as, so a variable and the hole are one kind of
+target. Hole composition plugs N into every hole of M and is associative
+with [] as neutral element.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ from typing import Optional, Union
 from .errors import ParseError, PtqError, UncurriedNeedsPairs
 from .syntax import (
     _IDENT_RE,
-    _NO_NAMES,
     _alpha_eq,
+    _bound,
+    _setattr,
+    _union,
     Type,
     TokenStream,
     _parse_type,
@@ -35,83 +37,77 @@ from .syntax import (
 _HOLE_NAME = "[]"
 
 
-class _FreeNames:
-    """The free names of a lambda node, [] for a hole among them, cached as
-    `ptq.syntax._FreeNames` caches those of a calculus term."""
-
-    def __get__(self, node, owner=None) -> frozenset[str]:
-        # the names of a node are the union of at most two sets, a and b
-        cls = type(node)
-        if cls is App:
-            a, b = node.fn._fv, node.arg._fv
-        elif cls is Lam:
-            a, b = node.body._fv, _NO_NAMES
-            if node.x in a:
-                a = a - {node.x}
-        elif cls is Var:
-            a, b = frozenset((node.name,)), _NO_NAMES
-        elif cls is Hole:
-            a, b = frozenset((_HOLE_NAME,)), _NO_NAMES
-        elif cls is PairTerm:
-            a, b = node.fst._fv, node.snd._fv
-        elif cls is PairPatLam:
-            a, b = node.body._fv, _NO_NAMES
-            if node.x in a or node.h in a:
-                a = a - {node.x, node.h}
-        elif node is None:
-            return self
-        else:
-            raise TypeError(f"not a lambda term: {node!r}")
-        # share a child's set when the other child adds nothing
-        fv = a | b if a and b else a or b
-        object.__setattr__(node, "_fv", fv)  # the dataclasses are frozen
-        return fv
-
-
 class _LamNode:
-    """Base of the lambda nodes, with the free-name cache of `ptq.syntax._Node`."""
+    """Base of the lambda nodes. Each keeps its free names, a hole's as [],
+    in `_fv`, set by its constructor as `ptq.syntax._Node`'s are."""
 
-    _fv = _FreeNames()
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Var(_LamNode):
     name: str
 
+    def __init__(self, name: str):
+        _setattr(self, "name", name)
+        _setattr(self, "_fv", frozenset((name,)))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Lam(_LamNode):
     x: str
     xty: Optional[Type]
     body: "LamTerm"
 
+    def __init__(self, x: str, xty: Optional[Type], body: "LamTerm"):
+        _setattr(self, "x", x)
+        _setattr(self, "xty", xty)
+        _setattr(self, "body", body)
+        _setattr(self, "_fv", _bound(body, x, "lambda term"))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class App(_LamNode):
     fn: "LamTerm"
     arg: "LamTerm"
+
+    def __init__(self, fn: "LamTerm", arg: "LamTerm"):
+        _setattr(self, "fn", fn)
+        _setattr(self, "arg", arg)
+        _setattr(self, "_fv", _union(fn, arg, "lambda term"))
 
 
 @dataclass(frozen=True)
 class Hole(_LamNode):
     ty: Optional[Type] = None
+    _fv = frozenset((_HOLE_NAME,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PairTerm(_LamNode):
     """Pair constructor for the uncurried CPS image."""
 
     fst: "LamTerm"
     snd: "LamTerm"
 
+    def __init__(self, fst: "LamTerm", snd: "LamTerm"):
+        _setattr(self, "fst", fst)
+        _setattr(self, "snd", snd)
+        _setattr(self, "_fv", _union(fst, snd, "lambda term"))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class PairPatLam(_LamNode):
     """Pair-pattern abstraction \\(x, h). M for the uncurried CPS image."""
 
     x: str
     h: str
     body: "LamTerm"
+
+    def __init__(self, x: str, h: str, body: "LamTerm"):
+        _setattr(self, "x", x)
+        _setattr(self, "h", h)
+        _setattr(self, "body", body)
+        fv = _bound(body, x, "lambda term")
+        _setattr(self, "_fv", fv - {h} if h in fv else fv)
 
 
 LamTerm = Union[Var, Lam, App, Hole, PairTerm, PairPatLam]
@@ -150,13 +146,13 @@ def plug_hole(m: LamTerm, payload: LamTerm) -> LamTerm:
     return _subst(m, _HOLE_NAME, payload, payload._fv) if _HOLE_NAME in m._fv else m
 
 
-# The walk enters a child only when the target is among the child's cached
+# The walk enters a child only when the target is among the child's stored
 # free names, so an untouched child costs no call and is shared with the input
 # by identity, and only the paths to the occurrences are rebuilt. Every binder
 # it reaches has the target free in its body; it is renamed exactly when its
 # name is free in the payload (fv), to the first fresh name free neither in fv
 # nor in the body, which then includes the target. Both sets are read from the
-# caches, so a rename costs a walk along the renamed name's occurrences only.
+# nodes, so a rename costs a walk along the renamed name's occurrences only.
 
 
 def _subst(t: LamTerm, target: str, payload: LamTerm, fv: frozenset[str]) -> LamTerm:

@@ -27,6 +27,10 @@ the only open position; it never enters a program subterm. Beta and PSubst
 call `_subst_p`, which enters a subterm only when the variable is free in it
 and shares every other subterm with the redex. The sorts of the payloads
 hold by the shape of the redex, so no rule checks them again.
+
+Rules are chosen by identity: `_classify` compares the classes of the redex,
+its test and its proof with `is`, and `_contract` compares the tag with the
+rules' module names (`QAPP`, ...), the most frequent rule first.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .syntax import (
     Star,
     XLam,
     _JSON_FORMAT,
+    _setattr,
     _require_t_closed,
     _subst_k,
     _subst_p,
@@ -65,8 +70,11 @@ class RuleTag(Enum):
 
     @property
     def rule_class(self) -> str:
-        return "beta" if self is RuleTag.BETA else "control"
+        return "beta" if self is BETA else "control"
 
+
+# the rules as module names, so a test `tag is QAPP` reads no class attribute
+KSTAR, KPAIR, BETA, PSUBST, QAPP = RuleTag
 
 DEFAULT_FUEL = 10**6
 
@@ -78,21 +86,17 @@ def classify(u: ETerm) -> Optional[RuleTag]:
 
 
 def _classify(u: ETerm) -> Optional[RuleTag]:
-    match u:
-        case QApp():
-            return RuleTag.QAPP
-        case PApp(test, proof):
-            match test:
-                case XLam():
-                    return RuleTag.PSUBST
-                case Star():
-                    return RuleTag.KSTAR if isinstance(proof, KLam) else None
-                case Pair():
-                    if isinstance(proof, KLam):
-                        return RuleTag.KPAIR
-                    if isinstance(proof, PairLam):
-                        return RuleTag.BETA
-                    return None
+    cls = type(u)
+    if cls is QApp:
+        return QAPP
+    if cls is PApp:
+        test, proof = type(u.test), type(u.proof)
+        if test is XLam:
+            return PSUBST
+        if test is Pair:
+            return KPAIR if proof is KLam else BETA if proof is PairLam else None
+        if test is Star:
+            return KSTAR if proof is KLam else None
     raise TypeError(f"not a computation: {u!r}")
 
 
@@ -104,29 +108,32 @@ def step(u: ETerm) -> Optional[tuple[ETerm, RuleTag]]:
 
 def _contract(u: ETerm, tag: RuleTag) -> ETerm:
     # a k payload is the redex's own test, t-closed because u is; a p payload
-    # is a program term by the sort of the redex
-    match tag:
-        case RuleTag.KSTAR:
-            return _subst_k(u.proof.body, STAR)
-        case RuleTag.KPAIR:
-            return _subst_k(u.proof.body, u.test)
-        case RuleTag.BETA:
-            lam: PairLam = u.proof
-            return _subst_k(_subst_x(lam.body, lam.x, u.test.fst), u.test.snd)
-        case RuleTag.PSUBST:
-            return _subst_x(u.test.body, u.test.x, u.proof)
-        case RuleTag.QAPP:
-            return _subst_k(u.fn.body, u.test)
+    # is a program term by the sort of the redex; QApp runs most often
+    if tag is QAPP:
+        return _subst_k(u.fn.body, u.test)
+    if tag is PSUBST:
+        return _subst_x(u.test.body, u.test.x, u.proof)
+    if tag is BETA:
+        lam: PairLam = u.proof
+        return _subst_k(_subst_x(lam.body, lam.x, u.test.fst), u.test.snd)
+    if tag is KSTAR:
+        return _subst_k(u.proof.body, STAR)
+    if tag is KPAIR:
+        return _subst_k(u.proof.body, u.test)
 
 
 def _subst_x(body: ETerm, x: str, payload: PTerm) -> ETerm:
     return _subst_p(body, x, payload) if x in body._fv else body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TraceStep:
     rule: RuleTag
     term: ETerm
+
+    def __init__(self, rule: RuleTag, term: ETerm):
+        _setattr(self, "rule", rule)
+        _setattr(self, "term", term)
 
 
 @dataclass(frozen=True)
@@ -192,7 +199,7 @@ def control_prefix(u: ETerm, fuel: int = DEFAULT_FUEL) -> tuple[ETerm, int]:
     """Apply control rules only, stopping at the first Beta redex or normal
     form. Returns the reached term and the number of control steps."""
     for n, (current, tag) in enumerate(_run(u, fuel)):
-        if tag is None or tag is RuleTag.BETA or n >= fuel:
+        if tag is None or tag is BETA or n >= fuel:
             return current, n
 
 

@@ -67,50 +67,42 @@ def type_str(ty: Type) -> str:
 
 _NO_NAMES: frozenset[str] = frozenset()
 
+_setattr = object.__setattr__  # the dataclasses are frozen
 
-class _FreeNames:
-    """The free program names of a term node, computed on first access and
-    stored as an instance attribute of the same name, which shadows this
-    non-data descriptor from then on. This is `functools.cached_property`
-    without its lock and its second frame: filling a deep term recurses one
-    frame per level, as a substitution does."""
 
-    def __get__(self, node, owner=None) -> frozenset[str]:
-        # the names of a node are the union of at most two sets, a and b
-        cls = type(node)
-        if cls is PApp:
-            a, b = node.test._fv, node.proof._fv
-        elif cls is QApp:
-            a, b = node.fn._fv, node.test._fv
-        elif cls is Pair:
-            a, b = node.fst._fv, node.snd._fv
-        elif cls is QLam or cls is KLam:
-            a, b = node.body._fv, _NO_NAMES
-        elif cls is XLam or cls is PairLam:
-            a, b = node.body._fv, _NO_NAMES
-            if node.x in a:
-                a = a - {node.x}
-        elif cls is PVar:
-            a, b = frozenset((node.name,)), _NO_NAMES
-        elif cls is KVar or cls is Star:
-            a = b = _NO_NAMES
-        elif node is None:
-            return self
-        else:
-            raise TypeError(f"not a term: {node!r}")
-        # share a child's set when the other child adds nothing
-        fv = a | b if a and b else a or b
-        object.__setattr__(node, "_fv", fv)  # the dataclasses are frozen
-        return fv
+def _names(child, what: str = "term") -> frozenset[str]:
+    """The free names of a child, which must be a term node."""
+    try:
+        return child._fv
+    except AttributeError:
+        raise TypeError(f"not a {what}: {child!r}") from None
+
+
+def _bound(body, x: str, what: str = "term") -> frozenset[str]:
+    """The free names of a binder over x: its body's without x."""
+    fv = _names(body, what)
+    return fv - {x} if x in fv else fv
+
+
+def _union(a, b, what: str = "term") -> frozenset[str]:
+    """The free names of two children, sharing one child's set when it holds
+    the other's."""
+    try:
+        fa, fb = a._fv, b._fv
+    except AttributeError:
+        fa, fb = _names(a, what), _names(b, what)  # raises for a non-term
+    return fb if fa <= fb else fa if fb <= fa else fa | fb
 
 
 class _Node:
     """Base of the term nodes. A node is immutable, so a fact that depends
-    on the node alone is computed once and kept on it, as an instance
-    attribute outside the dataclass fields, so equality, hashing, printing
-    and `dataclasses.fields` never see it:
+    on the node alone is kept on it, as an instance attribute outside the
+    dataclass fields, so equality, hashing, printing and
+    `dataclasses.fields` never see it:
 
-      _fv     its free program names (every node)
+      _fv     its free program names (every node), set by its constructor
+              from those of its children, which are built first, so no
+              read of it walks the term; `Star` and `KVar` share one empty set
       _type   its type, once typed (kept by `typecheck._kept`, and
               returned as it is by `typecheck._infer_p`/`_infer_q` whatever
               their scope; closed program and jump nodes only, which bind
@@ -118,19 +110,23 @@ class _Node:
       _image  its readback image, once read back (`readback`; program and
               jump nodes only, which bind every test position they hold)
 
-    A failure is never kept, so a node that fails a check fails it again."""
+    The other two are kept on demand. A failure is never kept, so a node
+    that fails a check fails it again."""
 
-    _fv = _FreeNames()
     _type = None
     _image = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PVar(_Node):
     name: str
 
+    def __init__(self, name: str):
+        _setattr(self, "name", name)
+        _setattr(self, "_fv", frozenset((name,)))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class PairLam(_Node):
     """Program abstraction \\(x:A, k:B). u over an argument and a test."""
 
@@ -139,32 +135,49 @@ class PairLam(_Node):
     kty: Optional[Type]
     body: "ETerm"
 
+    def __init__(self, x: str, xty: Optional[Type], kty: Optional[Type], body: "ETerm"):
+        _setattr(self, "x", x)
+        _setattr(self, "xty", xty)
+        _setattr(self, "kty", kty)
+        _setattr(self, "body", body)
+        _setattr(self, "_fv", _bound(body, x))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class KLam(_Node):
     """Program abstraction \\k:A. u over the test alone."""
 
     kty: Optional[Type]
     body: "ETerm"
 
+    def __init__(self, kty: Optional[Type], body: "ETerm"):
+        _setattr(self, "kty", kty)
+        _setattr(self, "body", body)
+        _setattr(self, "_fv", _names(body))
+
 
 @dataclass(frozen=True)
 class Star(_Node):
-    pass
+    _fv = _NO_NAMES
 
 
 @dataclass(frozen=True)
 class KVar(_Node):
-    pass
+    _fv = _NO_NAMES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pair(_Node):
     fst: "PTerm"
     snd: "TTerm"
 
+    def __init__(self, fst: "PTerm", snd: "TTerm"):
+        _setattr(self, "fst", fst)
+        _setattr(self, "snd", snd)
+        _setattr(self, "_fv", _union(fst, snd))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class XLam(_Node):
     """Test abstraction \\x:A. u binding a program variable."""
 
@@ -172,29 +185,50 @@ class XLam(_Node):
     xty: Optional[Type]
     body: "ETerm"
 
+    def __init__(self, x: str, xty: Optional[Type], body: "ETerm"):
+        _setattr(self, "x", x)
+        _setattr(self, "xty", xty)
+        _setattr(self, "body", body)
+        _setattr(self, "_fv", _bound(body, x))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class QLam(_Node):
     """Jump abstraction %k:A. u; applied to a test it resumes its body."""
 
     kty: Optional[Type]
     body: "ETerm"
 
+    def __init__(self, kty: Optional[Type], body: "ETerm"):
+        _setattr(self, "kty", kty)
+        _setattr(self, "body", body)
+        _setattr(self, "_fv", _names(body))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class PApp(_Node):
     """Computation t ; p feeding the program p to the test t."""
 
     test: "TTerm"
     proof: "PTerm"
 
+    def __init__(self, test: "TTerm", proof: "PTerm"):
+        _setattr(self, "test", test)
+        _setattr(self, "proof", proof)
+        _setattr(self, "_fv", _union(test, proof))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class QApp(_Node):
     """Computation q ! t resuming the jump q with the test t."""
 
     fn: QLam
     test: "TTerm"
+
+    def __init__(self, fn: QLam, test: "TTerm"):
+        _setattr(self, "fn", fn)
+        _setattr(self, "test", test)
+        _setattr(self, "_fv", _union(fn, test))
 
 
 PTerm = Union[PVar, PairLam, KLam]
@@ -299,7 +333,7 @@ def is_t_closed(term: Term) -> bool:
 # puts back), so k-binders never capture anything and only program binders
 # need freshening. Lambda terms use the same scheme (`ptq.lam`).
 #
-# p kernel (`_subst_p`). Every node caches its free program names
+# p kernel (`_subst_p`). Every node's constructor sets its free program names
 # (`_Node._fv`), and the kernel enters a child only when x is free in it, so
 # an untouched child costs no call and is shared with the input by identity.
 # New nodes are built only along the paths to the occurrences of x,
@@ -316,11 +350,12 @@ def is_t_closed(term: Term) -> bool:
 # at the end of the spine; one under a k-binder, which only an anchor-ill-typed
 # term holds, stays. Binders on the spine are renamed as the payload requires,
 # also when the spine ends elsewhere. The loop uses no stack depth; renaming a
-# binder still reads the free names of its body and walks it with `_subst_p`.
+# binder reads the free names its body was built with, and walks the body
+# with `_subst_p` only when the old name occurs in it.
 #
 # A binder that would capture a free name of the payload is renamed by
 # `fresh_name` against the free names of payload and body, both read from the
-# caches, so the same input always gets the same names. The new name is never
+# nodes, so the same input always gets the same names. The new name is never
 # the p kernel's target x: the kernel reaches a binder only when x is free in
 # its body, so avoiding the body's names avoids x.
 
@@ -507,7 +542,7 @@ def _alpha_eq(a, b, children: dict, binds: dict) -> bool:
     shadowed; a free name maps to itself, which no number equals.
 
     A pair of one node with itself is passed over without entering it when
-    each of its cached free names (`_fv`) maps alike on both sides: the walk
+    each of its stored free names (`_fv`) maps alike on both sides: the walk
     below it could only find those names, the same node under the same
     binders. Terms that share nodes, such as neighbouring states of a machine
     run and their readbacks, then cost a walk of what they do not share.

@@ -137,18 +137,19 @@ def test_k_target_renames_along_the_spine():
 DEPTH = 10_000
 
 
-def deep_spine(end, innermost_binder):
+def deep_spine(end, innermost_binder, outer_binder="w"):
     """A test term whose spine runs DEPTH nodes through Pair, PApp, XLam and
-    QApp to `end`; built in a loop, since a recursive builder would need a
-    stack as deep as the term."""
+    QApp to `end`, every binder but the innermost named `outer_binder`;
+    built in a loop, since a recursive builder would need a stack as deep as
+    the term."""
     jump = QLam(A, PApp(K, PVar("z")))
     node = end
     for i in range(DEPTH // 5):
         node = Pair(PVar("x"), node)
         node = PApp(node, PVar("y"))
-        node = XLam(innermost_binder if i == 0 else "w", A, node)
+        node = XLam(innermost_binder if i == 0 else outer_binder, A, node)
         node = QApp(jump, node)
-        node = XLam("w", A, node)
+        node = XLam(outer_binder, A, node)
     return node
 
 
@@ -161,6 +162,14 @@ def test_k_target_through_a_spine_deeper_than_the_stack():
     assert term_str(out) == term_str(deep_spine(payload, "v_1"))
     with pytest.raises(RecursionError):
         reference_subst(term, ("k",), payload)
+
+
+def test_k_target_renames_every_outer_binder_of_a_deep_spine():
+    # every \w on the spine, the outermost first, would capture the
+    # payload's w; each body's free names are read from the node, not walked
+    payload = Pair(PVar("w"), STAR)
+    out = subst_k(deep_spine(K, "v"), payload)
+    assert term_str(out) == term_str(deep_spine(payload, "v", "w_1"))
 
 
 def test_star_target_through_a_spine_deeper_than_the_stack():

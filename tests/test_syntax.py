@@ -49,9 +49,32 @@ from ptq import (
     term_str,
     type_str,
 )
-from ptq.lam import lam_free_vars
+from ptq.lam import Hole, lam_free_vars
 from ptq.syntax import fresh_name
-from test_substitution import DEPTH, deep_spine
+from test_substitution import DEPTH, deep_spine, reference_lam_free_vars
+
+
+def subterms(term, children):
+    """Every node of term, each shared node once per occurrence."""
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(children[type(node)](node))
+
+
+def reference_free_pvars(t):
+    """The free program names by the recursive definition."""
+    match t:
+        case PVar(name):
+            return frozenset((name,))
+        case XLam(x, _, body) | PairLam(x, _, _, body):
+            return reference_free_pvars(body) - {x}
+        case KLam(_, body) | QLam(_, body):
+            return reference_free_pvars(body)
+        case Pair(a, b) | PApp(a, b) | QApp(a, b):
+            return reference_free_pvars(a) | reference_free_pvars(b)
+    return frozenset()
 
 A = Base("A")
 B = Base("B")
@@ -107,12 +130,14 @@ class TestFreeVars:
         assert free_pvars(T(r"(\x:A. * ; x) ; x")) == {"x"}
 
     def test_cache_is_not_a_field(self):
-        # a node caches its free names, but equality, hashing, printing and
-        # the dataclass fields look only at the term
+        # a node keeps its free names from construction, but equality,
+        # hashing, printing and the dataclass fields look only at the term
         text = r"<\(x:A, k:A). k ; y, *> ; z"
         cached, fresh = T(text), T(text)
         assert free_pvars(cached) == {"y", "z"}
-        assert "_fv" in vars(cached) and "_fv" not in vars(fresh)
+        for node in subterms(fresh, ptq.syntax._CHILDREN):
+            assert node._fv == reference_free_pvars(node)
+            assert ("_fv" in vars(node)) == (type(node) not in (Star, KVar))
         assert cached == fresh and hash(cached) == hash(fresh)
         assert repr(cached) == repr(fresh)
         assert [f.name for f in dataclasses.fields(cached)] == ["test", "proof"]
@@ -121,10 +146,36 @@ class TestFreeVars:
         text = r"\(x, h). h (\y. [] y z) x"
         cached, fresh = parse_lam(text), parse_lam(text)
         assert lam_free_vars(cached) == {"z"}
-        assert "_fv" in vars(cached) and "_fv" not in vars(fresh)
+        for node in subterms(fresh, ptq.lam._CHILDREN):
+            assert lam_free_vars(node) == reference_lam_free_vars(node)
+            assert ("_fv" in vars(node)) == (type(node) is not Hole)
         assert cached == fresh and hash(cached) == hash(fresh)
         assert repr(cached) == repr(fresh)
         assert [f.name for f in dataclasses.fields(cached)] == ["x", "h", "body"]
+
+    def test_free_names_of_a_term_deeper_than_the_stack(self):
+        node = PApp(STAR, PVar("x"))
+        for i in range(DEPTH):
+            node = PApp(XLam(f"y{i}", A, node), PVar("x"))
+        assert free_pvars(node) == {"x"}
+
+    def test_lam_free_names_of_a_spine_deeper_than_the_stack(self):
+        node = Var("x")
+        for i in range(DEPTH):
+            node = App(node, Var(f"y{i % 3}"))
+        assert lam_free_vars(node) == {"x", "y0", "y1", "y2"}
+
+    def test_a_child_that_is_not_a_term(self):
+        with pytest.raises(TypeError, match=r"^not a term: 'y'$"):
+            PApp(STAR, "y")
+        with pytest.raises(TypeError, match=r"^not a term: None$"):
+            XLam("x", A, None)
+
+    def test_a_child_that_is_not_a_lambda_term(self):
+        with pytest.raises(TypeError, match=r"^not a lambda term: 'y'$"):
+            App(Var("x"), "y")
+        with pytest.raises(TypeError, match=r"^not a lambda term: 3$"):
+            PairPatLam("x", "h", 3)
 
 
 class TestSubstitution:
