@@ -44,7 +44,7 @@ from .measure import control_length
 from .readback import readback
 from .syntax import Arrow, Base, ETerm, PApp, QApp, STAR, Type, alpha_eq, term_str
 from .translate import _translate, ptq_translate, ptq_translate_e
-from .typecheck import LamEnv, TypeEnv, infer_lambda_box, infer_ptq
+from .typecheck import LamEnv, PtqType, TypeEnv, infer_lambda_box, infer_ptq
 
 ORACLE_FUEL = 10**4
 MACHINE_FUEL = 10**6
@@ -337,11 +337,11 @@ def check_typing(
     value), and its e-image checks under the * anchor at A."""
     report = PropertyReport("typing", size, seed, lam_str(m), True)
     ty = infer_lambda_box(LamEnv((), None), m)  # the reference, apart from the walk
-    want_role = "p" if Strategy(strategy) is Strategy.CBN else "q"
+    want = PtqType("p" if Strategy(strategy) is Strategy.CBN else "q", ty)
     try:
         got = infer_ptq(TypeEnv((), None), ptq_translate(m, strategy))
-        if got.role != want_role or got.carrier != ty:
-            report.fail(f"translation checked at {got}, wanted {want_role}{ty}")
+        if got != want:
+            report.fail(f"translation checked at {got}, wanted {want}")
     except PtqError as exc:
         report.fail(f"translation failed to check: {exc}")
     try:

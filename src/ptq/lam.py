@@ -27,6 +27,7 @@ from .syntax import (
     _union,
     Type,
     TokenStream,
+    _parse_opt_ann,
     _parse_type,
     fresh_name,
     tokenize,
@@ -315,14 +316,9 @@ def lam_str(m: LamTerm) -> str:
 
 
 def parse_lam(text: str) -> LamTerm:
-    return _parse_lam_to_end(TokenStream(tokenize(text)))
-
-
-def _parse_lam_to_end(ts: TokenStream) -> LamTerm:
-    """A lambda term that takes up the rest of ts."""
+    ts = TokenStream(tokenize(text))
     term = _parse_lam(ts)
-    if not ts.done():
-        raise ParseError(f"trailing input after term: {ts.peek()!r}")
+    ts.end("term")
     return term
 
 
@@ -353,11 +349,8 @@ def _parse_lam_ident(ts: TokenStream) -> str:
 
 
 def _parse_lam_atom(ts: TokenStream) -> LamTerm:
-    tok = ts.peek()
-    if tok is None:
-        raise ParseError("unexpected end of input")
+    tok = ts.next()
     if tok == "(":
-        ts.next()
         term = _parse_lam(ts)
         if ts.peek() == ":" and isinstance(term, Hole):
             ts.next()
@@ -370,11 +363,9 @@ def _parse_lam_atom(ts: TokenStream) -> LamTerm:
         ts.expect(")")
         return term
     if tok == "[":
-        ts.next()
         ts.expect("]")
         return HOLE
     if tok == "\\":
-        ts.next()
         if ts.peek() == "(":
             ts.next()
             x = _parse_lam_ident(ts)
@@ -384,13 +375,9 @@ def _parse_lam_atom(ts: TokenStream) -> LamTerm:
             ts.expect(".")
             return PairPatLam(x, h, _parse_lam(ts))
         x = _parse_lam_ident(ts)
-        xty = None
-        if ts.peek() == ":":
-            ts.next()
-            xty = _parse_type(ts, allow_o=True)
+        xty = _parse_opt_ann(ts, allow_o=True)
         ts.expect(".")
         return Lam(x, xty, _parse_lam(ts))
-    ts.next()
     if _is_var(tok):
         return Var(tok)
     raise ParseError(f"unexpected token {tok!r}")

@@ -99,7 +99,7 @@ def _measure(term: Term, sigma: Mapping[str, int]):
         case XLam(x, _, body):
             return lambda f: lambda n: _measure(body, _extend(sigma, x, n))(f)
         case QLam(_, body):
-            return lambda f: _measure(body, sigma)(f)
+            return _measure(body, sigma)
         case PApp(test, proof):
             tden = _measure(test, sigma)
             pden = _measure(proof, sigma)

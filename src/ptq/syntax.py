@@ -746,8 +746,11 @@ class TokenStream:
         if got != tok:
             raise ParseError(f"expected {tok!r}, got {got!r}")
 
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
+    def end(self, what: str) -> None:
+        """Raise unless every token has been read; what names the phrase
+        that was read."""
+        if self.pos < len(self.tokens):
+            raise ParseError(f"trailing input after {what}: {self.tokens[self.pos]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +760,7 @@ class TokenStream:
 def parse_type(text: str, *, allow_o: bool = False) -> Type:
     ts = TokenStream(tokenize(text))
     ty = _parse_type(ts, allow_o)
-    if not ts.done():
-        raise ParseError(f"trailing input after type: {ts.peek()!r}")
+    ts.end("type")
     return ty
 
 
@@ -792,8 +794,7 @@ def _parse_type_atom(ts: TokenStream, allow_o: bool) -> Type:
 def parse_term(text: str) -> Term:
     ts = TokenStream(tokenize(text))
     term = _parse_term(ts)
-    if not ts.done():
-        raise ParseError(f"trailing input after term: {ts.peek()!r}")
+    ts.end("term")
     return term
 
 
@@ -828,10 +829,10 @@ def _parse_ident(ts: TokenStream) -> str:
     return tok
 
 
-def _parse_opt_ann(ts: TokenStream) -> Optional[Type]:
+def _parse_opt_ann(ts: TokenStream, allow_o: bool = False) -> Optional[Type]:
     if ts.peek() == ":":
         ts.pos += 1
-        return _parse_type(ts, allow_o=False)
+        return _parse_type(ts, allow_o)
     return None
 
 
@@ -844,10 +845,7 @@ def _parse_body(ts: TokenStream) -> ETerm:
 
 
 def _parse_operand(ts: TokenStream) -> Term:
-    tok = ts.peek()
-    if tok is None:
-        raise ParseError("unexpected end of input")
-    ts.pos += 1  # the cases below start after tok
+    tok = ts.next()
     if tok == "(":
         term = _parse_term(ts)
         ts.expect(")")

@@ -29,7 +29,7 @@ from .errors import (
     UnboundVariable,
     UncurriedNeedsPairs,
 )
-from .lam import App, Hole, Lam, LamTerm, Var, _is_var, _parse_lam_to_end, lam_str
+from .lam import App, Hole, Lam, LamTerm, Var, _is_var, _parse_lam, lam_str
 from .syntax import (
     Arrow,
     Base,
@@ -260,51 +260,42 @@ class LamEnv:
     vars: tuple[tuple[str, Type], ...] = ()
     hole: Optional[Type] = None
 
-    def lookup(self, name: str) -> Type:
-        for x, ty in reversed(self.vars):
-            if x == name:
-                return ty
-        raise UnboundVariable(name)
-
-    def extend(self, name: str, ty: Type) -> "LamEnv":
-        return LamEnv(self.vars + ((name, ty),), self.hole)
-
 
 def infer_lambda_box(env: LamEnv, m: LamTerm) -> Type:
     """Simply typed inference; every hole occurrence must share one type."""
-    seen: list[Optional[Type]] = [env.hole]
+    return _infer_lam(dict(env.vars), [env.hole], m)
 
-    def go(env: LamEnv, m: LamTerm) -> Type:
-        match m:
-            case Var(name):
-                return env.lookup(name)
-            case Lam(x, xty, body):
-                a = _need(xty, f"\\{x}")
-                return Arrow(a, go(env.extend(x, a), body))
-            case App(fn, arg):
-                fty = go(env, fn)
-                aty = go(env, arg)
-                if not isinstance(fty, Arrow):
-                    raise TypeClash(f"{type_str(fty)} is not a function type")
-                if fty.dom != aty:
-                    raise TypeClash(
-                        f"argument {type_str(aty)} against {type_str(fty.dom)}"
-                    )
-                return fty.cod
-            case Hole(ty):
-                want = ty if ty is not None else seen[0]
-                if want is None:
-                    raise MissingAnnotation("hole type undeclared")
-                if seen[0] is not None and want != seen[0]:
-                    raise HoleTypeClash(
-                        f"{type_str(want)} against {type_str(seen[0])}"
-                    )
-                seen[0] = want
-                return want
-            case _:
-                raise UncurriedNeedsPairs("pairs have no type translation here")
 
-    return go(env, m)
+def _infer_lam(scope: dict, hole: list, m: LamTerm) -> Type:
+    """The walk of `infer_lambda_box`, over a scope as `_infer_p`'s; hole is
+    the one cell that holds the type all holes share, once one declares it."""
+    cls = type(m)
+    if cls is Var:
+        try:
+            return scope[m.name]
+        except KeyError:
+            raise UnboundVariable(m.name) from None
+    if cls is Lam:
+        a = _need(m.xty, f"\\{m.x}")
+        return Arrow(a, _infer_lam({**scope, m.x: a}, hole, m.body))
+    if cls is App:
+        fty = _infer_lam(scope, hole, m.fn)
+        aty = _infer_lam(scope, hole, m.arg)
+        if type(fty) is not Arrow:
+            raise TypeClash(f"{type_str(fty)} is not a function type")
+        if fty.dom != aty:
+            raise TypeClash(f"argument {type_str(aty)} against {type_str(fty.dom)}")
+        return fty.cod
+    if cls is Hole:
+        seen = hole[0]
+        want = m.ty if m.ty is not None else seen
+        if want is None:
+            raise MissingAnnotation("hole type undeclared")
+        if seen is not None and want != seen:
+            raise HoleTypeClash(f"{type_str(want)} against {type_str(seen)}")
+        hole[0] = want
+        return want
+    raise UncurriedNeedsPairs("pairs have no type translation here")
 
 
 @dataclass(frozen=True)
@@ -403,8 +394,7 @@ def parse_judgment(text: str) -> Judgment:
     if ts.peek() == ":":
         ts.next()
         claimed = _parse_ptq_type(ts)
-    if not ts.done():
-        raise ParseError(f"trailing input after judgment: {ts.peek()!r}")
+    ts.end("judgment")
     if claimed is None and sort_of(subject) != "e":
         raise ParseError("missing claimed type")
     if claimed is not None and sort_of(subject) == "e":
@@ -442,9 +432,10 @@ def parse_lam_judgment(text: str) -> LamJudgment:
         split = len(rest) - 1 - rest[::-1].index(":")
     except ValueError:
         raise ParseError("missing claimed type") from None
-    subject = _parse_lam_to_end(TokenStream(rest[:split]))
-    ty_ts = TokenStream(rest[split + 1 :])
-    ty = _parse_type(ty_ts, allow_o=True)
-    if not ty_ts.done():
-        raise ParseError(f"trailing input after judgment: {ty_ts.peek()!r}")
+    ts = TokenStream(rest[:split])
+    subject = _parse_lam(ts)
+    ts.end("term")
+    ts = TokenStream(rest[split + 1 :])
+    ty = _parse_type(ts, allow_o=True)
+    ts.end("judgment")
     return LamJudgment(LamEnv(tuple(vars_), hole), subject, ty)

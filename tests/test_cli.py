@@ -1,5 +1,6 @@
 """The command line front end: output shapes and exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ptq
+import ptq.harness
 import ptq.machine
 from ptq import cli
 from ptq.cli import build_parser, main
@@ -43,6 +45,30 @@ class TestParse:
         f.write_text(r"\x:A. x")
         code, out, _ = run(capsys, "parse", "--file", str(f))
         assert code == 0 and out.strip() == r"\x:A. x"
+
+    def test_dash_reads_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("*;y\n"))
+        code, out, _ = run(capsys, "parse", "-")
+        assert code == 0 and out == "* ; y\n"
+
+    @pytest.mark.parametrize(
+        "name, text, printed",
+        [
+            ("t.ptq", "<x,*>", "<x, *>"),
+            ("t.jdg", "x:pX|-x:pX", "x:pX |- x : pX"),
+        ],
+    )
+    def test_file_extension_picks_the_reader(self, capsys, tmp_path, name, text, printed):
+        f = tmp_path / name
+        f.write_text(text)
+        code, out, _ = run(capsys, "parse", "--file", str(f))
+        assert code == 0 and out == printed + "\n"
+
+    def test_jdg_file_is_read_back_as_a_judgment(self, capsys, tmp_path):
+        f = tmp_path / "t.jdg"
+        f.write_text("x:pX |- x : pX")
+        code, out, _ = run(capsys, "readback", "--file", str(f))
+        assert code == 0 and out == "x:X |- x : X\n"
 
 
 class TestTypecheck:
@@ -127,6 +153,11 @@ class TestTranslate:
         code, out, err = run(capsys, "translate", "--strategy", "cbv", "--env", env, "x")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "does not name a variable" in err
+
+    def test_env_entry_needs_a_type(self, capsys):
+        code, out, err = run(capsys, "translate", "--strategy", "cbv", "--env", "x", "x")
+        assert (code, out) == (1, "")
+        assert err == "error: environment entry 'x' is missing a type\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -330,6 +361,10 @@ class TestMeasure:
         code, out, _ = run(capsys, "measure", r"\(x:A, k:A). k ; x")
         assert code == 0 and out.strip() == "measure 0"
 
+    def test_t_term(self, capsys):
+        code, out, _ = run(capsys, "measure", "<x, *>")
+        assert code == 0 and out == "measure 0\n"
+
 
 class TestEval:
     def test_plain(self, capsys):
@@ -385,6 +420,20 @@ class TestVerify:
         )
         doc = json.loads(out)
         assert code == 0 and doc["readback"]["ok"] is True
+
+    def test_failure_is_exit_1(self, capsys, monkeypatch):
+        def planted(m, strategy, size, seed):
+            report = ptq.harness.PropertyReport("typing", size, seed, ptq.lam_str(m), True)
+            report.fail("planted")
+            return report
+
+        monkeypatch.setitem(ptq.harness.CHECKS, "typing", planted)
+        code, out, _ = run(
+            capsys, "verify", "--property", "typing", "--count", "3", "--max-size", "0",
+        )
+        m, _ = ptq.harness.gen_typed_term(0, 0)
+        assert code == 1
+        assert out == f"FAIL typing: 6/6 instances; first: {ptq.lam_str(m)} (size 0, seed 0): planted\n"
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_count_below_one_is_rejected(self, capsys, count):

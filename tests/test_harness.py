@@ -12,6 +12,8 @@ import pytest
 import ptq.harness
 import ptq.typecheck
 from ptq import (
+    Arrow,
+    Base,
     KLam,
     LamEnv,
     PairLam,
@@ -19,6 +21,7 @@ from ptq import (
     QLam,
     Strategy,
     TypeEnv,
+    control_length,
     infer_lambda_box,
     infer_ptq,
     lam_alpha_eq,
@@ -27,6 +30,7 @@ from ptq import (
     parse_term,
     readback,
     term_str,
+    Var,
 )
 from ptq.errors import MissingAnnotation
 from ptq.harness import (
@@ -190,6 +194,48 @@ class TestFaultInjection:
             if not check_completeness(m, Strategy.CBN).ok:
                 return
         pytest.fail("no instance exercised the disabled rule")
+
+
+
+# one instance whose runs take a few steps of every rule class
+PLANTED_IN, _ = gen_typed_term(3, 1)
+
+
+def _planted(prop, name, value, kinds, message):
+    return pytest.param(prop, name, value, kinds, message, id=f"{prop}-{name}")
+
+
+@pytest.mark.parametrize(
+    "prop, name, value, kinds, message",
+    [
+        _planted("measure", "control_length", lambda u: control_length(u) + 1,
+                 {"outcome"}, r"control_length says 8, machine took 7 control steps"),
+        _planted("readback", "readback", lambda t: Var("z"),
+                 {"outcome"}, r"term translation reads back to z$"),
+        _planted("soundness", "readback", lambda t: Var("z"), {"rb-soundness", "outcome"},
+                 r"Beta step is not one beta step on readbacks: z to z$"),
+        _planted("sim-beta", "readback", lambda t: Var("z"), {"rb-soundness", "outcome"},
+                 r"Beta step is not one beta step on readbacks: z to z$"),
+        _planted("simulation", "step_lambda", lambda m, strategy: None,
+                 {"outcome"}, r".* should be machine-normal$"),
+        _planted("completeness", "ptq_translate_e",
+                 lambda m, strategy: _start_term(PLANTED_IN, strategy)[0],
+                 {"outcome"}, r"machine run went past \(%k"),
+        _planted("completeness", "MACHINE_FUEL", 2,
+                 {"fuel", "outcome"}, r"machine fuel exhausted after 2 steps$"),
+        _planted("typing", "infer_lambda_box", lambda env, m: Arrow(Base("Y"), Base("Y")),
+                 {"outcome"},
+                 r"translation checked at q\(\(X -> X\) -> X -> X\), wanted q\(Y -> Y\)$"),
+    ],
+)
+def test_failure_report(monkeypatch, prop, name, value, kinds, message):
+    """Each property reports a fault planted in a harness name it calls:
+    the kinds of its failures, and the start of the first one."""
+    monkeypatch.setattr(ptq.harness, name, value)
+    report = CHECKS[prop](PLANTED_IN, Strategy.CBV, 3, 1)
+    assert not report.ok
+    assert set(report.kinds) == kinds
+    assert re.match(message, report.failures[0]), report.failures[0]
 
 
 class TestOneRunPerCheck:

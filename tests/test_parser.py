@@ -223,6 +223,50 @@ class TestJudgments:
             parse_judgment("x:pA |> *:tA |- (* ; x) : pA")
 
 
+class TestFrontEndErrors:
+    """The messages of the readers' rejections that no other test raises,
+    each at the reader that finds it first."""
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_term, "(* ; x, y)", "expected ')', got ','"),
+            (parse_type, "A B", "trailing input after type: 'B'"),
+            (parse_term, r"\X. * ; x", "expected an identifier, got 'X'"),
+            (parse_term, r"\x. *", "binder body must be a computation"),
+            (
+                parse_term,
+                r"\(x:A, y:B). * ; x",
+                "second component of a pair binder must be k",
+            ),
+            (parse_lam, "x (", "unexpected end of input"),
+            (parse_lam, r"\x. ;", "unexpected token ';'"),
+            (parse_judgment, "x:pa |- x : pA", "bad base type 'a'"),
+            (parse_judgment, "|> x:tA |- * : tA", "anchor must be k or *, got 'x'"),
+            (parse_judgment, "|- x", "missing claimed type"),
+            (parse_lam_judgment, "|- x", "missing claimed type"),
+        ],
+    )
+    def test_parse_error(self, parse, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert type(exc.value) is ParseError and str(exc.value) == message
+
+    def test_environment_binding_role(self):
+        from ptq import RoleMismatch
+
+        with pytest.raises(RoleMismatch) as exc:
+            parse_judgment("x:tA |- x : pA")
+        assert str(exc.value) == "environment bindings carry role p"
+
+    def test_hole_declared_twice(self):
+        from ptq import HoleTypeClash
+
+        with pytest.raises(HoleTypeClash) as exc:
+            parse_lam_judgment("[]:A, []:B |- [] : A")
+        assert str(exc.value) == "hole type declared twice"
+
+
 class TestTraceJson:
     def test_round_trip(self):
         from ptq import normalize, trace_from_json, trace_to_json

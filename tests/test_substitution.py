@@ -290,3 +290,11 @@ def test_lam_subst_same_as_reference(m, p):
             out = plug_hole(m, q) if x is HOLE else lam_subst(m, x, q)
             assert out == reference_lam_subst(m, x, q, reference_lam_free_vars(q))
             assert_lam_shares_untouched(m, out, x)
+
+
+def test_lam_subst_into_a_pair():
+    # the generated terms hold no pair constructor, so this is the walk's
+    # one pass through a PairTerm: both components are substituted, and the
+    # pair binder under it is renamed away from the payload
+    m = ptq.lam.parse_lam(r"(y, \(x, z). y z)")
+    assert ptq.lam.lam_str(lam_subst(m, "y", Var("z"))) == r"(z, \(x, z_1). z z_1)"

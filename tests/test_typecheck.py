@@ -48,7 +48,7 @@ from ptq import (
     readback,
 )
 from ptq.syntax import _Node
-from ptq.typecheck import E_OK
+from ptq.typecheck import E_OK, Judgment
 
 A, B, X = Base("A"), Base("B"), Base("X")
 
@@ -224,6 +224,32 @@ class TestJudgmentChecker:
         assert infer_ptq(env("x:A"), t) == PtqType("p", Arrow(B, B))
         t = parse_term(r"\x:B. * ; x")
         assert infer_ptq(env("x:A", ("star", B)), t) == PtqType("t", B)
+
+
+    @pytest.mark.parametrize(
+        "parse, check, text",
+        [
+            (parse_judgment, check_judgment, "|- y : pA"),
+            (parse_lam_judgment, check_lambda_judgment, "|- y : A"),
+        ],
+    )
+    def test_unbound_variable(self, parse, check, text):
+        result = check(parse(text))
+        assert not result.ok and result.inferred is None
+        assert type(result.error) is UnboundVariable and str(result.error) == "y"
+
+    def test_built_judgment_claims_on_a_computation(self):
+        # the parser rejects both shapes, so the checker sees them only when
+        # a caller builds the judgment itself
+        j = Judgment(env("x:A", ("star", A)), parse_term("* ; x"), PtqType("p", A))
+        result = check_judgment(j)
+        assert not result.ok and result.inferred == E_OK
+        assert type(result.error) is RoleMismatch
+        assert str(result.error) == "computations carry no type"
+        result = check_judgment(Judgment(env("x:A"), parse_term("x"), None))
+        assert not result.ok and result.inferred == PtqType("p", A)
+        assert type(result.error) is RoleMismatch
+        assert str(result.error) == "missing claimed type"
 
 
 class TestLambdaBox:
