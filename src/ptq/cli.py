@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
@@ -30,7 +31,7 @@ from .lambda_eval import DEFAULT_FUEL, EvalOrder, Strategy, eval_small
 from .machine import _write_trace_json, normalize, trace_to_json
 from .measure import control_length, measure, identity, o
 from .readback import readback, readback_judgment
-from .syntax import parse_term, parse_type, sort_of, term_str, tokenize, type_str
+from .syntax import parse_term, parse_type, sort_of, term_str, type_str
 from .typecheck import (
     EMark,
     PtqType,
@@ -99,26 +100,17 @@ def _require_at_least(value: int, low: int, flag: str) -> None:
         raise PtqError(f"{flag} must be at least {low}, got {value}")
 
 
+_CALCULUS_RE = re.compile(r"[;!]|\|\s*>|:\s*[ptq]")
+
+
 def _parse_any_judgment(text: str):
-    """A ptq judgment if it reads as one, else a lambda judgment. When both
-    parsers reject the text, the error is the calculus parser's if the text
-    has an anchor or its claimed type a role (`pA`, `t(`…), else the lambda
-    parser's."""
-    try:
+    """Read text with the one judgment reader it calls for: the calculus
+    reader when it holds `;`, `!`, `|>` or a role-marked type (`:` then `pA`
+    or `p(…)`), else the lambda reader. A lambda judgment holds none of
+    these, as its types start with a capital, `(` or `o`."""
+    if _CALCULUS_RE.search(text):
         return "ptq", parse_judgment(text)
-    except PtqError as exc:
-        calculus_error = exc
-    try:
-        return "lam", parse_lam_judgment(text)
-    except PtqError:
-        tokens = tokenize(text)
-        claim = tokens[len(tokens) - tokens[::-1].index(":") :] if ":" in tokens else []
-        head = claim[0] if claim else ""
-        marked = head[1:2].isupper() or claim[1:2] == ["("]  # pA, or p(A -> B)
-        role = head[:1] in ("p", "t", "q") and marked
-        if "|>" in tokens or role:
-            raise calculus_error from None
-        raise
+    return "lam", parse_lam_judgment(text)
 
 
 # ---------------------------------------------------------------------------

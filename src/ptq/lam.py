@@ -352,7 +352,7 @@ def _parse_lam_atom(ts: TokenStream) -> LamTerm:
     tok = ts.next()
     if tok == "(":
         term = _parse_lam(ts)
-        if ts.peek() == ":" and isinstance(term, Hole):
+        if ts.peek() == ":" and term is HOLE:
             ts.next()
             term = Hole(_parse_type(ts, allow_o=True))
         if ts.peek() == ",":

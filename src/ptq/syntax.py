@@ -680,12 +680,13 @@ def term_str(term: Term, memo: Optional[dict[int, str]] = None, *, _format=_FORM
 
 
 # one token, captured: `split` returns the text between tokens at even
-# indices and the tokens at odd ones
-_TOKEN_RE = re.compile(r"(->|[A-Za-z][A-Za-z0-9_]*|[\\()\[\]<>,;!%*:.|-])")
+# indices and the tokens at odd ones. `|>` and `|-` come first and may hold
+# whitespace after the `|`; `(?!>)` keeps `|->` as `|`, `->`.
+_TOKEN_RE = re.compile(r"(\|\s*(?:>|-(?!>))|->|[A-Za-z][A-Za-z0-9_]*|[\\()\[\]<>,;!%*:.|-])")
 
 
 def tokenize(text: str) -> list[str]:
-    """The tokens of text, with `|>` and `|-` glued back together.
+    """The tokens of text; `| >` and `| -` read as `|>` and `|-`.
 
     One C-level `split` finds every token, and the text is valid when all it
     leaves between tokens is whitespace. That check is what keeps the scan
@@ -701,19 +702,9 @@ def tokenize(text: str) -> list[str]:
                 rest = text[sum(map(len, parts[:i])) :].lstrip()
                 raise ParseError(f"cannot tokenize at: {rest[:20]!r}")
     toks = parts[1::2]
-    if "|" not in toks:
-        return toks
-    # glue |> and |- back together
-    out: list[str] = []
-    i = 0
-    while i < len(toks):
-        if toks[i] == "|" and i + 1 < len(toks) and toks[i + 1] in (">", "-"):
-            out.append("|" + toks[i + 1])
-            i += 2
-        else:
-            out.append(toks[i])
-            i += 1
-    return out
+    if "|" in text:
+        toks = ["|" + t[-1] if t[0] == "|" and len(t) > 2 else t for t in toks]
+    return toks
 
 
 _IDENT_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")

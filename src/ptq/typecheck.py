@@ -426,16 +426,12 @@ def parse_lam_judgment(text: str) -> LamJudgment:
         if ts.peek() == ",":
             ts.next()
     ts.expect("|-")
-    # subject runs until the final ':' that precedes the claimed type
-    rest = ts.tokens[ts.pos :]
-    try:
-        split = len(rest) - 1 - rest[::-1].index(":")
-    except ValueError:
-        raise ParseError("missing claimed type") from None
-    ts = TokenStream(rest[:split])
     subject = _parse_lam(ts)
-    ts.end("term")
-    ts = TokenStream(rest[split + 1 :])
+    if ts.peek() is None:
+        raise ParseError("missing claimed type")
+    if ts.peek() != ":":
+        ts.end("term")
+    ts.next()
     ty = _parse_type(ts, allow_o=True)
     ts.end("judgment")
     return LamJudgment(LamEnv(tuple(vars_), hole), subject, ty)

@@ -14,6 +14,10 @@ import ptq.harness
 import ptq.machine
 from ptq import cli
 from ptq.cli import build_parser, main
+from ptq.typecheck import parse_judgment, parse_lam_judgment
+
+import test_parser
+import test_typecheck
 from test_printer import church_image
 
 
@@ -64,6 +68,11 @@ class TestParse:
         code, out, _ = run(capsys, "parse", "--file", str(f))
         assert code == 0 and out == printed + "\n"
 
+    def test_no_term_given(self, capsys):
+        assert run(capsys, "parse") == (
+            1, "", "error: no term given; pass it as an argument or via --file\n"
+        )
+
     def test_jdg_file_is_read_back_as_a_judgment(self, capsys, tmp_path):
         f = tmp_path / "t.jdg"
         f.write_text("x:pX |- x : pX")
@@ -94,6 +103,35 @@ class TestTypecheck:
         code, out, err = run(capsys, "typecheck", rf"{name}:A |- \x:A. x : A -> A")
         assert code == 1 and out == ""
         assert err == f"error: bad environment variable {name!r}\n"
+
+
+class TestJudgmentReader:
+    """`typecheck`, `parse --lang judgment` and `readback --judgment` read a
+    judgment with one reader, chosen from its text (for errors, see
+    `TestRejectedInput`)."""
+
+    GOOD = [
+        *(text for text, _ in test_typecheck.TestJudgmentChecker.GOOD),
+        *test_parser.TestJudgments.PTQ,
+        *test_parser.TestJudgments.LAM,
+        "|- * ; y",
+        "k:A |- k : A",
+        r"|- \x:A. x : A -> A",
+        r"|- (\x:A. x) ([]:A) : A",
+        r"|- \x:o. x : o -> o",
+    ]
+
+    @pytest.mark.parametrize("text", GOOD)
+    def test_good_judgment_keeps_its_reader(self, text):
+        # the calculus reader took every judgment it accepted, the lambda
+        # reader the rest
+        try:
+            parse_judgment(text)
+            want = "ptq"
+        except ptq.PtqError:
+            parse_lam_judgment(text)
+            want = "lam"
+        assert cli._parse_any_judgment(text)[0] == want
 
 
 class TestTranslate:
@@ -153,6 +191,10 @@ class TestTranslate:
         code, out, err = run(capsys, "translate", "--strategy", "cbv", "--env", env, "x")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "does not name a variable" in err
+
+    def test_env_skips_an_empty_entry(self, capsys):
+        argv = ["translate", "--strategy", "cbv", "--form", "plotkin", "--env"]
+        assert run(capsys, *argv, "y:A,", "y") == (0, "\\k:A -> o. k y\n", "")
 
     def test_env_entry_needs_a_type(self, capsys):
         code, out, err = run(capsys, "translate", "--strategy", "cbv", "--env", "x", "x")
@@ -338,8 +380,13 @@ class TestRejectedInput:
             ("x:pX, x:pX |- x : pX", "x is already bound"),
             ("x:pX |- x : qX q", "trailing input after judgment: 'q'"),
             ("x:pX |> *:tX |- <x, *> ; ", "unexpected end of input"),
+            ("x:pX |- x : A", "expected a role letter p/t/q, got 'A'"),
+            # an anchor makes a calculus judgment too
+            ("|> *:A |- *", "expected a role letter p/t/q, got 'A'"),
             # a lambda judgment keeps the lambda parser's error
             ("x:A |- x : A B", "trailing input after judgment: 'B'"),
+            # the claim used to be cut at the subject's own colon
+            (r"|- \x:A. x", "missing claimed type"),
         ],
     )
     @pytest.mark.parametrize(

@@ -16,9 +16,11 @@ from ptq import (
     Base,
     KLam,
     LamEnv,
+    PApp,
     PairLam,
     PVar,
     QLam,
+    STAR,
     Strategy,
     TypeEnv,
     control_length,
@@ -226,6 +228,17 @@ def _planted(prop, name, value, kinds, message):
         _planted("typing", "infer_lambda_box", lambda env, m: Arrow(Base("Y"), Base("Y")),
                  {"outcome"},
                  r"translation checked at q\(\(X -> X\) -> X -> X\), wanted q\(Y -> Y\)$"),
+        _planted("completeness", "lam_alpha_eq", lambda a, b: False,
+                 {"rb-soundness"}, r"control step QApp moved the readback: "),
+        _planted("completeness", "control_length", lambda u: 5,
+                 {"control-length"}, r"control step QApp took control_length 5 to 5$"),
+        _planted("simulation", "classify", lambda term: None,
+                 {"outcome"}, r".* should not be machine-normal$"),
+        _planted("simulation", "ptq_translate_e",
+                 lambda m, strategy: PApp(STAR, PVar("elsewhere")),
+                 {"outcome"}, r"machine run from .* misses \* ; elsewhere$"),
+        _planted("typing", "ptq_translate", lambda m, strategy: PVar("free"),
+                 {"outcome"}, r"translation failed to check: free$"),
     ],
 )
 def test_failure_report(monkeypatch, prop, name, value, kinds, message):

@@ -2,6 +2,7 @@
 replaced, on the parser corpus, the README examples, printed translations
 and generated text."""
 
+import itertools
 import re
 import shlex
 
@@ -136,6 +137,18 @@ SPACES = [
 @given(st.lists(st.sampled_from(TOKENS + JUNK + SPACES), max_size=30).map("".join))
 def test_generated_text_same_as_reference(text):
     assert_same_as_reference(text)
+
+
+def test_every_short_text_same_as_reference():
+    # every text of up to five of these characters: the glued `|>` and `|-`
+    # across whitespace (\x85 is whitespace too), `|->`, and bad characters
+    alphabet = "|>- \nx@\x85<"
+    count = 0
+    for n in range(6):
+        for chars in itertools.product(alphabet, repeat=n):
+            assert_same_as_reference("".join(chars))
+            count += 1
+    assert count == 66_430
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Concrete syntax: both term languages, judgments, error reporting."""
 
+import json
+
 import pytest
 
 from ptq import (
@@ -141,6 +143,13 @@ class TestLambdaLanguage:
         m = parse_lam("([]:B)")
         assert m.ty == Base("B")
 
+    def test_hole_takes_one_annotation(self):
+        # a second annotation used to replace the first: `([]:B)`
+        with pytest.raises(ParseError) as exc:
+            parse_lam("(([]:A):B)")
+        assert str(exc.value) == "expected ')', got ':'"
+        assert lam_str(parse_lam("(([]):B)")) == "([]:B)"
+
     def test_k_is_a_plain_var_here(self):
         m = parse_lam(r"\k. k x")
         assert lam_str(m) == r"\k. k x"
@@ -151,19 +160,22 @@ class TestLambdaLanguage:
 
 
 class TestJudgments:
+    PTQ = [
+        "x:pX |- x : pX",
+        "x:pA, y:p(A -> B) |> *:tB |- <x, *> ; y",
+        "|> k:tA |- k : tA",
+        "|- \\(x:A, k:A). k ; x : p(A -> A)",
+    ]
+    LAM = ["[]:B |- [] : B", "x:A |- x : A", "x:A, []:B |- [] x : B"]
+
     def test_ptq_round_trip(self):
-        for s in [
-            "x:pX |- x : pX",
-            "x:pA, y:p(A -> B) |> *:tB |- <x, *> ; y",
-            "|> k:tA |- k : tA",
-            "|- \\(x:A, k:A). k ; x : p(A -> A)",
-        ]:
+        for s in self.PTQ:
             j = parse_judgment(s)
             j2 = parse_judgment(judgment_str(j))
             assert judgment_str(j) == judgment_str(j2)
 
     def test_lam_round_trip(self):
-        for s in ["[]:B |- [] : B", "x:A |- x : A", "x:A, []:B |- [] x : B"]:
+        for s in self.LAM:
             j = parse_lam_judgment(s)
             j2 = parse_lam_judgment(lam_judgment_str(j))
             assert lam_judgment_str(j) == lam_judgment_str(j2)
@@ -245,6 +257,9 @@ class TestFrontEndErrors:
             (parse_judgment, "|> x:tA |- * : tA", "anchor must be k or *, got 'x'"),
             (parse_judgment, "|- x", "missing claimed type"),
             (parse_lam_judgment, "|- x", "missing claimed type"),
+            # the subject's own colons used to be taken for the claim's
+            (parse_lam_judgment, r"|- \x:A. x", "missing claimed type"),
+            (parse_lam_judgment, r"|- ([]:A)", "missing claimed type"),
         ],
     )
     def test_parse_error(self, parse, text, message):
@@ -276,7 +291,8 @@ class TestTraceJson:
         assert data["normal"] is True
         assert [s["rule"] for s in data["steps"]] == ["Beta", "QApp"]
         assert [s["class"] for s in data["steps"]] == ["beta", "control"]
-        back = trace_from_json(data)
-        assert alpha_eq(back.initial, trace.initial)
-        assert back.normal == trace.normal
-        assert [s.rule for s in back.steps] == [s.rule for s in trace.steps]
+        for doc in (data, json.dumps(data)):  # the dict or its JSON text
+            back = trace_from_json(doc)
+            assert alpha_eq(back.initial, trace.initial)
+            assert back.normal == trace.normal
+            assert [s.rule for s in back.steps] == [s.rule for s in trace.steps]

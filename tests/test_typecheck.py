@@ -210,6 +210,10 @@ class TestJudgmentChecker:
         result = check_judgment(parse_judgment("x:pA |> *:tA |- * ; x"))
         assert result.ok
 
+    def test_result_is_true_when_ok(self):
+        assert check_judgment(parse_judgment("x:pX |- x : pX"))
+        assert not check_judgment(parse_judgment("x:pX |- x : pA"))
+
     def test_role_mismatch(self):
         result = check_judgment(parse_judgment("x:pX |- x : qX"))
         assert not result.ok and isinstance(result.error, RoleMismatch)
