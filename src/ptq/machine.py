@@ -244,10 +244,12 @@ _STEP_HEAD = {
 
 def _write_trace_json(trace: Trace, out) -> None:
     """Write `json.dumps(trace_to_json(trace), indent=2)` to the text stream
-    `out`, byte for byte. Each state is printed JSON-escaped with one memo
-    (`term_str`); rule names and classes need no escaping. The document is
-    built whole before any of it is written, so an error writes nothing, and
-    written piece by piece, which spares a copy of it."""
+    `out`, byte for byte. Every state is printed JSON-escaped with one
+    `term_str` memo, so each distinct node of the run, and each type object
+    annotating one, is escaped once; rule names and classes need no
+    escaping. The document is built whole before any of it is written, so an
+    error writes nothing, and written piece by piece, which spares a copy of
+    it."""
     memo: dict[int, str] = {}
     initial = term_str(trace.initial, memo, _format=_JSON_FORMAT)
     parts = ['{\n  "initial": "', initial, '",\n  "steps": [']

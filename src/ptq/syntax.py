@@ -590,88 +590,121 @@ def _ann(name: str, ty: Optional[Type]) -> str:
     return f"{name}:{type_str(ty)}" if ty is not None else name
 
 
-def _emb(child: Term, memo: dict[int, str]) -> str:
-    """The text of a child: a binder embedded in a larger term is wrapped."""
-    s = memo[id(child)]
-    return f"({s})" if isinstance(child, (PairLam, KLam, XLam, QLam)) else s
-
-
-def _format_table(lam: str, ann, var) -> dict:
-    """The text of one node from the memo entries of its children, per node
-    class; a binder's body is a computation, which needs no parentheses.
-    `lam` is the binder sign, `ann(name, type)` prints a binder's name and
-    annotation, and `var(node, memo)` a program variable."""
-    return {
-        PVar: var,
-        PairLam: lambda t, m: f"{lam}({ann(t.x, t.xty)}, {ann('k', t.kty)}). {m[id(t.body)]}",
-        KLam: lambda t, m: f"{lam}{ann('k', t.kty)}. {m[id(t.body)]}",
-        Star: lambda t, m: "*",
-        KVar: lambda t, m: "k",
-        Pair: lambda t, m: f"<{_emb(t.fst, m)}, {_emb(t.snd, m)}>",
-        XLam: lambda t, m: f"{lam}{ann(t.x, t.xty)}. {m[id(t.body)]}",
-        QLam: lambda t, m: f"%{ann('k', t.kty)}. {m[id(t.body)]}",
-        PApp: lambda t, m: f"{_emb(t.test, m)} ; {_emb(t.proof, m)}",
-        QApp: lambda t, m: f"({m[id(t.fn)]}) ! {_emb(t.test, m)}",
-    }
-
-
-# The canonical text, and the same text JSON-escaped (`json.dumps(text)`
+# `term_str`'s two formats, each a binder sign and an escaper for names and
+# types: the canonical text, and the same text JSON-escaped (`json.dumps(text)`
 # without its quotes). `json.dumps` escapes each code point on its own, so a
-# node's escaped text joins the escaped pieces of its canonical text: `\\`
-# for the binder sign, the C escaper's output for names and annotations, and
-# the children's escaped texts. The rest of what a table prints is printable
+# node's escaped text joins the escaped pieces of its canonical text: `\\` for
+# the binder sign, the C escaper's output for names and annotations, and the
+# children's escaped texts. The rest of what `term_str` prints is printable
 # ASCII other than `"` and `\`, which JSON keeps as it is. The canonical
-# table prints a name as it is, with no call.
-_FORMAT = _format_table("\\", _ann, lambda t, m: t.name)
-_JSON_FORMAT = _format_table(
-    "\\\\",
-    lambda name, ty: encode_basestring_ascii(_ann(name, ty))[1:-1],
-    lambda t, m: encode_basestring_ascii(t.name)[1:-1],
-)
+# format prints a name as it is, with no call.
+_FORMAT = ("\\", None)
+_JSON_FORMAT = ("\\\\", lambda text: encode_basestring_ascii(text)[1:-1])
+
+# the node classes whose text is wrapped in parentheses inside a larger term
+_WRAPPED = frozenset((PairLam, KLam, XLam, QLam))
+
+
+def _ann_text(ty: Optional[Type], memo: dict, esc) -> str:
+    """`:` and the text of the annotation ty ('' when there is none), kept in
+    the memo under id(ty) and escaped by esc unless it is None."""
+    if ty is None:
+        return ""
+    text = memo.get(id(ty))
+    if text is None:
+        text = _ann("", ty)
+        text = memo[id(ty)] = text if esc is None else esc(text)
+    return text
 
 
 def term_str(term: Term, memo: Optional[dict[int, str]] = None, *, _format=_FORMAT) -> str:
     """The canonical text of a term, which `parse_term` reads back.
 
     `memo` maps id(node) to the node's text and is filled bottom-up with an
-    explicit stack, so no depth of nesting can exhaust the Python stack.
-    Each distinct node is formatted once per memo: the states of a machine
-    run share all but the nodes along the contracted paths, so printing a
-    whole trace with one memo costs one formatting per distinct node, not
-    one per node per state. Ids are reused once an object dies, so every
-    term printed with a memo must stay alive as long as the memo is in use.
-    Without a memo the call uses a fresh one and frees each child's text as
-    soon as its parent is formatted, so memory stays linear in the output; a
-    subterm shared within the term may then be formatted more than once.
+    explicit stack, so no depth of nesting can exhaust the Python stack. The
+    walk dispatches once per node on its class: it reads the texts of the
+    node's children from the memo and pushes the missing ones, or formats
+    the node. Each distinct node is formatted once per memo: the states of a
+    machine run share all but the nodes along the contracted paths, so
+    printing a whole trace with one memo costs one formatting per distinct
+    node, not one per node per state. The memo also maps the id of each
+    binder annotation's type to its text, so a type object is printed once
+    per memo. Ids are reused once an object dies, so every term printed with
+    a memo must stay alive as long as the memo is in use (its nodes keep
+    their types alive). Without a memo the call uses a fresh one and frees
+    each child's text as soon as its parent is formatted, so memory stays
+    linear in the output; a subterm shared within the term may then be
+    formatted more than once.
 
     `_format=_JSON_FORMAT` gives `json.dumps(term_str(term))[1:-1]` instead,
-    so a trace written as JSON (`machine._write_trace_json`) escapes each distinct
-    node once, not once per state; a memo serves one table only.
+    so a trace written as JSON (`machine._write_trace_json`) escapes each
+    distinct node once, not once per state; a memo serves one format only.
     """
     keep = memo is not None
     if memo is None:
         memo = {}
+    lam, esc = _format
+    get = memo.get
     stack = [term]
     while stack:
         node = stack[-1]
-        if id(node) in memo:
+        key = id(node)
+        if key in memo:
             stack.pop()
             continue
-        children = _CHILDREN.get(type(node))
-        if children is None:
-            raise TypeError(f"not a term: {node!r}")
-        kids = children(node)
-        ready = True
-        for c in kids:
-            if id(c) not in memo:
-                stack.append(c)
-                ready = False
-        if ready:
-            stack.pop()
-            memo[id(node)] = _format[type(node)](node, memo)
+        cls = type(node)
+        if cls is PApp or cls is Pair or cls is QApp:
+            if cls is PApp:
+                a, b = node.test, node.proof
+            elif cls is Pair:
+                a, b = node.fst, node.snd
+            else:
+                a, b = node.fn, node.test
+            sa, sb = get(id(a)), get(id(b))
+            if sa is None or sb is None:
+                if sa is None:
+                    stack.append(a)
+                if sb is None:
+                    stack.append(b)
+                continue
+            if type(b) in _WRAPPED:
+                sb = f"({sb})"
+            if cls is QApp:
+                text = f"({sa}) ! {sb}"
+            else:
+                if type(a) in _WRAPPED:
+                    sa = f"({sa})"
+                text = f"{sa} ; {sb}" if cls is PApp else f"<{sa}, {sb}>"
             if not keep:
-                for c in kids:
-                    memo.pop(id(c), None)
+                del memo[id(a)], memo[id(b)]
+        elif cls is PVar:
+            text = node.name if esc is None else esc(node.name)
+        elif cls is Star:
+            text = "*"
+        elif cls is KVar:
+            text = "k"
+        elif cls in _WRAPPED:
+            body = node.body
+            sbody = get(id(body))
+            if sbody is None:
+                stack.append(body)
+                continue
+            if cls is XLam or cls is PairLam:
+                x = node.x if esc is None else esc(node.x)
+                xann = _ann_text(node.xty, memo, esc)
+                if cls is XLam:
+                    text = f"{lam}{x}{xann}. {sbody}"
+                else:
+                    text = f"{lam}({x}{xann}, k{_ann_text(node.kty, memo, esc)}). {sbody}"
+            else:
+                kann = _ann_text(node.kty, memo, esc)
+                text = f"{lam}k{kann}. {sbody}" if cls is KLam else f"%k{kann}. {sbody}"
+            if not keep:
+                del memo[id(body)]
+        else:
+            raise TypeError(f"not a term: {node!r}")
+        stack.pop()
+        memo[key] = text
     return memo[id(term)]
 
 
@@ -789,26 +822,16 @@ def parse_term(text: str) -> Term:
     return term
 
 
+# the frames of `_parse_term` that hold no term yet, and the sort and name of
+# the right operand of each infix operator's node class
+_OPEN, _FST = ("(",), ("<",)
+_RIGHT = {PApp: ("p", "right of ';'"), QApp: ("t", "right of '!'")}
+
+
 def _expected(term: Term, sorts: str, what: str) -> Term:
     if _SORT[type(term)] not in sorts:
         raise ParseError(f"{what} must be a {sorts}-term, got a {sort_of(term)}-term")
     return term
-
-
-def _parse_term(ts: TokenStream) -> Term:
-    left = _parse_operand(ts)
-    while True:
-        nxt = ts.peek()
-        if nxt == ";" and _SORT[type(left)] == "t":
-            ts.pos += 1
-            right = _expected(_parse_operand(ts), "p", "right of ';'")
-            left = PApp(left, right)
-        elif nxt == "!" and _SORT[type(left)] == "q":
-            ts.pos += 1
-            right = _expected(_parse_operand(ts), "t", "right of '!'")
-            left = QApp(left, right)
-        else:
-            return left
 
 
 def _parse_ident(ts: TokenStream) -> str:
@@ -827,57 +850,101 @@ def _parse_opt_ann(ts: TokenStream, allow_o: bool = False) -> Optional[Type]:
     return None
 
 
-def _parse_body(ts: TokenStream) -> ETerm:
-    ts.expect(".")
-    body = _parse_term(ts)
-    if _SORT[type(body)] != "e":
-        raise ParseError("binder body must be a computation")
-    return body
+def _parse_term(ts: TokenStream) -> Term:
+    """One term, read from ts up to the first token that cannot continue it.
 
+    The grammar is recursive, but the reader is one loop over an explicit
+    stack of pending frames, so no depth of nesting exhausts the Python
+    stack. A frame is a tuple whose head says what it waits for:
 
-def _parse_operand(ts: TokenStream) -> Term:
-    tok = ts.next()
-    if tok == "(":
-        term = _parse_term(ts)
-        ts.expect(")")
-        return term
-    if tok == "*":
-        return STAR
-    if tok == "k":
-        return K
-    if tok == "<":
-        fst = _expected(_parse_term(ts), "p", "first pair component")
-        ts.expect(",")
-        snd = _expected(_parse_term(ts), "t", "second pair component")
-        ts.expect(">")
-        return Pair(fst, snd)
-    if tok == "%":
-        if ts.next() != "k":
-            raise ParseError("jump binder must bind k")
-        kty = _parse_opt_ann(ts)
-        return QLam(kty, _parse_body(ts))
-    if tok == "\\":
-        nxt = ts.peek()
-        if nxt == "(":
-            ts.pos += 1
-            x = _parse_ident(ts)
-            xty = _parse_opt_ann(ts)
-            ts.expect(",")
+      (PApp, t) / (QApp, q)   the right operand of `t ;` or `q !`
+      _OPEN                   a term, then `)`
+      _FST / (Pair, p)        a pair's first component, then `,`; its second,
+                              then `>`
+      (cls, *header)          a binder's body, a term, after its `.`
+
+    An operand's opening tokens push frames until an atom is read; then the
+    finished operand closes the frames that were waiting for it. A term
+    always starts with an operand, which may take one `;` or `!` and a
+    right operand, as its sort allows. The terms built, the error messages
+    and the order in which errors are found are those of a recursive
+    descent reader.
+    """
+    stack = []
+    while True:
+        # an operand: its opening tokens push frames, up to the first atom
+        tok = ts.next()
+        if tok == "(":
+            stack.append(_OPEN)
+            continue
+        if tok == "<":
+            stack.append(_FST)
+            continue
+        if tok == "%":
             if ts.next() != "k":
-                raise ParseError("second component of a pair binder must be k")
-            kty = _parse_opt_ann(ts)
-            ts.expect(")")
-            return PairLam(x, xty, kty, _parse_body(ts))
-        if nxt == "k":
-            ts.pos += 1
-            kty = _parse_opt_ann(ts)
-            return KLam(kty, _parse_body(ts))
-        x = _parse_ident(ts)
-        xty = _parse_opt_ann(ts)
-        return XLam(x, xty, _parse_body(ts))
-    if _IDENT_RE.match(tok) and tok not in RESERVED:
-        return PVar(tok)
-    raise ParseError(f"unexpected token {tok!r}")
+                raise ParseError("jump binder must bind k")
+            stack.append((QLam, _parse_opt_ann(ts)))
+            ts.expect(".")
+            continue
+        if tok == "\\":
+            nxt = ts.peek()
+            if nxt == "(":
+                ts.pos += 1
+                x = _parse_ident(ts)
+                xty = _parse_opt_ann(ts)
+                ts.expect(",")
+                if ts.next() != "k":
+                    raise ParseError("second component of a pair binder must be k")
+                kty = _parse_opt_ann(ts)
+                ts.expect(")")
+                stack.append((PairLam, x, xty, kty))
+            elif nxt == "k":
+                ts.pos += 1
+                stack.append((KLam, _parse_opt_ann(ts)))
+            else:
+                x = _parse_ident(ts)
+                stack.append((XLam, x, _parse_opt_ann(ts)))
+            ts.expect(".")
+            continue
+        if tok == "*":
+            term = STAR
+        elif tok == "k":
+            term = K
+        elif _IDENT_RE.match(tok) and tok not in RESERVED:
+            term = PVar(tok)
+        else:
+            raise ParseError(f"unexpected token {tok!r}")
+        while True:
+            # term is a finished operand: the right one of `;` or `!`, or
+            # the first one of a term
+            if stack and stack[-1][0] in _RIGHT:
+                cls, left = stack.pop()
+                term = cls(left, _expected(term, *_RIGHT[cls]))
+            nxt = ts.peek()
+            sort = _SORT[type(term)]
+            if (nxt == ";" and sort == "t") or (nxt == "!" and sort == "q"):
+                ts.pos += 1
+                stack.append((PApp if nxt == ";" else QApp, term))
+                break
+            # term is a finished term
+            if not stack:
+                return term
+            frame = stack.pop()
+            if frame is _OPEN:
+                ts.expect(")")
+            elif frame is _FST:
+                _expected(term, "p", "first pair component")
+                ts.expect(",")
+                stack.append((Pair, term))
+                break
+            elif frame[0] is Pair:
+                _expected(term, "t", "second pair component")
+                ts.expect(">")
+                term = Pair(frame[1], term)
+            elif sort != "e":
+                raise ParseError("binder body must be a computation")
+            else:
+                term = frame[0](*frame[1:], term)
 
 
 def parse_pterm(text: str) -> PTerm:

@@ -579,3 +579,20 @@ class TestDeepInput:
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
         assert len(done.stdout.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "strategy, code, out, err",
+        [
+            (ptq.Strategy.CBV, 0, "* ; z\n", ""),
+            # the reader takes the by-name image too; the run then fails in
+            # `normalize`, whose `_subst_p` recurses once per level
+            (ptq.Strategy.CBN, 1, "", "error: term nested too deeply to process\n"),
+        ],
+    )
+    def test_reduce_reads_a_deep_printed_image(self, tmp_path, strategy, code, out, err):
+        f = tmp_path / "church400.ptq"
+        f.write_text(ptq.term_str(church_image(400, strategy)))
+        env = {**os.environ, "PYTHONPATH": str(Path(ptq.__file__).parents[1])}
+        cmd = [sys.executable, "-m", "ptq.cli", "reduce", "--file", str(f)]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)

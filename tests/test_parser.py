@@ -1,17 +1,33 @@
 """Concrete syntax: both term languages, judgments, error reporting."""
 
+import io
 import json
+import random
 
 import pytest
 
+import ptq.machine
 from ptq import (
     Arrow,
     Base,
+    K,
+    KLam,
+    Pair,
+    PairLam,
+    PApp,
     ParseError,
+    PtqError,
+    PVar,
+    QApp,
+    QLam,
     ReservedBaseType,
+    STAR,
+    Strategy,
+    XLam,
     alpha_eq,
     lam_alpha_eq,
     lam_str,
+    normalize,
     parse_eterm,
     parse_lam,
     parse_pterm,
@@ -19,8 +35,22 @@ from ptq import (
     parse_term,
     parse_tterm,
     parse_type,
+    ptq_translate_e,
+    sort_of,
     term_str,
+    trace_from_json,
     type_str,
+)
+from ptq.harness import gen_typed_term
+from ptq.syntax import (
+    RESERVED,
+    _IDENT_RE,
+    TokenStream,
+    _expected,
+    _parse_ident,
+    _parse_opt_ann,
+    _parse_term,
+    tokenize,
 )
 from ptq.typecheck import (
     judgment_str,
@@ -28,6 +58,9 @@ from ptq.typecheck import (
     parse_judgment,
     parse_lam_judgment,
 )
+
+import test_typecheck
+from test_printer import church_image
 
 
 class TestTypes:
@@ -282,6 +315,31 @@ class TestFrontEndErrors:
         assert str(exc.value) == "hole type declared twice"
 
 
+class TestDeepText:
+    """The calculus reader is a loop, so no depth of nesting exhausts the
+    Python stack."""
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_printed_church_400_reparses(self, strategy):
+        image = church_image(400, strategy)
+        assert alpha_eq(parse_term(term_str(image)), image)
+
+    def test_parentheses_10000_deep(self):
+        n = 10_000
+        assert parse_term("(" * n + "* ; x" + ")" * n) == PApp(STAR, PVar("x"))
+
+    def test_binder_bodies_10000_deep(self):
+        n = 10_000
+        text = "\\x. <x, (" * (n - 1) + "\\x. <x, *> ; x" + ")> ; x" * (n - 1)
+        term = parse_term(text)
+        for _ in range(n):
+            assert type(term) is XLam and term.x == "x"
+            test, proof = term.body.test, term.body.proof
+            assert proof == PVar("x") and test.fst == PVar("x")
+            term = test.snd
+        assert term is STAR
+
+
 class TestTraceJson:
     def test_round_trip(self):
         from ptq import normalize, trace_from_json, trace_to_json
@@ -296,3 +354,169 @@ class TestTraceJson:
             assert alpha_eq(back.initial, trace.initial)
             assert back.normal == trace.normal
             assert [s.rule for s in back.steps] == [s.rule for s in trace.steps]
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("n", [5, 20, 40])
+    def test_whole_trace_round_trips_through_json_text(self, n, strategy):
+        trace = normalize(church_image(n, strategy)).trace
+        out = io.StringIO()
+        ptq.machine._write_trace_json(trace, out)
+        back = trace_from_json(out.getvalue())
+        assert len(back.steps) == len(trace.steps) > 0
+        for a, b in zip(back.terms(), trace.terms(), strict=True):
+            assert alpha_eq(a, b)
+        assert [s.rule for s in back.steps] == [s.rule for s in trace.steps]
+        assert back.normal == trace.normal
+
+
+# ---------------------------------------------------------------------------
+# the calculus reader against the recursive one it replaced
+
+
+def reference_parse_term(ts):
+    """The recursive reader `_parse_term` replaced; it recurses once per
+    level of nesting."""
+    left = _reference_operand(ts)
+    while True:
+        nxt = ts.peek()
+        if nxt == ";" and sort_of(left) == "t":
+            ts.pos += 1
+            right = _expected(_reference_operand(ts), "p", "right of ';'")
+            left = PApp(left, right)
+        elif nxt == "!" and sort_of(left) == "q":
+            ts.pos += 1
+            right = _expected(_reference_operand(ts), "t", "right of '!'")
+            left = QApp(left, right)
+        else:
+            return left
+
+
+def _reference_body(ts):
+    ts.expect(".")
+    body = reference_parse_term(ts)
+    if sort_of(body) != "e":
+        raise ParseError("binder body must be a computation")
+    return body
+
+
+def _reference_operand(ts):
+    tok = ts.next()
+    if tok == "(":
+        term = reference_parse_term(ts)
+        ts.expect(")")
+        return term
+    if tok == "*":
+        return STAR
+    if tok == "k":
+        return K
+    if tok == "<":
+        fst = _expected(reference_parse_term(ts), "p", "first pair component")
+        ts.expect(",")
+        snd = _expected(reference_parse_term(ts), "t", "second pair component")
+        ts.expect(">")
+        return Pair(fst, snd)
+    if tok == "%":
+        if ts.next() != "k":
+            raise ParseError("jump binder must bind k")
+        kty = _parse_opt_ann(ts)
+        return QLam(kty, _reference_body(ts))
+    if tok == "\\":
+        nxt = ts.peek()
+        if nxt == "(":
+            ts.pos += 1
+            x = _parse_ident(ts)
+            xty = _parse_opt_ann(ts)
+            ts.expect(",")
+            if ts.next() != "k":
+                raise ParseError("second component of a pair binder must be k")
+            kty = _parse_opt_ann(ts)
+            ts.expect(")")
+            return PairLam(x, xty, kty, _reference_body(ts))
+        if nxt == "k":
+            ts.pos += 1
+            kty = _parse_opt_ann(ts)
+            return KLam(kty, _reference_body(ts))
+        x = _parse_ident(ts)
+        xty = _parse_opt_ann(ts)
+        return XLam(x, xty, _reference_body(ts))
+    if _IDENT_RE.match(tok) and tok not in RESERVED:
+        return PVar(tok)
+    raise ParseError(f"unexpected token {tok!r}")
+
+
+def read(reader, tokens):
+    """The term `reader` reads from the tokens and the position it stops at,
+    or the class and message of the error it raises."""
+    ts = TokenStream(tokens)
+    try:
+        return reader(ts), ts.pos
+    except PtqError as exc:
+        return type(exc), str(exc)
+
+
+def reader_corpus():
+    """The test files' texts, printed translations and the states of their
+    machine runs, each as tokens."""
+    import test_lexer  # which imports this module
+
+
+    texts = [
+        *test_lexer.corpus(),
+        *test_lexer.printed_translations(),
+        *(text for text, _ in test_typecheck.TestJudgmentChecker.GOOD),
+        *TestJudgments.PTQ,
+    ]
+    for size in range(9):
+        for seed in range(12):
+            m, _ = gen_typed_term(size, seed)
+            for strategy in Strategy:
+                texts += map(term_str, normalize(ptq_translate_e(m, strategy)).trace.terms())
+    out = []
+    for text in texts:
+        try:
+            tokens = tokenize(text)
+        except ParseError:
+            continue
+        out.append(tokens)
+        if "|-" in tokens:  # a judgment's subject on its own
+            out.append(tokens[tokens.index("|-") + 1 :])
+    return out
+
+
+MUTATION_TOKENS = [
+    "(", ")", "<", ">", ",", ";", "!", "%", "\\", ".", ":", "*", "k", "o", "x", "y",
+    "A", "->", "X", "|-",
+]
+
+
+def mutations(corpus, count, seed=0):
+    """`count` texts made from the corpus's token lists by one to three
+    random deletions, insertions, replacements or swaps of tokens."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        tokens = list(rng.choice(corpus))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(tokens) + 1)
+            edit = rng.randrange(4)
+            if edit == 0 and i < len(tokens):
+                del tokens[i]
+            elif edit == 1:
+                tokens.insert(i, rng.choice(MUTATION_TOKENS))
+            elif edit == 2 and i < len(tokens):
+                tokens[i] = rng.choice(MUTATION_TOKENS)
+            elif i + 1 < len(tokens):
+                tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+        out.append(tokens)
+    return out
+
+
+def test_reader_same_as_reference():
+    corpus = reader_corpus()
+    texts = corpus + mutations(corpus, 20_000)
+    accepted = 0
+    for tokens in texts:
+        got = read(_parse_term, tokens)
+        assert got == read(reference_parse_term, tokens), " ".join(tokens)
+        accepted += not isinstance(got[0], type)
+    assert len(corpus) > 1_000 and accepted > 1_500

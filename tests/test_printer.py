@@ -106,14 +106,14 @@ def church_image(n, strategy):
 
 
 def distinct_nodes(terms):
-    """The ids of the nodes reachable from `terms`, each counted once."""
-    seen = set()
+    """The nodes reachable from `terms` by id, each counted once."""
+    seen = {}
     todo = list(terms)
     while todo:
         node = todo.pop()
         if id(node) in seen:
             continue
-        seen.add(id(node))
+        seen[id(node)] = node
         for f in dataclasses.fields(node):
             child = getattr(node, f.name)
             if isinstance(child, ptq.syntax._Node):
@@ -121,37 +121,75 @@ def distinct_nodes(terms):
     return seen
 
 
-def count_formats(monkeypatch, table):
-    """The ids of the nodes that `table` formats from now on, in order."""
-    calls = []
+def annotation_types(nodes):
+    """The ids of the distinct type objects that annotate binders among
+    `nodes`."""
+    return {
+        id(ty)
+        for node in nodes
+        for ty in (getattr(node, "xty", None), getattr(node, "kty", None))
+        if ty is not None
+    }
 
-    def counting(fmt):
-        def wrapped(term, memo):
-            calls.append(id(term))
-            return fmt(term, memo)
 
-        return wrapped
+class CountingMemo(dict):
+    """A `term_str` memo that records the key of every store, in order."""
 
-    for cls, fmt in list(table.items()):
-        monkeypatch.setitem(table, cls, counting(fmt))
-    return calls
+    def __init__(self):
+        super().__init__()
+        self.stores = []
+
+    def __setitem__(self, key, value):
+        self.stores.append(key)
+        super().__setitem__(key, value)
+
+
+def count_stores(monkeypatch):
+    """The keys stored from now on in the memo of `ptq.machine`'s printing:
+    one `CountingMemo` stands in for the memo of every `term_str` call made
+    there, which is one memo per trace printed."""
+    memo = CountingMemo()
+    real = ptq.syntax.term_str
+    monkeypatch.setattr(ptq.machine, "term_str", lambda term, _, **kw: real(term, memo, **kw))
+    return memo.stores
+
+
+def assert_each_formatted_once(stores, trace):
+    """Each distinct node of the trace, and each distinct type annotating
+    one, was stored once, and nothing else was."""
+    nodes = distinct_nodes(trace.terms())
+    formats = [key for key in stores if key in nodes]
+    types = [key for key in stores if key not in nodes]
+    assert len(formats) == len(set(formats)) == len(nodes)
+    assert len(types) == len(set(types)) > 0
+    assert set(types) == annotation_types(nodes.values())
+    return formats
 
 
 def test_trace_formats_each_distinct_node_once(monkeypatch):
     trace = normalize(church_image(20, Strategy.CBV)).trace
-    calls = count_formats(monkeypatch, ptq.syntax._FORMAT)
+    stores = count_stores(monkeypatch)
     doc = trace_to_json(trace)
-    distinct = distinct_nodes(trace.terms())
     # printed in full, the states hold more than 30 times as many nodes
-    assert len(calls) == len(set(calls)) == len(distinct) < 1000
+    assert len(assert_each_formatted_once(stores, trace)) < 1000
     assert doc["steps"][-1]["term"] == term_str(trace.final)
 
 
 def test_json_writer_escapes_each_distinct_node_once(monkeypatch):
     trace = normalize(church_image(20, Strategy.CBV)).trace
-    calls = count_formats(monkeypatch, ptq.syntax._JSON_FORMAT)
+    stores = count_stores(monkeypatch)
     ptq.machine._write_trace_json(trace, io.StringIO())
-    assert len(calls) == len(set(calls)) == len(distinct_nodes(trace.terms()))
+    assert_each_formatted_once(stores, trace)
+
+
+def test_subterm_shared_with_a_sibling_formatted_once():
+    # the proof holds the test, so the test is pushed twice before it is
+    # formatted
+    test = Pair(PVar("y"), STAR)
+    u = PApp(test, KLam(None, PApp(test, PVar("z"))))
+    memo = CountingMemo()
+    assert term_str(u, memo) == r"<y, *> ; (\k. <y, *> ; z)"
+    assert len(memo.stores) == len(set(memo.stores)) == len(distinct_nodes([u]))
 
 
 def test_canonical_text_digest(corpus):
