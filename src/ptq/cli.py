@@ -24,7 +24,7 @@ import re
 import sys
 from typing import Optional
 
-from .errors import ParseError, PtqError
+from .errors import DuplicateVariable, ParseError, PtqError
 from .harness import VERIFY_PROPERTIES, run_property
 from .lam import _is_var, lam_str, parse_lam
 from .lambda_eval import DEFAULT_FUEL, EvalOrder, Strategy, eval_small
@@ -91,6 +91,8 @@ def _parse_env(spec: Optional[str]):
         name = name.strip()
         if not _is_var(name):
             raise ParseError(f"environment entry {piece!r} does not name a variable")
+        if name in env:
+            raise DuplicateVariable(f"{name} is already bound")
         env[name] = parse_type(ty.strip())
     return env
 

@@ -21,8 +21,11 @@ from typing import Optional, Union
 from .errors import ParseError, PtqError, UncurriedNeedsPairs
 from .syntax import (
     _IDENT_RE,
+    _Tree,
     _alpha_eq,
     _bound,
+    _compare_exactly,
+    _names,
     _setattr,
     _union,
     Type,
@@ -38,12 +41,12 @@ from .syntax import (
 _HOLE_NAME = "[]"
 
 
-class _LamNode:
+class _LamNode(_Tree):
     """Base of the lambda nodes. Each keeps its free names, a hole's as [],
     in `_fv`, set by its constructor as `ptq.syntax._Node`'s are."""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Var(_LamNode):
     name: str
 
@@ -52,7 +55,7 @@ class Var(_LamNode):
         _setattr(self, "_fv", frozenset((name,)))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Lam(_LamNode):
     x: str
     xty: Optional[Type]
@@ -65,7 +68,7 @@ class Lam(_LamNode):
         _setattr(self, "_fv", _bound(body, x, "lambda term"))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class App(_LamNode):
     fn: "LamTerm"
     arg: "LamTerm"
@@ -76,13 +79,13 @@ class App(_LamNode):
         _setattr(self, "_fv", _union(fn, arg, "lambda term"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hole(_LamNode):
     ty: Optional[Type] = None
     _fv = frozenset((_HOLE_NAME,))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PairTerm(_LamNode):
     """Pair constructor for the uncurried CPS image."""
 
@@ -95,7 +98,7 @@ class PairTerm(_LamNode):
         _setattr(self, "_fv", _union(fst, snd, "lambda term"))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PairPatLam(_LamNode):
     """Pair-pattern abstraction \\(x, h). M for the uncurried CPS image."""
 
@@ -139,12 +142,16 @@ def lam_free_vars(m: LamTerm) -> frozenset[str]:
 
 def lam_subst(m: LamTerm, name: str, payload: LamTerm) -> LamTerm:
     """Capture-avoiding m[payload/name]."""
-    return _subst(m, name, payload, payload._fv) if name in m._fv else m
+    try:
+        fv_m, fv = m._fv, payload._fv
+    except AttributeError:  # a non-term, which `_names` reports
+        fv_m, fv = _names(m, "lambda term"), _names(payload, "lambda term")
+    return _subst(m, name, payload, fv) if name in fv_m else m
 
 
 def plug_hole(m: LamTerm, payload: LamTerm) -> LamTerm:
     """m[payload/[]], plugging every hole of m."""
-    return _subst(m, _HOLE_NAME, payload, payload._fv) if _HOLE_NAME in m._fv else m
+    return lam_subst(m, _HOLE_NAME, payload)
 
 
 # The walk enters a child only when the target is among the child's stored
@@ -210,6 +217,7 @@ _BINDS = {
     PairTerm: ((), ()),
     PairPatLam: (("x", "h"), ()),
 }
+_compare_exactly(_CHILDREN, _BINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -262,26 +270,21 @@ def _contractions(m: LamTerm):
 # printing
 
 
-class _Text(str):
-    """Text that `lam_str` puts between nodes: a class of its own, so that a
-    stray str inside a term is still rejected."""
-
-
-_OPEN, _CLOSE, _SPACE, _SPACE_OPEN, _COMMA = map(_Text, ("(", ")", " ", " (", ", "))
-
-
 def lam_str(m: LamTerm) -> str:
     """The text of a lambda term, which `parse_lam` reads back.
 
     The walk keeps an explicit stack of nodes still to print and the text
     that goes between them, so no depth of nesting can exhaust the Python
-    stack, and joins the pieces once at the end.
+    stack, and joins the pieces once at the end. The text is str, which no
+    node constructor takes as a child, so only the root can be a stray str.
     """
+    if isinstance(m, str):
+        raise TypeError(f"not a lambda term: {m!r}")
     out: list[str] = []
     todo: list = [m]
     while todo:
         match todo.pop():
-            case _Text() as text:
+            case str() as text:
                 out.append(text)
             case Var(name):
                 out.append(name)
@@ -292,17 +295,17 @@ def lam_str(m: LamTerm) -> str:
             case App(fn, arg):
                 # pushed in reverse: fn, then a space, then arg
                 if isinstance(arg, (App, Lam, PairPatLam)):
-                    todo += (_CLOSE, arg, _SPACE_OPEN)
+                    todo += (")", arg, " (")
                 else:
-                    todo += (arg, _SPACE)
+                    todo += (arg, " ")
                 if isinstance(fn, (Lam, PairPatLam)):
-                    todo += (_CLOSE, fn, _OPEN)
+                    todo += (")", fn, "(")
                 else:
                     todo.append(fn)
             case Hole(ty):
                 out.append("[]" if ty is None else f"([]:{type_str(ty)})")
             case PairTerm(fst, snd):
-                todo += (_CLOSE, snd, _COMMA, fst, _OPEN)
+                todo += (")", snd, ", ", fst, "(")
             case PairPatLam(x, h, body):
                 out.append(f"\\({x}, {h}). ")
                 todo.append(body)
@@ -383,12 +386,13 @@ def _parse_lam_atom(ts: TokenStream) -> LamTerm:
     raise ParseError(f"unexpected token {tok!r}")
 
 
-def require_plain(m: LamTerm, what: str = "this operation") -> set[str]:
+def require_plain(m: LamTerm, what: str = "this operation") -> tuple[set[str], dict]:
     """Reject holes and the pair extension where only the plain language is
-    allowed; return every name m holds, bound or free. The walk is a loop
-    that goes left to right, so the leftmost offending node decides the
-    error."""
+    allowed; return every name m holds, bound or free, and its binder
+    annotations, each object once, by id. The walk is a loop that goes left
+    to right, so the leftmost offending node decides the error."""
     names: set[str] = set()
+    annotations = {}
     stack = [m]
     while stack:
         m = stack.pop()
@@ -397,6 +401,7 @@ def require_plain(m: LamTerm, what: str = "this operation") -> set[str]:
             names.add(m.name)
         elif cls is Lam:
             names.add(m.x)
+            annotations[id(m.xty)] = m.xty
             stack.append(m.body)
         elif cls is App:
             stack.append(m.arg)
@@ -407,4 +412,4 @@ def require_plain(m: LamTerm, what: str = "this operation") -> set[str]:
             raise UncurriedNeedsPairs(f"{what} handles the plain language only")
         else:
             raise TypeError(f"not a lambda term: {m!r}")
-    return names
+    return names, annotations

@@ -94,11 +94,31 @@ def _union(a, b, what: str = "term") -> frozenset[str]:
     return fb if fa <= fb else fa if fb <= fa else fa | fb
 
 
-class _Node:
+class _Tree:
+    """Base of the term nodes of both languages (`_Node` and `ptq.lam`'s
+    `_LamNode`), for `==` and `hash`, which never recurse.
+
+    `==` is `_alpha_eq` with binder names compared as plain fields, so names
+    must match exactly, and nodes of different classes differ. `hash` reads
+    the node's class, its own fields that are not terms, and its free names;
+    equal nodes agree on all three."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _alpha_eq(self, other, _EQ_CHILDREN, _EQ_FIELDS)
+
+    def __hash__(self):
+        cls = type(self)
+        return hash((cls, self._fv, *[getattr(self, f) for f in _EQ_FIELDS[cls][1]]))
+
+
+class _Node(_Tree):
     """Base of the term nodes. A node is immutable, so a fact that depends
     on the node alone is kept on it, as an instance attribute outside the
     dataclass fields, so equality, hashing, printing and
-    `dataclasses.fields` never see it:
+    `dataclasses.fields` never see it (hashing reads `_fv`, which the
+    fields decide):
 
       _fv     its free program names (every node), set by its constructor
               from those of its children, which are built first, so no
@@ -117,7 +137,7 @@ class _Node:
     _image = None
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PVar(_Node):
     name: str
 
@@ -126,7 +146,7 @@ class PVar(_Node):
         _setattr(self, "_fv", frozenset((name,)))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PairLam(_Node):
     """Program abstraction \\(x:A, k:B). u over an argument and a test."""
 
@@ -143,7 +163,7 @@ class PairLam(_Node):
         _setattr(self, "_fv", _bound(body, x))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class KLam(_Node):
     """Program abstraction \\k:A. u over the test alone."""
 
@@ -156,17 +176,17 @@ class KLam(_Node):
         _setattr(self, "_fv", _names(body))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Star(_Node):
     _fv = _NO_NAMES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KVar(_Node):
     _fv = _NO_NAMES
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Pair(_Node):
     fst: "PTerm"
     snd: "TTerm"
@@ -177,7 +197,7 @@ class Pair(_Node):
         _setattr(self, "_fv", _union(fst, snd))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class XLam(_Node):
     """Test abstraction \\x:A. u binding a program variable."""
 
@@ -192,7 +212,7 @@ class XLam(_Node):
         _setattr(self, "_fv", _bound(body, x))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class QLam(_Node):
     """Jump abstraction %k:A. u; applied to a test it resumes its body."""
 
@@ -205,7 +225,7 @@ class QLam(_Node):
         _setattr(self, "_fv", _names(body))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PApp(_Node):
     """Computation t ; p feeding the program p to the test t."""
 
@@ -218,7 +238,7 @@ class PApp(_Node):
         _setattr(self, "_fv", _union(test, proof))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class QApp(_Node):
     """Computation q ! t resuming the jump q with the test t."""
 
@@ -443,7 +463,7 @@ def subst_pvar(term: Term, name: str, payload: PTerm) -> Term:
     """Capture-avoiding term[payload/name] for a program variable."""
     if sort_of(payload) != "p":
         raise TypeError("payload must be a program term")
-    return _subst_p(term, name, payload) if name in term._fv else term
+    return _subst_p(term, name, payload) if name in _names(term) else term
 
 
 def _require_test_payload(payload: Term, target: str) -> None:
@@ -530,6 +550,23 @@ _BINDS = {
     PApp: ((), ()),
     QApp: ((), ()),
 }
+
+
+# `_Tree`'s tables for `==`, over the node classes of both languages: each
+# module adds its own with `_compare_exactly`.
+_EQ_CHILDREN: dict = {}
+_EQ_FIELDS: dict = {}
+
+
+def _compare_exactly(children: dict, binds: dict) -> None:
+    """Add a language's node classes, given by its `_alpha_eq` tables, to
+    those `==` compares, with binder and variable names as plain fields."""
+    _EQ_CHILDREN.update(children)
+    for cls, spec in binds.items():
+        _EQ_FIELDS[cls] = ((), ("name",) if spec is None else spec[0] + spec[1])
+
+
+_compare_exactly(_CHILDREN, _BINDS)
 
 
 def _alpha_eq(a, b, children: dict, binds: dict) -> bool:

@@ -20,7 +20,11 @@ without types.
 
 Each entry point takes a strategy, an order or a pairing as its enum member
 or as its value ("cbn", "fn-first", "uncurried"), and raises ValueError on
-any other value.
+any other value. It checks the source once, before any clause runs: a plain
+lambda term (no hole, pair or foreign node at any depth) whose binder
+annotations and env types leave out o, the answer type of every image. So
+the clauses take a variable, then an abstraction, and anything else as an
+application.
 """
 
 from __future__ import annotations
@@ -74,13 +78,11 @@ class Pairing(str, Enum):
 
 
 def _check_no_o(ty: Type) -> None:
-    match ty:
-        case Base(name):
-            if name == "o":
-                raise ReservedBaseType("base type o is reserved for CPS types")
-        case Arrow(dom, cod):
-            _check_no_o(dom)
-            _check_no_o(cod)
+    while isinstance(ty, Arrow):
+        _check_no_o(ty.dom)
+        ty = ty.cod
+    if isinstance(ty, Base) and ty.name == "o":
+        raise ReservedBaseType("base type o is reserved for CPS types")
 
 
 def translate_type(ty: Type, strategy: Strategy, form: str = "star") -> Type:
@@ -176,21 +178,28 @@ class _Fresh:
                 return name
 
 
+def _plain(m: LamTerm, env: Optional[Mapping[str, Type]]) -> set[str]:
+    """Every name the source m holds, once m is plain and neither its binder
+    annotations nor env mention o, the answer type of every image."""
+    used, annotations = require_plain(m, "translation")
+    for ty in (*annotations.values(), *(env or {}).values()):
+        _check_no_o(ty)
+    return used
+
+
 # ---------------------------------------------------------------------------
 # calculus presentation
 #
 # Each clause returns the image of its source subterm and that subterm's type.
+# The entry has checked the whole source (`_plain`), so a clause tests for a
+# variable, then an abstraction, and takes anything else as an application.
 
 
-def _no_clause(m: LamTerm) -> TypeError:
-    """The error for a source node that no translation clause takes."""
-    return TypeError(f"not a lambda term: {m!r}")
-
-
-def _source(m: LamTerm) -> tuple[LamTerm, set[str]]:
-    """The source and every name it holds. k is the calculus's test
-    variable, so a bound k is renamed apart and a free k is rejected."""
-    used = require_plain(m, "translation")
+def _source(m: LamTerm, env: Optional[Mapping[str, Type]]) -> tuple[LamTerm, set[str]]:
+    """The source and every name it holds, checked by `_plain`. k is the
+    calculus's test variable, so a bound k is renamed apart and a free k is
+    rejected."""
+    used = _plain(m, env)
     if "k" in used:
         if "k" in lam_free_vars(m):
             raise PtqError("free variable 'k' clashes with the test variable k")
@@ -200,14 +209,12 @@ def _source(m: LamTerm) -> tuple[LamTerm, set[str]]:
 
 def _rename_k(m: LamTerm, k1: str) -> LamTerm:
     """m with k, bound wherever it occurs, renamed to k1, a name m lacks."""
-    match m:
-        case Var(name):
-            return Var(k1) if name == "k" else m
-        case Lam(x, xty, body):
-            return Lam(k1 if x == "k" else x, xty, _rename_k(body, k1))
-        case App(fn, arg):
-            return App(_rename_k(fn, k1), _rename_k(arg, k1))
-    raise _no_clause(m)
+    cls = type(m)
+    if cls is Var:
+        return Var(k1) if m.name == "k" else m
+    if cls is Lam:
+        return Lam(k1 if m.x == "k" else m.x, m.xty, _rename_k(m.body, k1))
+    return App(_rename_k(m.fn, k1), _rename_k(m.arg, k1))
 
 
 def _walk(
@@ -231,7 +238,7 @@ def _translate(
     """The image of m, or with `computation` the computation that runs it
     against the empty continuation, and m's type under env, which is None
     when m is not fully annotated and well typed there."""
-    m, used = _source(m)
+    m, used = _source(m, env)
     if Strategy(strategy) is Strategy.CBN:
         return _walk(_var_cbn if computation else _cbn, m, used, env)
     return _walk(_var_cbv if computation else _cbv, m, used, env)
@@ -245,18 +252,16 @@ def ptq_translate(
 
 
 def _cbn(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[PTerm, Optional[Type]]:
-    match m:
-        case Var(name):
-            return PVar(name), _lookup(env, name)
-        case Lam(x, xty, body):
-            img, bty = _cbn(body, _bind(env, x, xty), fresh)
-            return PairLam(x, xty, bty, PApp(K, img)), _arrow(xty, bty)
-        case App(fn, arg):
-            arg_img, aty = _cbn(arg, env, fresh)
-            fn_img, fty = _cbn(fn, env, fresh)
-            ty = _apply(fty, aty)
-            return KLam(ty, PApp(Pair(arg_img, K), fn_img)), ty
-    raise _no_clause(m)
+    cls = type(m)
+    if cls is Var:
+        return PVar(m.name), _lookup(env, m.name)
+    if cls is Lam:
+        img, bty = _cbn(m.body, _bind(env, m.x, m.xty), fresh)
+        return PairLam(m.x, m.xty, bty, PApp(K, img)), _arrow(m.xty, bty)
+    arg_img, aty = _cbn(m.arg, env, fresh)
+    fn_img, fty = _cbn(m.fn, env, fresh)
+    ty = _apply(fty, aty)
+    return KLam(ty, PApp(Pair(arg_img, K), fn_img)), ty
 
 
 def _cbv(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[QLam, Optional[Type]]:
@@ -272,27 +277,21 @@ def _cbv(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[QLam, Optional[Type]]:
 
 
 def _aux_cbv(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[PTerm, Optional[Type]]:
-    match m:
-        case Var(name):
-            return PVar(name), _lookup(env, name)
-        case Lam(x, xty, body):
-            img, bty = _cbv(body, _bind(env, x, xty), fresh)
-            return PairLam(x, xty, bty, QApp(img, K)), _arrow(xty, bty)
-    raise TypeError("aux translation is defined on values")
-
-
-def _aux_cbn(m: LamTerm, env: _Env, fresh: _Fresh) -> tuple[PTerm, Optional[Type]]:
-    if not is_value(m):
-        raise TypeError("aux translation is defined on values")
-    return _cbn(m, env, fresh)
+    """The image of a value: a variable or an abstraction."""
+    if type(m) is Var:
+        return PVar(m.name), _lookup(env, m.name)
+    img, bty = _cbv(m.body, _bind(env, m.x, m.xty), fresh)
+    return PairLam(m.x, m.xty, bty, QApp(img, K)), _arrow(m.xty, bty)
 
 
 def aux_translate(
     m: LamTerm, strategy: Strategy, env: Optional[Mapping[str, Type]] = None
 ) -> PTerm:
-    """The program-term image of a value."""
-    m, used = _source(m)
-    aux = _aux_cbn if Strategy(strategy) is Strategy.CBN else _aux_cbv
+    """The program-term image of a value; by name it is the plain image."""
+    m, used = _source(m, env)
+    aux = _cbn if Strategy(strategy) is Strategy.CBN else _aux_cbv
+    if not is_value(m):
+        raise TypeError("aux translation is defined on values")
     return _walk(aux, m, used, env)[0]
 
 
@@ -363,7 +362,7 @@ def plotkin_translate(
 ) -> LamTerm:
     """Plain-lambda CPS. CbN ignores the order; uncurried pairing produces
     unannotated terms in the pair-extended grammar."""
-    used = require_plain(m, "translation")
+    used = _plain(m, env)
     pairs = Pairing(pairing) is Pairing.UNCURRIED
     strategy, order = Strategy(strategy), EvalOrder(order)
     if strategy is Strategy.CBN:
@@ -392,58 +391,55 @@ def _call(fn: LamTerm, arg: LamTerm, k: LamTerm, pairs: bool) -> LamTerm:
 def _plo_cbn(
     m: LamTerm, env: _Env, fresh: _Fresh, pairs: bool
 ) -> tuple[LamTerm, Optional[Type]]:
-    match m:
-        case Var(name):
-            return Var(name), _lookup(env, name)
-        case Lam(x, xty, body):
-            kv = fresh("k")
-            hv = fresh("h") if pairs else None
-            body_env = _bind(env, x, xty)
-            xs = _tr_ty(xty, Strategy.CBN, "star") if env is not None else None
-            img, bty = _plo_cbn(body, body_env, fresh, pairs)
-            ty = _arrow(xty, bty)
-            kty = _cont_ty(ty, Strategy.CBN)
-            return Lam(kv, kty, App(Var(kv), _abs(x, xs, img, hv))), ty
-        case App(fn, arg):
-            kv = fresh("k")
-            mv = fresh("m")
-            arg_img, aty = _plo_cbn(arg, env, fresh, pairs)
-            fn_img, fty = _plo_cbn(fn, env, fresh, pairs)
-            ty = _apply(fty, aty)
-            mty = _tr_ty(fty, Strategy.CBN, "circ") if fty is not None else None
-            body = Lam(mv, mty, _call(Var(mv), arg_img, Var(kv), pairs))
-            return Lam(kv, _cont_ty(ty, Strategy.CBN), App(fn_img, body)), ty
-    raise _no_clause(m)
+    cls = type(m)
+    if cls is Var:
+        return m, _lookup(env, m.name)
+    kv = fresh("k")
+    if cls is Lam:
+        x, xty = m.x, m.xty
+        hv = fresh("h") if pairs else None
+        body_env = _bind(env, x, xty)
+        xs = _tr_ty(xty, Strategy.CBN, "star") if env is not None else None
+        img, bty = _plo_cbn(m.body, body_env, fresh, pairs)
+        ty = _arrow(xty, bty)
+        kty = _cont_ty(ty, Strategy.CBN)
+        return Lam(kv, kty, App(Var(kv), _abs(x, xs, img, hv))), ty
+    mv = fresh("m")
+    arg_img, aty = _plo_cbn(m.arg, env, fresh, pairs)
+    fn_img, fty = _plo_cbn(m.fn, env, fresh, pairs)
+    ty = _apply(fty, aty)
+    mty = _tr_ty(fty, Strategy.CBN, "circ") if fty is not None else None
+    body = Lam(mv, mty, _call(Var(mv), arg_img, Var(kv), pairs))
+    return Lam(kv, _cont_ty(ty, Strategy.CBN), App(fn_img, body)), ty
 
 
 def _plo_cbv(
     m: LamTerm, env: _Env, fresh: _Fresh, order: EvalOrder, pairs: bool
 ) -> tuple[LamTerm, Optional[Type]]:
     kv = fresh("k")
-    match m:
-        case Var(name):
-            ty = _lookup(env, name)
-            out = App(Var(kv), Var(name))
-        case Lam(x, xty, body):
-            hv = fresh("h") if pairs else None
-            body_env = _bind(env, x, xty)
-            xs = _tr_ty(xty, Strategy.CBV, "circ") if env is not None else None
-            img, bty = _plo_cbv(body, body_env, fresh, order, pairs)
-            ty = _arrow(xty, bty)
-            out = App(Var(kv), _abs(x, xs, img, hv))
-        case App(fn, arg):
-            mv = fresh("m")
-            nv = fresh("n")
-            fn_t, fty = _plo_cbv(fn, env, fresh, order, pairs)
-            arg_t, aty = _plo_cbv(arg, env, fresh, order, pairs)
-            ty = _apply(fty, aty)
-            mty = _tr_ty(fty, Strategy.CBV, "circ") if fty is not None else None
-            nty = _dom(mty)
-            core = _call(Var(mv), Var(nv), Var(kv), pairs)
-            if order is EvalOrder.FUNCTION_FIRST:
-                out = App(fn_t, Lam(mv, mty, App(arg_t, Lam(nv, nty, core))))
-            else:
-                out = App(arg_t, Lam(nv, nty, App(fn_t, Lam(mv, mty, core))))
-        case _:
-            raise _no_clause(m)
+    cls = type(m)
+    if cls is Var:
+        ty = _lookup(env, m.name)
+        out = App(Var(kv), m)
+    elif cls is Lam:
+        x, xty = m.x, m.xty
+        hv = fresh("h") if pairs else None
+        body_env = _bind(env, x, xty)
+        xs = _tr_ty(xty, Strategy.CBV, "circ") if env is not None else None
+        img, bty = _plo_cbv(m.body, body_env, fresh, order, pairs)
+        ty = _arrow(xty, bty)
+        out = App(Var(kv), _abs(x, xs, img, hv))
+    else:
+        mv = fresh("m")
+        nv = fresh("n")
+        fn_t, fty = _plo_cbv(m.fn, env, fresh, order, pairs)
+        arg_t, aty = _plo_cbv(m.arg, env, fresh, order, pairs)
+        ty = _apply(fty, aty)
+        mty = _tr_ty(fty, Strategy.CBV, "circ") if fty is not None else None
+        nty = _dom(mty)
+        core = _call(Var(mv), Var(nv), Var(kv), pairs)
+        if order is EvalOrder.FUNCTION_FIRST:
+            out = App(fn_t, Lam(mv, mty, App(arg_t, Lam(nv, nty, core))))
+        else:
+            out = App(arg_t, Lam(nv, nty, App(fn_t, Lam(mv, mty, core))))
     return Lam(kv, _cont_ty(ty, Strategy.CBV), out), ty

@@ -217,6 +217,31 @@ class TestTranslate:
         assert code == 1 and out == ""
         assert err == "error: translation handles terms without holes\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--strategy", "cbn"],
+            ["--strategy", "cbv", "--form", "eterm"],
+            ["--strategy", "cbn", "--form", "plotkin"],
+            ["--strategy", "cbv", "--form", "plotkin", "--pairing", "uncurried"],
+        ],
+    )
+    @pytest.mark.parametrize("source", [r"\x:o. x", r"(\x:A -> o. x) y"])
+    def test_answer_type_in_the_source_is_rejected(self, capsys, argv, source):
+        # o is the answer type of every image; a source with it used to be
+        # translated into a text that `ptq parse` rejects
+        code, out, err = run(capsys, "translate", *argv, source)
+        assert (code, out) == (1, "")
+        assert err == "error: base type o is reserved for CPS types\n"
+
+    def test_duplicate_env_name_is_rejected(self, capsys):
+        # the env used to keep the last type given for y
+        code, out, err = run(
+            capsys, "translate", "--strategy", "cbn", "--env", "y:B, y:A", "y"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: y is already bound\n"
+
     def test_free_k_is_rejected(self, capsys):
         code, _, err = run(
             capsys, "translate", "--strategy", "cbn", "--env", "k:A", r"(\x:A. x) k"

@@ -329,4 +329,11 @@ def test_lam_str_nesting_deeper_than_the_stack():
 
 def test_lam_str_not_a_lambda_term():
     with pytest.raises(TypeError):
-        lam_str(App(Var("x"), "y"))
+        lam_str(App(Var("x"), "y"))  # raised by App, which takes no str child
+    # so only the root can be a stray str; a calculus node has free names,
+    # so App takes it, and the walk rejects it
+    for m in ("y", None, PVar("x"), App(Var("f"), PVar("x"))):
+        bad = m.arg if isinstance(m, App) else m
+        with pytest.raises(TypeError) as exc:
+            lam_str(m)
+        assert str(exc.value) == f"not a lambda term: {bad!r}"

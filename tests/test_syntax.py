@@ -24,6 +24,7 @@ from ptq import (
     QLam,
     STAR,
     Star,
+    Strategy,
     TClosureError,
     Var,
     XLam,
@@ -49,8 +50,9 @@ from ptq import (
     term_str,
     type_str,
 )
-from ptq.lam import Hole, lam_free_vars
+from ptq.lam import Hole, PairTerm, lam_free_vars
 from ptq.syntax import fresh_name
+from test_printer import church_image
 from test_substitution import DEPTH, deep_spine, reference_lam_free_vars
 
 
@@ -165,17 +167,40 @@ class TestFreeVars:
             node = App(node, Var(f"y{i % 3}"))
         assert lam_free_vars(node) == {"x", "y0", "y1", "y2"}
 
+    # each node class with term children, a builder from its child list,
+    # and the children it is built with when every one is a term
+    NODES = [
+        (lambda c: PairLam("x", A, A, *c), [PApp(KVar(), PVar("x"))]),
+        (lambda c: KLam(A, *c), [PApp(KVar(), PVar("x"))]),
+        (lambda c: Pair(*c), [PVar("x"), STAR]),
+        (lambda c: XLam("x", A, *c), [PApp(KVar(), PVar("x"))]),
+        (lambda c: QLam(A, *c), [PApp(KVar(), PVar("x"))]),
+        (lambda c: PApp(*c), [STAR, PVar("x")]),
+        (lambda c: QApp(*c), [QLam(A, PApp(KVar(), PVar("x"))), STAR]),
+    ]
+    LAM_NODES = [
+        (lambda c: Lam("x", A, *c), [Var("x")]),
+        (lambda c: App(*c), [Var("f"), Var("x")]),
+        (lambda c: PairTerm(*c), [Var("x"), Var("y")]),
+        (lambda c: PairPatLam("x", "h", *c), [Var("x")]),
+    ]
+
+    @staticmethod
+    def rejects_each_child_that_is_not_a_term(nodes, what):
+        # the walks trust these checks: only the root can be a non-term
+        for build, children in nodes:
+            build(children)
+            for i in range(len(children)):
+                for bad in ("y", None, 3):
+                    with pytest.raises(TypeError) as exc:
+                        build([bad if j == i else c for j, c in enumerate(children)])
+                    assert str(exc.value) == f"not a {what}: {bad!r}"
+
     def test_a_child_that_is_not_a_term(self):
-        with pytest.raises(TypeError, match=r"^not a term: 'y'$"):
-            PApp(STAR, "y")
-        with pytest.raises(TypeError, match=r"^not a term: None$"):
-            XLam("x", A, None)
+        self.rejects_each_child_that_is_not_a_term(self.NODES, "term")
 
     def test_a_child_that_is_not_a_lambda_term(self):
-        with pytest.raises(TypeError, match=r"^not a lambda term: 'y'$"):
-            App(Var("x"), "y")
-        with pytest.raises(TypeError, match=r"^not a lambda term: 3$"):
-            PairPatLam("x", "h", 3)
+        self.rejects_each_child_that_is_not_a_term(self.LAM_NODES, "lambda term")
 
 
 class TestSubstitution:
@@ -406,6 +431,50 @@ class TestAlphaEq:
         assert lam_alpha_eq(chain("x", "x0"), chain("y", "y0"))
         assert not lam_alpha_eq(chain("x", "x0"), chain("y", "y1"))
         assert not lam_alpha_eq(chain("x", "x0"), chain("y", "x0"))
+
+
+class TestEquality:
+    """`==` compares names exactly and, like `alpha_eq`, walks with an
+    explicit stack; `hash` reads no child, so neither recurses."""
+
+    def test_names_must_match_exactly(self):
+        assert T(r"\x:A. * ; x") == T(r"\x:A. * ; x")
+        assert T(r"\x:A. * ; x") != T(r"\y:A. * ; y")
+        assert T(r"\x:A. * ; x") != T(r"\x:B. * ; x")
+        assert parse_lam(r"\x. x") != parse_lam(r"\y. y")
+        assert parse_lam(r"\(x, h). h x") != parse_lam(r"\(x, g). g x")
+        assert PVar("x") != Var("x") and Star() == STAR != KVar()
+
+    def test_equal_terms_hash_alike(self):
+        for text in (r"\(x:A, k:B). <y, k> ; x", r"(%k:A. k ; y) ! *"):
+            a, b = T(text), T(text)
+            assert a is not b and a == b and hash(a) == hash(b)
+        a, b = parse_lam(r"\x. ([]:A) x y"), parse_lam(r"\x. ([]:A) x y")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, parse_lam(r"\y. ([]:A) y y")}) == 2
+
+    def test_printed_church_400_by_name_reread(self):
+        image = church_image(400, Strategy.CBN)
+        reread = parse_term(term_str(image))
+        assert reread == image and hash(reread) == hash(image)
+        assert reread != church_image(399, Strategy.CBN)
+
+    def test_lambda_spines_deeper_than_the_stack(self):
+        def spine(last):
+            # \x. x (\x. x (... (\x. x last)))
+            node = Var(last)
+            for _ in range(DEPTH):
+                node = Lam("x", A, App(Var("x"), node))
+            return node
+
+        a, b = spine("z"), spine("z")
+        assert a == b and hash(a) == hash(b)
+        assert a != spine("w")
+
+    def test_calculus_spines_deeper_than_the_stack(self):
+        a, b = deep_spine(STAR, "v"), deep_spine(STAR, "v")
+        assert a == b and hash(a) == hash(b)
+        assert a != deep_spine(STAR, "u")
 
 
 class TestOneBeta:
