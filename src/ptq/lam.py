@@ -5,17 +5,20 @@ its extension with a typed hole constant, written []. The CPS translations in
 uncurried mode additionally produce pairs and pair-pattern abstractions; those
 two constructors never reach the evaluators.
 
-Substitution M[N/x] and hole composition M[N/[]] are one capture-avoiding
-walk, the scheme the calculus terms use (see `ptq.syntax`). Each node's
-constructor sets its free names; a hole counts as the name [], which no
-variable can be spelled as, so a variable and the hole are one kind of
-target. Hole composition plugs N into every hole of M and is associative
-with [] as neutral element.
+Each node class is declared once, by its annotated fields, through the
+decorator `_lam_node` (`ptq.syntax._language`), which derives its constructor,
+its rows in the walk tables and its `==`, `hash` and `repr`, as for the
+calculus's classes. The constructor sets the node's free names; a hole counts
+as the name [], which no variable can be spelled as, so a variable and the
+hole are one kind of target. Substitution M[N/x] and hole composition
+M[N/[]] are one capture-avoiding walk, the scheme the calculus terms use (see
+`ptq.syntax`). Hole composition plugs N into every hole of M and is
+associative with [] as neutral element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import fields, replace
 from typing import Optional, Union
 
 from .errors import ParseError, PtqError, UncurriedNeedsPairs
@@ -23,11 +26,8 @@ from .syntax import (
     _IDENT_RE,
     _Tree,
     _alpha_eq,
-    _bound,
-    _compare_exactly,
+    _language,
     _names,
-    _setattr,
-    _union,
     Type,
     TokenStream,
     _parse_opt_ann,
@@ -42,91 +42,61 @@ _HOLE_NAME = "[]"
 
 
 class _LamNode(_Tree):
-    """Base of the lambda nodes. Each keeps its free names, a hole's as [],
-    in `_fv`, set by its constructor as `ptq.syntax._Node`'s are."""
+    """Base of the lambda node classes. Each node keeps its free names, a
+    hole's as [], in `_fv`."""
 
 
-@dataclass(frozen=True, eq=False, init=False)
+# the walk tables, one row per node class, filled by `_lam_node`
+_CHILDREN: dict = {}
+_BINDS: dict = {}
+_lam_node = _language("lambda term", _CHILDREN, _BINDS)
+
+
+@_lam_node()
 class Var(_LamNode):
     name: str
 
-    def __init__(self, name: str):
-        _setattr(self, "name", name)
-        _setattr(self, "_fv", frozenset((name,)))
 
-
-@dataclass(frozen=True, eq=False, init=False)
+@_lam_node()
 class Lam(_LamNode):
     x: str
     xty: Optional[Type]
-    body: "LamTerm"
-
-    def __init__(self, x: str, xty: Optional[Type], body: "LamTerm"):
-        _setattr(self, "x", x)
-        _setattr(self, "xty", xty)
-        _setattr(self, "body", body)
-        _setattr(self, "_fv", _bound(body, x, "lambda term"))
+    body: LamTerm
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_lam_node()
 class App(_LamNode):
-    fn: "LamTerm"
-    arg: "LamTerm"
-
-    def __init__(self, fn: "LamTerm", arg: "LamTerm"):
-        _setattr(self, "fn", fn)
-        _setattr(self, "arg", arg)
-        _setattr(self, "_fv", _union(fn, arg, "lambda term"))
+    fn: LamTerm
+    arg: LamTerm
 
 
-@dataclass(frozen=True, eq=False)
+@_lam_node()
 class Hole(_LamNode):
     ty: Optional[Type] = None
     _fv = frozenset((_HOLE_NAME,))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_lam_node()
 class PairTerm(_LamNode):
     """Pair constructor for the uncurried CPS image."""
 
-    fst: "LamTerm"
-    snd: "LamTerm"
-
-    def __init__(self, fst: "LamTerm", snd: "LamTerm"):
-        _setattr(self, "fst", fst)
-        _setattr(self, "snd", snd)
-        _setattr(self, "_fv", _union(fst, snd, "lambda term"))
+    fst: LamTerm
+    snd: LamTerm
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_lam_node()
 class PairPatLam(_LamNode):
-    """Pair-pattern abstraction \\(x, h). M for the uncurried CPS image."""
+    """Pair-pattern abstraction \\(x, h). M for the uncurried CPS image; h
+    shadows x when both are one name."""
 
     x: str
     h: str
-    body: "LamTerm"
-
-    def __init__(self, x: str, h: str, body: "LamTerm"):
-        _setattr(self, "x", x)
-        _setattr(self, "h", h)
-        _setattr(self, "body", body)
-        fv = _bound(body, x, "lambda term")
-        _setattr(self, "_fv", fv - {h} if h in fv else fv)
+    body: LamTerm
 
 
 LamTerm = Union[Var, Lam, App, Hole, PairTerm, PairPatLam]
 
 HOLE = Hole()
-
-# the children of each node class, in the order of its fields
-_CHILDREN = {
-    Var: lambda m: (),
-    Lam: lambda m: (m.body,),
-    App: lambda m: (m.fn, m.arg),
-    Hole: lambda m: (),
-    PairTerm: lambda m: (m.fst, m.snd),
-    PairPatLam: lambda m: (m.body,),
-}
 
 
 def is_value(m: LamTerm) -> bool:
@@ -188,7 +158,10 @@ def _subst(t: LamTerm, target: str, payload: LamTerm, fv: frozenset[str]) -> Lam
     if cls is PairPatLam:
         x, h, body = t.x, t.h, t.body
         if x in fv:
-            x, body = _rename(x, body, fv | {h})
+            if x == h:  # h shadows x, which then binds nothing in the body
+                x = fresh_name(x, fv | body._fv)
+            else:
+                x, body = _rename(x, body, fv | {h})
         if h in fv:
             h, body = _rename(h, body, fv | {x})
         return PairPatLam(x, h, _subst(body, target, payload, fv))
@@ -208,18 +181,6 @@ def lam_alpha_eq(a: LamTerm, b: LamTerm) -> bool:
     return _alpha_eq(a, b, _CHILDREN, _BINDS)
 
 
-# the tables of `ptq.syntax._alpha_eq` for lambda terms
-_BINDS = {
-    Var: None,
-    Lam: (("x",), ("xty",)),
-    App: ((), ()),
-    Hole: ((), ("ty",)),
-    PairTerm: ((), ()),
-    PairPatLam: (("x", "h"), ()),
-}
-_compare_exactly(_CHILDREN, _BINDS)
-
-
 # ---------------------------------------------------------------------------
 # one-step beta matching, used to certify readback soundness
 
@@ -234,20 +195,12 @@ def reduces_in_one_beta(m: LamTerm, n: LamTerm) -> bool:
     return any(lam_alpha_eq(c, n) for c in _contractions(m))
 
 
-# a copy of a node with its i-th child (in `_CHILDREN` order) replaced
-_WITH_CHILD = {
-    Lam: lambda m, i, c: Lam(m.x, m.xty, c),
-    App: lambda m, i, c: App(c, m.arg) if i == 0 else App(m.fn, c),
-    PairTerm: lambda m, i, c: PairTerm(c, m.snd) if i == 0 else PairTerm(m.fst, c),
-    PairPatLam: lambda m, i, c: PairPatLam(m.x, m.h, c),
-}
-
-
 def _contractions(m: LamTerm):
     """The one-step reducts of m, one at a time: its redexes in pre-order,
     outermost and leftmost first. An explicit-stack walk keeps the path to
     each node, as a linked list of (parent, child index) pairs, and rebuilds
-    only that path around each contraction; every other subterm is shared
+    only that path around each contraction, replacing in each parent the
+    field its declaration gives the child; every other subterm is shared
     with m."""
     stack = [(m, None)]
     while stack:
@@ -259,7 +212,8 @@ def _contractions(m: LamTerm):
             out, up = lam_subst(t.fn.body, t.fn.x, t.arg), path
             while up is not None:
                 (parent, i), up = up
-                out = _WITH_CHILD[type(parent)](parent, i, out)
+                name = [f.name for f in fields(parent) if f.type == "LamTerm"][i]
+                out = replace(parent, **{name: out})
             yield out
         kids = _CHILDREN[cls](t)
         for i in range(len(kids) - 1, -1, -1):

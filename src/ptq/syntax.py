@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from typing import Container, Optional, Union
 
@@ -78,12 +78,6 @@ def _names(child, what: str = "term") -> frozenset[str]:
         raise TypeError(f"not a {what}: {child!r}") from None
 
 
-def _bound(body, x: str, what: str = "term") -> frozenset[str]:
-    """The free names of a binder over x: its body's without x."""
-    fv = _names(body, what)
-    return fv - {x} if x in fv else fv
-
-
 def _union(a, b, what: str = "term") -> frozenset[str]:
     """The free names of two children, sharing one child's set when it holds
     the other's."""
@@ -94,14 +88,20 @@ def _union(a, b, what: str = "term") -> frozenset[str]:
     return fb if fa <= fb else fa if fb <= fa else fa | fb
 
 
+# `_Tree`'s tables for `==` and `hash`, over the node classes of both languages
+_EQ_CHILDREN: dict = {}
+_EQ_FIELDS: dict = {}
+
+
 class _Tree:
     """Base of the term nodes of both languages (`_Node` and `ptq.lam`'s
-    `_LamNode`), for `==` and `hash`, which never recurse.
+    `_LamNode`), for `==`, `hash` and `repr`, which never recurse.
 
     `==` is `_alpha_eq` with binder names compared as plain fields, so names
     must match exactly, and nodes of different classes differ. `hash` reads
     the node's class, its own fields that are not terms, and its free names;
-    equal nodes agree on all three."""
+    equal nodes agree on all three. `repr` is the dataclass text,
+    `Cls(field=value, ...)`, built with an explicit stack."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -112,13 +112,103 @@ class _Tree:
         cls = type(self)
         return hash((cls, self._fv, *[getattr(self, f) for f in _EQ_FIELDS[cls][1]]))
 
+    def __repr__(self):
+        out, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            names = item.__match_args__
+            todo.append(")")
+            for i in range(len(names) - 1, -1, -1):
+                value = getattr(item, names[i])
+                todo.append(value if isinstance(value, _Tree) else repr(value))
+                todo.append(f", {names[i]}=" if i else f"{names[i]}=")
+            todo.append(f"{type(item).__qualname__}(")
+        return "".join(out)
+
+
+# the annotations of the fields that hold a child, in either language
+_CHILD_TYPES = frozenset(("PTerm", "TTerm", "ETerm", "QLam", "LamTerm"))
+
+
+def _language(what: str, children: dict, binds: dict, sorts: Optional[dict] = None):
+    """The class decorator `node(sort)` of one language, which declares a
+    node class and adds its rows to the language's walk tables (`sorts` for
+    the calculus only) and to `_Tree`'s; `what` names a term of the language
+    in the constructors' errors.
+
+    A class is declared once, by its annotated fields (strings, under `from
+    __future__ import annotations`), and each field's role is read off its
+    annotation:
+
+      a term type (`_CHILD_TYPES`)           a child
+      `name: str`, the class's only field    a variable occurrence
+      any other `str`                        a bound name
+      anything else                          an annotation, compared with ==
+
+    `children[cls]` gives a node's children in field order, `binds[cls]` is
+    the class's row in `_alpha_eq`'s format, and `_EQ_FIELDS[cls]` holds
+    every field that is not a child, so `==` compares names exactly. The
+    class becomes a frozen dataclass with `_Tree`'s `==`, `hash` and `repr`.
+    A class with a class-level `_fv` (a constant) keeps the dataclass
+    constructor; any other gets one that stores each field, then its free
+    names: a variable's name, or its children's (by `_names` or `_union`,
+    which reject a child that is not a node) less its bound names. The
+    constructor and the children function are compiled once per class from
+    generated source, as `dataclasses` compiles its own, so no call reads
+    the declaration.
+    """
+
+    def node(sort: Optional[str] = None):
+        def declare(cls):
+            constant = "_fv" in vars(cls)
+            cls = dataclass(frozen=True, eq=False, repr=False, init=constant)(cls)
+            names = cls.__match_args__
+            kids = [f.name for f in fields(cls) if f.type in _CHILD_TYPES]
+            bound = tuple(f.name for f in fields(cls) if f.type == "str")
+            var = bound == names == ("name",)
+            bound = () if var else bound
+            rest = tuple(n for n in names if n not in kids)
+            source = f"def children(t): return ({''.join(f't.{k}, ' for k in kids)})\n"
+            if not constant:
+                fv = "frozenset((name,))" if var else f"_names({kids[0]}, {what!r})"
+                if len(kids) == 2:
+                    fv = f"_union({kids[0]}, {kids[1]}, {what!r})"
+                source += "".join(
+                    [f"def __init__(self, {', '.join(names)}):\n"]
+                    + [f"    _setattr(self, {n!r}, {n})\n" for n in names]
+                    + [f"    fv = {fv}\n"]
+                    + [f"    fv = fv - {{{x}}} if {x} in fv else fv\n" for x in bound]
+                    + ["    _setattr(self, '_fv', fv)\n"]
+                )
+            # one file name per class, so profiles and tracebacks tell the classes apart
+            code = compile(source, f"<{cls.__module__}.{cls.__qualname__}>", "exec")
+            made = {}
+            scope = {"__name__": cls.__module__, "_setattr": _setattr, "_names": _names, "_union": _union}
+            exec(code, scope, made)
+            children[cls] = _EQ_CHILDREN[cls] = made["children"]
+            if not constant:
+                made["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+                cls.__init__ = made["__init__"]
+            binds[cls] = None if var else (bound, tuple(n for n in rest if n not in bound))
+            _EQ_FIELDS[cls] = ((), rest)
+            if sorts is not None:
+                sorts[cls] = sort
+            return cls
+
+        return declare
+
+    return node
+
 
 class _Node(_Tree):
-    """Base of the term nodes. A node is immutable, so a fact that depends
-    on the node alone is kept on it, as an instance attribute outside the
-    dataclass fields, so equality, hashing, printing and
-    `dataclasses.fields` never see it (hashing reads `_fv`, which the
-    fields decide):
+    """Base of the calculus's node classes, which `_node` declares. A node is
+    immutable, so a fact that depends on the node alone is kept on it, as an
+    instance attribute outside the dataclass fields, so equality, hashing,
+    printing and `dataclasses.fields` never see it (hashing reads `_fv`,
+    which the fields decide):
 
       _fv     its free program names (every node), set by its constructor
               from those of its children, which are built first, so no
@@ -137,118 +227,83 @@ class _Node(_Tree):
     _image = None
 
 
-@dataclass(frozen=True, eq=False, init=False)
+# the walk tables, one row per node class, filled by `_node`
+_CHILDREN: dict = {}
+_BINDS: dict = {}
+_SORT: dict = {}
+_node = _language("term", _CHILDREN, _BINDS, _SORT)
+
+
+@_node("p")
 class PVar(_Node):
     name: str
 
-    def __init__(self, name: str):
-        _setattr(self, "name", name)
-        _setattr(self, "_fv", frozenset((name,)))
 
-
-@dataclass(frozen=True, eq=False, init=False)
+@_node("p")
 class PairLam(_Node):
     """Program abstraction \\(x:A, k:B). u over an argument and a test."""
 
     x: str
     xty: Optional[Type]
     kty: Optional[Type]
-    body: "ETerm"
-
-    def __init__(self, x: str, xty: Optional[Type], kty: Optional[Type], body: "ETerm"):
-        _setattr(self, "x", x)
-        _setattr(self, "xty", xty)
-        _setattr(self, "kty", kty)
-        _setattr(self, "body", body)
-        _setattr(self, "_fv", _bound(body, x))
+    body: ETerm
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node("p")
 class KLam(_Node):
     """Program abstraction \\k:A. u over the test alone."""
 
     kty: Optional[Type]
-    body: "ETerm"
-
-    def __init__(self, kty: Optional[Type], body: "ETerm"):
-        _setattr(self, "kty", kty)
-        _setattr(self, "body", body)
-        _setattr(self, "_fv", _names(body))
+    body: ETerm
 
 
-@dataclass(frozen=True, eq=False)
+@_node("t")
 class Star(_Node):
     _fv = _NO_NAMES
 
 
-@dataclass(frozen=True, eq=False)
+@_node("t")
 class KVar(_Node):
     _fv = _NO_NAMES
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node("t")
 class Pair(_Node):
-    fst: "PTerm"
-    snd: "TTerm"
-
-    def __init__(self, fst: "PTerm", snd: "TTerm"):
-        _setattr(self, "fst", fst)
-        _setattr(self, "snd", snd)
-        _setattr(self, "_fv", _union(fst, snd))
+    fst: PTerm
+    snd: TTerm
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node("t")
 class XLam(_Node):
     """Test abstraction \\x:A. u binding a program variable."""
 
     x: str
     xty: Optional[Type]
-    body: "ETerm"
-
-    def __init__(self, x: str, xty: Optional[Type], body: "ETerm"):
-        _setattr(self, "x", x)
-        _setattr(self, "xty", xty)
-        _setattr(self, "body", body)
-        _setattr(self, "_fv", _bound(body, x))
+    body: ETerm
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node("q")
 class QLam(_Node):
     """Jump abstraction %k:A. u; applied to a test it resumes its body."""
 
     kty: Optional[Type]
-    body: "ETerm"
-
-    def __init__(self, kty: Optional[Type], body: "ETerm"):
-        _setattr(self, "kty", kty)
-        _setattr(self, "body", body)
-        _setattr(self, "_fv", _names(body))
+    body: ETerm
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node("e")
 class PApp(_Node):
     """Computation t ; p feeding the program p to the test t."""
 
-    test: "TTerm"
-    proof: "PTerm"
-
-    def __init__(self, test: "TTerm", proof: "PTerm"):
-        _setattr(self, "test", test)
-        _setattr(self, "proof", proof)
-        _setattr(self, "_fv", _union(test, proof))
+    test: TTerm
+    proof: PTerm
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node("e")
 class QApp(_Node):
     """Computation q ! t resuming the jump q with the test t."""
 
     fn: QLam
-    test: "TTerm"
-
-    def __init__(self, fn: QLam, test: "TTerm"):
-        _setattr(self, "fn", fn)
-        _setattr(self, "test", test)
-        _setattr(self, "_fv", _union(fn, test))
+    test: TTerm
 
 
 PTerm = Union[PVar, PairLam, KLam]
@@ -259,27 +314,6 @@ Term = Union[PTerm, TTerm, QTerm, ETerm]
 
 STAR = Star()
 K = KVar()
-
-# the children of each node class in field order, for the walks over terms
-_CHILDREN = {
-    PVar: lambda t: (),
-    PairLam: lambda t: (t.body,),
-    KLam: lambda t: (t.body,),
-    Star: lambda t: (),
-    KVar: lambda t: (),
-    Pair: lambda t: (t.fst, t.snd),
-    XLam: lambda t: (t.body,),
-    QLam: lambda t: (t.body,),
-    PApp: lambda t: (t.test, t.proof),
-    QApp: lambda t: (t.fn, t.test),
-}
-
-_SORT = {
-    PVar: "p", PairLam: "p", KLam: "p",
-    Star: "t", KVar: "t", Pair: "t", XLam: "t",
-    QLam: "q",
-    PApp: "e", QApp: "e",
-}
 
 
 def sort_of(term: Term) -> str:
@@ -535,43 +569,13 @@ def alpha_eq(a: Term, b: Term) -> bool:
     return _alpha_eq(a, b, _CHILDREN, _BINDS)
 
 
-# Each node class's fields that bind a name and fields compared with ==; None
-# marks a variable occurrence, whose `name` is looked up in the binders above
-# it. Only program variables are renamed: every k-binder binds k alike.
-_BINDS = {
-    PVar: None,
-    PairLam: (("x",), ("xty", "kty")),
-    KLam: ((), ("kty",)),
-    Star: ((), ()),
-    KVar: ((), ()),
-    Pair: ((), ()),
-    XLam: (("x",), ("xty",)),
-    QLam: ((), ("kty",)),
-    PApp: ((), ()),
-    QApp: ((), ()),
-}
-
-
-# `_Tree`'s tables for `==`, over the node classes of both languages: each
-# module adds its own with `_compare_exactly`.
-_EQ_CHILDREN: dict = {}
-_EQ_FIELDS: dict = {}
-
-
-def _compare_exactly(children: dict, binds: dict) -> None:
-    """Add a language's node classes, given by its `_alpha_eq` tables, to
-    those `==` compares, with binder and variable names as plain fields."""
-    _EQ_CHILDREN.update(children)
-    for cls, spec in binds.items():
-        _EQ_FIELDS[cls] = ((), ("name",) if spec is None else spec[0] + spec[1])
-
-
-_compare_exactly(_CHILDREN, _BINDS)
-
-
 def _alpha_eq(a, b, children: dict, binds: dict) -> bool:
     """Whether a and b are equal up to the names of bound variables, in the
-    language whose node classes `children` and `binds` list (see `_BINDS`).
+    language whose node classes `children` and `binds` list. `binds` maps a
+    class to None for a variable occurrence, whose `name` is looked up in the
+    binders above it, or else to its fields that bind a name and its fields
+    compared with ==. Only program variables are renamed: every k-binder
+    binds k alike, so it has no field that binds a name.
 
     One explicit-stack walk over both terms, so no depth of nesting exhausts
     the Python stack. Each binder gets a number, which its names map to on
@@ -638,8 +642,9 @@ def _ann(name: str, ty: Optional[Type]) -> str:
 _FORMAT = ("\\", None)
 _JSON_FORMAT = ("\\\\", lambda text: encode_basestring_ascii(text)[1:-1])
 
-# the node classes whose text is wrapped in parentheses inside a larger term
-_WRAPPED = frozenset((PairLam, KLam, XLam, QLam))
+# the node classes whose text is wrapped in parentheses inside a larger term:
+# those with a body
+_WRAPPED = frozenset(cls for cls in _SORT if "body" in cls.__match_args__)
 
 
 def _ann_text(ty: Optional[Type], memo: dict, esc) -> str:

@@ -34,7 +34,7 @@ from ptq import (
     term_str,
     Var,
 )
-from ptq.errors import MissingAnnotation
+from ptq.errors import FuelExhausted, MissingAnnotation, OracleDiverged
 from ptq.harness import (
     CHECKS,
     TOP_MENU,
@@ -135,6 +135,14 @@ class TestProperties:
             for strategy in (Strategy.CBN, Strategy.CBV):
                 report = check(m, strategy, 4, seed + 50)
                 assert report.ok, report.failures
+
+    def test_oracle_out_of_fuel(self, monkeypatch):
+        # the oracle's run needs two steps by value; one is all it gets
+        monkeypatch.setattr(ptq.harness, "ORACLE_FUEL", 1)
+        m = parse_lam(r"(\x:X->X. x) ((\y:X->X. y) (\z:X. z))")
+        with pytest.raises(OracleDiverged, match="no normal form within 1 steps") as info:
+            check_completeness(m, Strategy.CBV)
+        assert isinstance(info.value.__cause__, FuelExhausted)
 
     def test_report_replayability(self):
         reports = run_property("completeness", 10, 4, 77)

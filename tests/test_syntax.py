@@ -1,6 +1,7 @@
 """Terms, substitution, closure, composition, alpha equivalence."""
 
 import dataclasses
+import inspect
 import sys
 
 import pytest
@@ -30,6 +31,7 @@ from ptq import (
     XLam,
     alpha_eq,
     beta_contractions,
+    classify,
     free_pvars,
     hole_compose,
     lam_alpha_eq,
@@ -38,6 +40,8 @@ from ptq import (
     parse_lam,
     is_t_closed,
     parse_term,
+    ptq_translate,
+    ptq_translate_e,
     reduces_in_one_beta,
     sort_of,
     spine,
@@ -50,7 +54,7 @@ from ptq import (
     term_str,
     type_str,
 )
-from ptq.lam import Hole, PairTerm, lam_free_vars
+from ptq.lam import HOLE, Hole, PairTerm, lam_free_vars, plug_hole
 from ptq.syntax import fresh_name
 from test_printer import church_image
 from test_substitution import DEPTH, deep_spine, reference_lam_free_vars
@@ -300,6 +304,29 @@ class TestLamSubstitution:
 
         assert calls(400) <= 4.5 * calls(100)
 
+    @pytest.mark.parametrize(
+        "text, target, payload, expected",
+        [
+            # h shadows x, so the body's x is the second component's
+            (r"\(x, x). x y", "y", "x", r"\(a, b). b x"),
+            (r"\(x, x). x y", "y", "x_1 x", r"\(a, b). b (x_1 x)"),
+            (r"\(x, x). x y", "y", "z", r"\(a, b). b z"),
+            (r"\(x, x). x y", "x", "z", r"\(a, b). b y"),
+            (r"\(x, h). h x y", "y", "x", r"\(a, b). b a x"),
+            (r"\(x, h). h x y", "y", "h", r"\(a, b). b a h"),
+            (r"\(x, h). h x y", "y", "x h", r"\(a, b). b a (x h)"),
+            (r"\(x, h). h x y", "x", "z", r"\(a, b). b a y"),
+            (r"\(x, h). h x y", "h", "z", r"\(a, b). b a y"),
+        ],
+    )
+    def test_shadowed_pair_binders(self, text, target, payload, expected):
+        got = lam_subst(parse_lam(text), target, parse_lam(payload))
+        assert lam_alpha_eq(got, parse_lam(expected)), lam_str(got)
+
+    def test_hole_under_a_shadowed_pair_binder(self):
+        got = plug_hole(parse_lam(r"\(x, x). x []"), Var("x"))
+        assert lam_alpha_eq(got, parse_lam(r"\(a, b). b x")), lam_str(got)
+
 
 class TestFreshNames:
     def test_first_name_not_avoided(self):
@@ -404,6 +431,47 @@ class TestAlphaEq:
             names, same = spec or (("name",), ())
             assert set(names) | set(same) <= fields, cls
 
+    def test_every_node_class_keeps_its_declaration(self):
+        # the reference: each class's fields, its children (by field), its
+        # `_BINDS` row and its sort
+        x, u, v = PVar("x"), PApp(KVar(), PVar("x")), Var("x")
+        q = QLam(A, u)
+        tables = {
+            PVar(name="x"): (("name",), (), None, "p"),
+            PairLam("x", A, B, u): (("x", "xty", "kty", "body"), ("body",), (("x",), ("xty", "kty")), "p"),
+            KLam(A, u): (("kty", "body"), ("body",), ((), ("kty",)), "p"),
+            STAR: ((), (), ((), ()), "t"),
+            KVar(): ((), (), ((), ()), "t"),
+            Pair(x, KVar()): (("fst", "snd"), ("fst", "snd"), ((), ()), "t"),
+            XLam("x", A, u): (("x", "xty", "body"), ("body",), (("x",), ("xty",)), "t"),
+            q: (("kty", "body"), ("body",), ((), ("kty",)), "q"),
+            u: (("test", "proof"), ("test", "proof"), ((), ()), "e"),
+            QApp(q, STAR): (("fn", "test"), ("fn", "test"), ((), ()), "e"),
+            v: (("name",), (), None, None),
+            Lam("x", A, v): (("x", "xty", "body"), ("body",), (("x",), ("xty",)), None),
+            App(Var("f"), v): (("fn", "arg"), ("fn", "arg"), ((), ()), None),
+            Hole(A): (("ty",), (), ((), ("ty",)), None),
+            PairTerm(v, Var("y")): (("fst", "snd"), ("fst", "snd"), ((), ()), None),
+            PairPatLam("x", "h", Var("h")): (("x", "h", "body"), ("body",), (("x", "h"), ()), None),
+        }
+        for node, (names, children, binds, sort) in tables.items():
+            cls = type(node)
+            module = ptq.syntax if isinstance(node, ptq.syntax._Node) else ptq.lam
+            assert tuple(f.name for f in dataclasses.fields(cls)) == names == cls.__match_args__
+            assert tuple(inspect.signature(cls).parameters) == names
+            values = {name: getattr(node, name) for name in names}
+            for copy in (cls(**values), dataclasses.replace(node), dataclasses.replace(node, **values)):
+                assert copy == node and copy.__dict__ == node.__dict__
+            got = module._CHILDREN[cls](node)
+            assert len(got) == len(children)
+            assert all(c is getattr(node, name) for c, name in zip(got, children))
+            assert ptq.syntax._EQ_CHILDREN[cls] is module._CHILDREN[cls]
+            assert module._BINDS[cls] == binds
+            assert ptq.syntax._EQ_FIELDS[cls] == ((), ("name",) if binds is None else binds[0] + binds[1])
+            if sort is not None:
+                assert ptq.syntax._SORT[cls] == sort
+                assert (cls in ptq.syntax._WRAPPED) == (cls in (PairLam, KLam, XLam, QLam))
+
     def test_shadowed_binder_restored(self):
         assert alpha_eq(T(r"\x:A. (\x:A. * ; x) ; x"), T(r"\y:A. (\z:A. * ; z) ; y"))
         assert not alpha_eq(T(r"\x:A. (\x:A. * ; x) ; x"), T(r"\y:A. (\z:A. * ; y) ; y"))
@@ -475,6 +543,61 @@ class TestEquality:
         a, b = deep_spine(STAR, "v"), deep_spine(STAR, "v")
         assert a == b and hash(a) == hash(b)
         assert a != deep_spine(STAR, "u")
+
+
+def reference_repr(value):
+    """The dataclass `repr`, by its recursive definition."""
+    if not isinstance(value, ptq.syntax._Tree):
+        return repr(value)
+    fields = (f"{f.name}={reference_repr(getattr(value, f.name))}" for f in dataclasses.fields(value))
+    return f"{type(value).__qualname__}({', '.join(fields)})"
+
+
+class TestRepr:
+    """`repr` is the dataclass text, built with an explicit stack."""
+
+    def test_same_as_the_recursive_definition(self, corpus):
+        for m, _, _, _ in corpus:
+            for term in (m, ptq_translate_e(m, Strategy.CBN), ptq_translate_e(m, Strategy.CBV)):
+                assert repr(term) == reference_repr(term)
+        for term in (STAR, KVar(), HOLE, Hole(A), PairPatLam("x", "h", PairTerm(Var("h"), HOLE))):
+            assert repr(term) == reference_repr(term)
+        assert repr(Hole(Arrow(A, B))) == "Hole(ty=Arrow(dom=Base(name='A'), cod=Base(name='B')))"
+
+    def test_lambda_spines_deeper_than_the_stack(self):
+        node = Var("x")
+        for _ in range(DEPTH):
+            node = Lam("y", None, App(Var("y"), node))
+        expected = "Lam(x='y', xty=None, body=App(fn=Var(name='y'), arg=" * DEPTH + "Var(name='x')" + "))" * DEPTH
+        same = repr(node) == expected  # no diff of two long texts on failure
+        assert same
+
+    def test_calculus_spines_deeper_than_the_stack(self):
+        # deep_spine's wrappers, innermost first: each adds a prefix and a suffix
+        jump = repr(QLam(A, PApp(KVar(), PVar("z"))))
+        prefixes, suffixes = [], []
+        for i in range(DEPTH // 5):
+            for prefix, suffix in (
+                ("Pair(fst=PVar(name='x'), snd=", ")"),
+                ("PApp(test=", ", proof=PVar(name='y'))"),
+                (f"XLam(x={'v' if i == 0 else 'w'!r}, xty=Base(name='A'), body=", ")"),
+                (f"QApp(fn={jump}, test=", ")"),
+                ("XLam(x='w', xty=Base(name='A'), body=", ")"),
+            ):
+                prefixes.append(prefix)
+                suffixes.append(suffix)
+        expected = "".join(reversed(prefixes)) + "Star()" + "".join(suffixes)
+        same = repr(deep_spine(STAR, "v")) == expected  # no diff of two long texts on failure
+        assert same
+
+    def test_error_message_of_a_deep_image(self):
+        # the message holds the whole image's text
+        body = "f (" * 200 + "x" + ")" * 200
+        image = ptq_translate(parse_lam(rf"(\f:A->A. \x:A. {body}) (\y:A. y) z"), Strategy.CBV)
+        with pytest.raises(TypeError, match=r"^not a computation: QLam\(kty=") as info:
+            classify(image)
+        same = str(info.value) == f"not a computation: {image!r}"
+        assert same
 
 
 class TestOneBeta:
