@@ -10,10 +10,10 @@ decorator `_lam_node` (`ptq.syntax._language`), which derives its constructor,
 its rows in the walk tables and its `==`, `hash` and `repr`, as for the
 calculus's classes. The constructor sets the node's free names; a hole counts
 as the name [], which no variable can be spelled as, so a variable and the
-hole are one kind of target. Substitution M[N/x] and hole composition
-M[N/[]] are one capture-avoiding walk, the scheme the calculus terms use (see
-`ptq.syntax`). Hole composition plugs N into every hole of M and is
-associative with [] as neutral element.
+hole are one kind of target: substitution M[N/x] and hole composition
+M[N/[]] are one capture-avoiding walk, also derived from the declarations.
+Hole composition plugs N into every hole of M and is associative with [] as
+neutral element.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .syntax import (
     TokenStream,
     _parse_opt_ann,
     _parse_type,
-    fresh_name,
     tokenize,
     type_str,
 )
@@ -49,7 +48,8 @@ class _LamNode(_Tree):
 # the walk tables, one row per node class, filled by `_lam_node`
 _CHILDREN: dict = {}
 _BINDS: dict = {}
-_lam_node = _language("lambda term", _CHILDREN, _BINDS)
+_SUBST: dict = {}
+_lam_node = _language("lambda term", _CHILDREN, _BINDS, _SUBST)
 
 
 @_lam_node()
@@ -113,68 +113,15 @@ def lam_free_vars(m: LamTerm) -> frozenset[str]:
 def lam_subst(m: LamTerm, name: str, payload: LamTerm) -> LamTerm:
     """Capture-avoiding m[payload/name]."""
     try:
-        fv_m, fv = m._fv, payload._fv
+        fv, _ = m._fv, payload._fv
     except AttributeError:  # a non-term, which `_names` reports
-        fv_m, fv = _names(m, "lambda term"), _names(payload, "lambda term")
-    return _subst(m, name, payload, fv) if name in fv_m else m
+        fv, _ = _names(m, "lambda term"), _names(payload, "lambda term")
+    return _SUBST[type(m)](m, name, payload) if name in fv else m
 
 
 def plug_hole(m: LamTerm, payload: LamTerm) -> LamTerm:
     """m[payload/[]], plugging every hole of m."""
     return lam_subst(m, _HOLE_NAME, payload)
-
-
-# The walk enters a child only when the target is among the child's stored
-# free names, so an untouched child costs no call and is shared with the input
-# by identity, and only the paths to the occurrences are rebuilt. Every binder
-# it reaches has the target free in its body; it is renamed exactly when its
-# name is free in the payload (fv), to the first fresh name free neither in fv
-# nor in the body, which then includes the target. Both sets are read from the
-# nodes, so a rename costs a walk along the renamed name's occurrences only.
-
-
-def _subst(t: LamTerm, target: str, payload: LamTerm, fv: frozenset[str]) -> LamTerm:
-    """t[payload/target]; target must be free in t."""
-    cls = type(t)
-    if cls is App:
-        fn, arg = t.fn, t.arg
-        return App(
-            _subst(fn, target, payload, fv) if target in fn._fv else fn,
-            _subst(arg, target, payload, fv) if target in arg._fv else arg,
-        )
-    if cls is Var or cls is Hole:
-        return payload
-    if cls is Lam:
-        x, body = t.x, t.body
-        if x in fv:
-            x, body = _rename(x, body, fv)
-        return Lam(x, t.xty, _subst(body, target, payload, fv))
-    if cls is PairTerm:
-        fst, snd = t.fst, t.snd
-        return PairTerm(
-            _subst(fst, target, payload, fv) if target in fst._fv else fst,
-            _subst(snd, target, payload, fv) if target in snd._fv else snd,
-        )
-    if cls is PairPatLam:
-        x, h, body = t.x, t.h, t.body
-        if x in fv:
-            if x == h:  # h shadows x, which then binds nothing in the body
-                x = fresh_name(x, fv | body._fv)
-            else:
-                x, body = _rename(x, body, fv | {h})
-        if h in fv:
-            h, body = _rename(h, body, fv | {x})
-        return PairPatLam(x, h, _subst(body, target, payload, fv))
-    raise TypeError(f"not a lambda term: {t!r}")
-
-
-def _rename(x: str, body: LamTerm, avoid: frozenset[str]) -> tuple[str, LamTerm]:
-    """Rebind x in body to the first fresh name free neither in body nor in
-    `avoid`: the payload's free names and a pair binder's other name."""
-    x2 = fresh_name(x, avoid | body._fv)
-    if x not in body._fv:
-        return x2, body
-    return x2, _subst(body, x, Var(x2), frozenset((x2,)))
 
 
 def lam_alpha_eq(a: LamTerm, b: LamTerm) -> bool:

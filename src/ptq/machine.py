@@ -21,12 +21,13 @@ and `step` check the term they are given, and `normalize` and `control_prefix`
 check their start term, then share one loop that applies the rules without
 walking the spine again.
 
-Each rule calls the substitution kernels of `syntax` directly. The four k
-rules call `_subst_k`, a loop down the body's spine, where its bound k is
-the only open position; it never enters a program subterm. Beta and PSubst
-call `_subst_p`, which enters a subterm only when the variable is free in it
-and shares every other subterm with the redex. The sorts of the payloads
-hold by the shape of the redex, so no rule checks them again.
+Each rule calls the substitutions of `syntax` directly. The four k rules
+call `_subst_k`, a loop down the body's spine, where its bound k is the only
+open position; it never enters a program subterm. Beta and PSubst call the
+row of `_SUBST` for the body's class, which enters a subterm only when the
+variable is free in it and shares every other subterm with the redex. The
+sorts of the payloads hold by the shape of the redex, so no rule checks
+them again.
 
 Rules are chosen by identity: `_classify` compares the classes of the redex,
 its test and its proof with `is`, and `_contract` compares the tag with the
@@ -52,10 +53,10 @@ from .syntax import (
     Star,
     XLam,
     _JSON_FORMAT,
+    _SUBST,
     _setattr,
     _require_t_closed,
     _subst_k,
-    _subst_p,
     parse_eterm,
     term_str,
 )
@@ -123,7 +124,7 @@ def _contract(u: ETerm, tag: RuleTag) -> ETerm:
 
 
 def _subst_x(body: ETerm, x: str, payload: PTerm) -> ETerm:
-    return _subst_p(body, x, payload) if x in body._fv else body
+    return _SUBST[type(body)](body, x, payload) if x in body._fv else body
 
 
 @dataclass(frozen=True, init=False)

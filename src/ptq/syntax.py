@@ -132,8 +132,11 @@ class _Tree:
 # the annotations of the fields that hold a child, in either language
 _CHILD_TYPES = frozenset(("PTerm", "TTerm", "ETerm", "QLam", "LamTerm"))
 
+# each language's substitution table, and its row for a node of another language
+_SUBSTS: list = []
 
-def _language(what: str, children: dict, binds: dict, sorts: Optional[dict] = None):
+
+def _language(what: str, children: dict, binds: dict, subst: dict, sorts: Optional[dict] = None):
     """The class decorator `node(sort)` of one language, which declares a
     node class and adds its rows to the language's walk tables (`sorts` for
     the calculus only) and to `_Tree`'s; `what` names a term of the language
@@ -156,10 +159,35 @@ def _language(what: str, children: dict, binds: dict, sorts: Optional[dict] = No
     constructor; any other gets one that stores each field, then its free
     names: a variable's name, or its children's (by `_names` or `_union`,
     which reject a child that is not a node) less its bound names. The
-    constructor and the children function are compiled once per class from
-    generated source, as `dataclasses` compiles its own, so no call reads
-    the declaration.
+    constructor, the children function and the substitution are compiled
+    once per class from generated source, as `dataclasses` compiles its own,
+    so no call reads the declaration.
+
+    `subst[cls](node, x, payload)` is the capture-avoiding node[payload/x]
+    for a name x free in node; a hole's free name is [], so plugging holes
+    is substitution too. A node without children, a variable or a hole, is
+    an occurrence and gives the payload. A node enters a child only when x
+    is among the child's free names (`_fv`), so an untouched child costs no
+    call and is shared with the input by identity: only the paths to the
+    occurrences are rebuilt, and the cost follows the occurrences, not the
+    size of the term. A bound name that is free in the payload is first
+    renamed by `_avoid` to the first `fresh_name` free neither in the payload
+    nor in the body and distinct from the node's other bound names, all read
+    from the nodes, so the same input always gets the same names (and never
+    x, which is free in the body). A name bound again by a later field of
+    the same node (`\\(x, x). …`) binds nothing in the body, which its rename
+    then leaves as it is. Each language's table also maps the classes of the
+    other languages to a row that raises `TypeError("not a <what>: …")`, so
+    a stray node is reported at any depth while the walk indexes a plain
+    `dict` (CPython 3.11 specializes the subscript of an exact `dict` only).
     """
+
+    def stray(node, target, payload):
+        raise TypeError(f"not a {what}: {node!r}")
+
+    subst.update(dict.fromkeys(_EQ_CHILDREN, stray))  # other languages' classes
+    _SUBSTS.append((subst, stray))
+    scope = {"_setattr": _setattr, "_names": _names, "_union": _union, "_avoid": _avoid, "table": subst}
 
     def node(sort: Optional[str] = None):
         def declare(cls):
@@ -183,15 +211,37 @@ def _language(what: str, children: dict, binds: dict, sorts: Optional[dict] = No
                     + [f"    fv = fv - {{{x}}} if {x} in fv else fv\n" for x in bound]
                     + ["    _setattr(self, '_fv', fv)\n"]
                 )
+            if not kids:  # a variable or a hole
+                source += "def subst(node, target, payload): return payload\n"
+            else:
+                enter = "table[type({0})]({0}, target, payload)"
+                if len(kids) == 2:
+                    enter = f"({enter} if target in {{0}}._fv else {{0}})"
+                body = kids[0]
+                source += "def subst(node, target, payload):\n"
+                source += f"    {', '.join(names)}, = {''.join(f'node.{n}, ' for n in names)}\n"
+                source += "    fv = payload._fv\n" if bound else ""
+                for i, x in enumerate(bound):
+                    avoid = "".join(f" | {{{y}}}" for y in bound if y != x)
+                    later = bound[i + 1 :]
+                    shadowed = f", {x} in ({''.join(f'{y}, ' for y in later)})" if later else ""
+                    source += f"    if {x} in fv:\n"
+                    source += f"        {x}, {body} = _avoid({x}, {body}, fv{avoid}, table, var{shadowed})\n"
+                source += f"    return {cls.__name__}({', '.join(enter.format(n) if n in kids else n for n in names)})\n"
             # one file name per class, so profiles and tracebacks tell the classes apart
             code = compile(source, f"<{cls.__module__}.{cls.__qualname__}>", "exec")
             made = {}
-            scope = {"__name__": cls.__module__, "_setattr": _setattr, "_names": _names, "_union": _union}
+            scope.update({"__name__": cls.__module__, cls.__name__: cls})
+            if var:
+                scope["var"] = cls
             exec(code, scope, made)
             children[cls] = _EQ_CHILDREN[cls] = made["children"]
             if not constant:
                 made["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
                 cls.__init__ = made["__init__"]
+            for table, row in _SUBSTS:
+                table[cls] = row
+            subst[cls] = made["subst"]
             binds[cls] = None if var else (bound, tuple(n for n in rest if n not in bound))
             _EQ_FIELDS[cls] = ((), rest)
             if sorts is not None:
@@ -201,6 +251,17 @@ def _language(what: str, children: dict, binds: dict, sorts: Optional[dict] = No
         return declare
 
     return node
+
+
+def _avoid(x: str, body: _Tree, avoid: frozenset[str], table: dict, var: type, shadowed: bool = False):
+    """The binder x over body renamed to the first `fresh_name` that is
+    neither in `avoid` nor free in body, and body with x renamed to it by the
+    language's substitution `table` and variable class `var`; a `shadowed`
+    x binds nothing in body, which then stays."""
+    y = fresh_name(x, avoid | body._fv)
+    if shadowed or x not in body._fv:
+        return y, body
+    return y, table[type(body)](body, x, var(y))
 
 
 class _Node(_Tree):
@@ -230,8 +291,9 @@ class _Node(_Tree):
 # the walk tables, one row per node class, filled by `_node`
 _CHILDREN: dict = {}
 _BINDS: dict = {}
+_SUBST: dict = {}
 _SORT: dict = {}
-_node = _language("term", _CHILDREN, _BINDS, _SORT)
+_node = _language("term", _CHILDREN, _BINDS, _SUBST, _SORT)
 
 
 @_node("p")
@@ -379,87 +441,29 @@ def is_t_closed(term: Term) -> bool:
 # ---------------------------------------------------------------------------
 # substitution
 
-# Two kernels do all substitution: `_subst_p` for a program variable and
-# `_subst_k` for the end of a spine, k or *. The public `subst_pvar`,
-# `subst_k`, `subst_star`, `t_close`, `t_open` and `star_compose` check their
-# arguments once and call one kernel once; the machine calls the kernels
-# directly. The k and * payloads must be t-closed (but for the k that `t_open`
-# puts back), so k-binders never capture anything and only program binders
-# need freshening. Lambda terms use the same scheme (`ptq.lam`).
-#
-# p kernel (`_subst_p`). Every node's constructor sets its free program names
-# (`_Node._fv`), and the kernel enters a child only when x is free in it, so
-# an untouched child costs no call and is shared with the input by identity.
-# New nodes are built only along the paths to the occurrences of x,
-# successive terms of a machine run share every other subterm, and the cost
-# of a substitution follows the occurrences, not the size of the term. Each
-# node is dispatched once, on its type.
-#
-# Spine kernel (`_subst_k`). A test or computation term has one free test
-# position, at the end of its spine (`PApp.test`, `QApp.test`, `Pair.snd`,
-# `XLam.body`), and every program or jump subterm off the spine is t-closed.
-# The kernel is a loop down the spine that never enters a program or jump
-# subterm: it records the path, puts the payload at its end when that end is
-# the target, k or *, and rebuilds the path bottom-up. So a * is replaced only
-# at the end of the spine; one under a k-binder, which only an anchor-ill-typed
-# term holds, stays. Binders on the spine are renamed as the payload requires,
-# also when the spine ends elsewhere. The loop uses no stack depth; renaming a
-# binder reads the free names its body was built with, and walks the body
-# with `_subst_p` only when the old name occurs in it.
-#
-# A binder that would capture a free name of the payload is renamed by
-# `fresh_name` against the free names of payload and body, both read from the
-# nodes, so the same input always gets the same names. The new name is never
-# the p kernel's target x: the kernel reaches a binder only when x is free in
-# its body, so avoiding the body's names avoids x.
-
-
-def _avoid(x: str, body: ETerm, payload: Term) -> tuple[str, ETerm]:
-    if x in payload._fv:
-        x2 = fresh_name(x, payload._fv | body._fv)
-        return x2, _subst_p(body, x, PVar(x2)) if x in body._fv else body
-    return x, body
-
-
-def _subst_p(term: Term, x: str, payload: Term) -> Term:
-    """term[payload/x]; x must be free in term."""
-    cls = type(term)
-    if cls is PApp:
-        test, proof = term.test, term.proof
-        return PApp(
-            _subst_p(test, x, payload) if x in test._fv else test,
-            _subst_p(proof, x, payload) if x in proof._fv else proof,
-        )
-    if cls is QApp:
-        fn, test = term.fn, term.test
-        return QApp(
-            _subst_p(fn, x, payload) if x in fn._fv else fn,
-            _subst_p(test, x, payload) if x in test._fv else test,
-        )
-    if cls is PVar:
-        return payload
-    if cls is Pair:
-        fst, snd = term.fst, term.snd
-        return Pair(
-            _subst_p(fst, x, payload) if x in fst._fv else fst,
-            _subst_p(snd, x, payload) if x in snd._fv else snd,
-        )
-    if cls is QLam:
-        return QLam(term.kty, _subst_p(term.body, x, payload))
-    if cls is KLam:
-        return KLam(term.kty, _subst_p(term.body, x, payload))
-    if cls is XLam:
-        y, body = _avoid(term.x, term.body, payload)
-        return XLam(y, term.xty, _subst_p(body, x, payload))
-    if cls is PairLam:
-        y, body = _avoid(term.x, term.body, payload)
-        return PairLam(y, term.xty, term.kty, _subst_p(body, x, payload))
-    raise TypeError(f"not a term: {term!r}")
+# Substitution for a program variable is `_SUBST`, read off the node
+# declarations (`_language`), and for the end of a spine, k or *, it is
+# `_subst_k`. The public entries below check their arguments once and call
+# one of the two once; the machine calls both directly. The k and * payloads
+# are t-closed (but for the k that `t_open` puts back), so k-binders never
+# capture anything.
 
 
 def _subst_k(term: Term, payload: Term, end: type = KVar) -> Term:
-    """term[payload/k], or term[payload/*] when `end` is Star, in a loop down
-    the spine; the payload is t-closed, or the k that t_open puts back."""
+    """term[payload/k], or term[payload/*] when `end` is Star; the payload is
+    t-closed, or the k that t_open puts back.
+
+    A test or computation term has one free test position, at the end of its
+    spine (`PApp.test`, `QApp.test`, `Pair.snd`, `XLam.body`), and every
+    program or jump subterm off the spine is t-closed. So this is a loop down
+    the spine that never enters a program or jump subterm: it records the
+    path, puts the payload at its end when that end is the target, k or *,
+    and rebuilds the path bottom-up. A * is replaced only at the end of the
+    spine; one under a k-binder, which only an anchor-ill-typed term holds,
+    stays. Binders on the spine are renamed by `_avoid` as the payload
+    requires, also when the spine ends elsewhere. The loop uses no stack
+    depth."""
+    fv = payload._fv
     path = []
     node = term
     while True:
@@ -471,7 +475,9 @@ def _subst_k(term: Term, payload: Term, end: type = KVar) -> Term:
             path.append((node, None))
             node = node.snd
         elif cls is XLam:
-            x, body = _avoid(node.x, node.body, payload)
+            x, body = node.x, node.body
+            if x in fv:
+                x, body = _avoid(x, body, fv, _SUBST, PVar)
             path.append((node, x))
             node = body
         else:
@@ -497,7 +503,7 @@ def subst_pvar(term: Term, name: str, payload: PTerm) -> Term:
     """Capture-avoiding term[payload/name] for a program variable."""
     if sort_of(payload) != "p":
         raise TypeError("payload must be a program term")
-    return _subst_p(term, name, payload) if name in _names(term) else term
+    return _SUBST[type(term)](term, name, payload) if name in _names(term) else term
 
 
 def _require_test_payload(payload: Term, target: str) -> None:

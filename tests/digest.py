@@ -22,7 +22,14 @@ names, and substitution for each free name and a root binder's name (and
 for k, * and the hole).
 Across all terms it digests the classes of equal terms and of equal
 hashes, as lists of indices. No raw `hash()` value is stored, since str
-hashing is salted per process. Standard library only.
+hashing is salted per process. Each generated e-image and each Church image
+up to 200 is also run through substitution's two main callers: `normalize`
+(its rule sequence and printed final state) and `readback` of that state.
+Standard library only.
+
+The total also moves when a string constant is added to or removed from
+`tests/*.py`, since those constants are inputs; `tests/test_digest.py`, which
+pins the total, is left out of them.
 """
 
 from __future__ import annotations
@@ -54,6 +61,8 @@ def outcome(fn, *args, show=repr) -> str:
 def constants() -> list[str]:
     texts = set()
     for path in sorted(TESTS.glob("*.py")):
+        if path.name == "test_digest.py":  # its pin is the total itself
+            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 texts.add(node.value)
@@ -121,6 +130,15 @@ def surface(term, previous) -> list[str]:
     return out
 
 
+def run(image) -> list[str]:
+    """`normalize`'s rule sequence and printed final state, and that state's
+    readback."""
+    trace = ptq.normalize(image).trace
+    rules = " ".join(rule.value for rule in trace.rules())
+    final = trace.final
+    return [rules, outcome(syntax.term_str, final, show=str), outcome(ptq.readback, final, show=lam.lam_str)]
+
+
 def classes(terms, key) -> str:
     """The classes of terms under key, as lists of indices."""
     groups = {}
@@ -138,6 +156,7 @@ def digest(parts) -> str:
 
 def lines():
     terms = []  # (label, term)
+    images = []  # (label, e-image) to run
     for i, text in enumerate(constants()):
         results = [outcome(getattr(ptq, name), text) for name in TEXT_ENTRIES]
         yield digest(results), f"text {i} {text[:40]!r}"
@@ -154,16 +173,21 @@ def lines():
                 for entry in (ptq.ptq_translate, ptq.ptq_translate_e):
                     label = f"gen {size}:{seed} {entry.__name__} {strategy}"
                     terms.append((label, entry(m, strategy)))
+                images.append(terms[-1])  # the e-image
     env = {"z": ptq.parse_type("A")}
     for n in CHURCH:
         m = ptq.parse_lam(church_text(n))
         terms.append((f"church {n}", m))
         for strategy in ("cbn", "cbv"):
             terms.append((f"church {n} {strategy}", ptq.ptq_translate_e(m, strategy, env)))
+            if n <= 200:
+                images.append(terms[-1])  # the e-image
     previous = syntax.STAR
     for label, term in terms:
         yield digest(surface(term, previous)), label
         previous = term
+    for label, image in images:
+        yield digest([outcome(run, image, show="\n".join)]), f"{label} normalize"
     roots = [term for _, term in terms]
     yield digest([classes(roots, hash)]), "equal-hash classes"
     # equal terms hash alike, so == is tried only within a class of hashes

@@ -610,7 +610,7 @@ class TestDeepInput:
         [
             (ptq.Strategy.CBV, 0, "* ; z\n", ""),
             # the reader takes the by-name image too; the run then fails in
-            # `normalize`, whose `_subst_p` recurses once per level
+            # `normalize`, whose program substitution recurses once per level
             (ptq.Strategy.CBN, 1, "", "error: term nested too deeply to process\n"),
         ],
     )

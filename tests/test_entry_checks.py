@@ -9,6 +9,8 @@ those a node of the other language reaches: it has free names, so the
 constructors of both languages take it as a child.
 """
 
+import re
+
 import pytest
 
 from ptq import (
@@ -34,7 +36,7 @@ from ptq import (
 )
 from ptq.errors import PtqError
 from ptq.lam import HOLE, App, Lam, PairTerm, Var
-from ptq.syntax import PApp, PVar, STAR
+from ptq.syntax import PApp, PVar, STAR, XLam
 
 A = Base("A")
 O = Base("o")
@@ -120,6 +122,18 @@ class TestKeptGuards:
     def test_lambda_substitution(self):
         with pytest.raises(TypeError, match=r"^not a lambda term: PVar\(name='x'\)$"):
             lam_subst(MIXED_LAMBDA, "x", Var("z"))
+
+    # below a binder that must rename, since y is free in the payload: the
+    # second node holds y, so the rename's walk reaches it first
+    @pytest.mark.parametrize("stray", [Var("x"), App(Var("x"), Var("y"))])
+    def test_program_substitution_below_a_binder(self, stray):
+        with pytest.raises(TypeError, match=rf"^not a term: {re.escape(repr(stray))}$"):
+            subst_pvar(XLam("y", None, PApp(STAR, stray)), "x", PVar("y"))
+
+    @pytest.mark.parametrize("stray", [PVar("x"), PApp(STAR, PVar("y"))])
+    def test_lambda_substitution_below_a_binder(self, stray):
+        with pytest.raises(TypeError, match=rf"^not a lambda term: {re.escape(repr(stray))}$"):
+            lam_subst(Lam("y", None, App(Var("x"), stray)), "x", Var("y"))
 
     @pytest.mark.parametrize("sigma", [None, {"x": 0}])
     def test_measure(self, sigma):

@@ -211,12 +211,16 @@ class TestSubstitutionCost:
     def visits_per_step(self, monkeypatch, n):
         image = ptq_translate_e(self.church(n), Strategy.CBV, {"z": parse_type("A")})
         visits = 0
-        subst_p, subst_k = ptq.syntax._subst_p, ptq.syntax._subst_k
+        subst_k = ptq.syntax._subst_k
 
-        def counting_p(*args):
-            nonlocal visits
-            visits += 1
-            return subst_p(*args)
+        def counting_p(row):
+            # the walk recurses through the table, so each visited node counts
+            def counting(*args):
+                nonlocal visits
+                visits += 1
+                return row(*args)
+
+            return counting
 
         def counting_k(term, payload):
             nonlocal visits
@@ -224,8 +228,9 @@ class TestSubstitutionCost:
             return subst_k(term, payload)
 
         with monkeypatch.context() as m:
+            for cls, row in list(ptq.syntax._SUBST.items()):
+                m.setitem(ptq.syntax._SUBST, cls, counting_p(row))
             for module in (ptq.syntax, ptq.machine):
-                m.setattr(module, "_subst_p", counting_p)
                 m.setattr(module, "_subst_k", counting_k)
             steps = len(normalize(image).trace.steps)
         return visits / steps

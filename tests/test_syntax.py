@@ -266,16 +266,20 @@ class TestLamSubstitution:
         for _ in range(depth):
             m = Lam("y", None, m)
         calls = 0
-        inner = ptq.lam._subst
 
-        def counting(*args):
-            # fail at the bound, as a walk that doubles would not return
-            nonlocal calls
-            calls += 1
-            assert calls <= 3 * depth, "walk calls not linear in the depth"
-            return inner(*args)
+        def counting(row):
+            # the walk recurses through the table, so each visited node counts
+            def counted(*args):
+                # fail at the bound, as a walk that doubles would not return
+                nonlocal calls
+                calls += 1
+                assert calls <= 3 * depth, "walk calls not linear in the depth"
+                return row(*args)
 
-        monkeypatch.setattr(ptq.lam, "_subst", counting)
+            return counted
+
+        for cls, row in list(ptq.lam._SUBST.items()):
+            monkeypatch.setitem(ptq.lam._SUBST, cls, counting(row))
         out = lam_subst(m, "x", Var("y"))
         assert lam_free_vars(out) == {"y"}
 
