@@ -5,15 +5,15 @@ its extension with a typed hole constant, written []. The CPS translations in
 uncurried mode additionally produce pairs and pair-pattern abstractions; those
 two constructors never reach the evaluators.
 
-Each node class is declared once, by its annotated fields, through the
-decorator `_lam_node` (`ptq.syntax._language`), which derives its constructor,
-its rows in the walk tables and its `==`, `hash` and `repr`, as for the
-calculus's classes. The constructor sets the node's free names; a hole counts
-as the name [], which no variable can be spelled as, so a variable and the
-hole are one kind of target: substitution M[N/x] and hole composition
-M[N/[]] are one capture-avoiding walk, also derived from the declarations.
-Hole composition plugs N into every hole of M and is associative with [] as
-neutral element.
+Each node class is declared once, by its annotated fields and its text,
+through the decorator `_lam_node` (`ptq.syntax._language`), which derives its
+constructor, its rows in the walk tables, its `==`, `hash` and `repr`, and
+its branch of the printer, as for the calculus's classes. The constructor
+sets the node's free names; a hole counts as the name [], which no variable
+can be spelled as, so a variable and the hole are one kind of target:
+substitution M[N/x] and hole composition M[N/[]] are one capture-avoiding
+walk, also derived from the declarations. Hole composition plugs N into
+every hole of M and is associative with [] as neutral element.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ from .syntax import (
     _Tree,
     _alpha_eq,
     _language,
-    _names,
     Type,
     TokenStream,
     _parse_opt_ann,
     _parse_type,
     tokenize,
-    type_str,
 )
 
 # the free name of a hole, which no variable name can be spelled as
@@ -49,34 +47,34 @@ class _LamNode(_Tree):
 _CHILDREN: dict = {}
 _BINDS: dict = {}
 _SUBST: dict = {}
-_lam_node = _language("lambda term", _CHILDREN, _BINDS, _SUBST)
+_lam_node, _printer = _language("lambda term", _CHILDREN, _BINDS, _SUBST)
 
 
-@_lam_node()
+@_lam_node(text="{name}", prec=2)
 class Var(_LamNode):
     name: str
 
 
-@_lam_node()
+@_lam_node(text=r"\{x}{xty}. {body}", prec=0)
 class Lam(_LamNode):
     x: str
     xty: Optional[Type]
     body: LamTerm
 
 
-@_lam_node()
+@_lam_node(text="{fn:1} {arg:2}", prec=1)
 class App(_LamNode):
     fn: LamTerm
     arg: LamTerm
 
 
-@_lam_node()
+@_lam_node(text=("[]", "([]{ty})"), prec=2)
 class Hole(_LamNode):
     ty: Optional[Type] = None
     _fv = frozenset((_HOLE_NAME,))
 
 
-@_lam_node()
+@_lam_node(text="({fst}, {snd})", prec=2)
 class PairTerm(_LamNode):
     """Pair constructor for the uncurried CPS image."""
 
@@ -84,7 +82,7 @@ class PairTerm(_LamNode):
     snd: LamTerm
 
 
-@_lam_node()
+@_lam_node(text=r"\({x}, {h}). {body}", prec=0)
 class PairPatLam(_LamNode):
     """Pair-pattern abstraction \\(x, h). M for the uncurried CPS image; h
     shadows x when both are one name."""
@@ -112,11 +110,10 @@ def lam_free_vars(m: LamTerm) -> frozenset[str]:
 
 def lam_subst(m: LamTerm, name: str, payload: LamTerm) -> LamTerm:
     """Capture-avoiding m[payload/name]."""
-    try:
-        fv, _ = m._fv, payload._fv
-    except AttributeError:  # a non-term, which `_names` reports
-        fv, _ = _names(m, "lambda term"), _names(payload, "lambda term")
-    return _SUBST[type(m)](m, name, payload) if name in fv else m
+    for term in (m, payload):
+        if type(term) not in _CHILDREN:
+            raise TypeError(f"not a lambda term: {term!r}")
+    return _SUBST[type(m)](m, name, payload) if name in m._fv else m
 
 
 def plug_hole(m: LamTerm, payload: LamTerm) -> LamTerm:
@@ -171,48 +168,17 @@ def _contractions(m: LamTerm):
 # printing
 
 
-def lam_str(m: LamTerm) -> str:
-    """The text of a lambda term, which `parse_lam` reads back.
+_print = _printer()
 
-    The walk keeps an explicit stack of nodes still to print and the text
-    that goes between them, so no depth of nesting can exhaust the Python
-    stack, and joins the pieces once at the end. The text is str, which no
-    node constructor takes as a child, so only the root can be a stray str.
-    """
-    if isinstance(m, str):
-        raise TypeError(f"not a lambda term: {m!r}")
-    out: list[str] = []
-    todo: list = [m]
-    while todo:
-        match todo.pop():
-            case str() as text:
-                out.append(text)
-            case Var(name):
-                out.append(name)
-            case Lam(x, xty, body):
-                ann = f"{x}:{type_str(xty)}" if xty is not None else x
-                out.append(f"\\{ann}. ")
-                todo.append(body)
-            case App(fn, arg):
-                # pushed in reverse: fn, then a space, then arg
-                if isinstance(arg, (App, Lam, PairPatLam)):
-                    todo += (")", arg, " (")
-                else:
-                    todo += (arg, " ")
-                if isinstance(fn, (Lam, PairPatLam)):
-                    todo += (")", fn, "(")
-                else:
-                    todo.append(fn)
-            case Hole(ty):
-                out.append("[]" if ty is None else f"([]:{type_str(ty)})")
-            case PairTerm(fst, snd):
-                todo += (")", snd, ", ", fst, "(")
-            case PairPatLam(x, h, body):
-                out.append(f"\\({x}, {h}). ")
-                todo.append(body)
-            case other:
-                raise TypeError(f"not a lambda term: {other!r}")
-    return "".join(out)
+
+def lam_str(m: LamTerm) -> str:
+    """The text of a lambda term, which `parse_lam` reads back, as each node
+    class declares it (`ptq.syntax._language`): an application's function
+    is wrapped in parentheses when it is an abstraction, and its argument
+    also when it is an application. The walk is the language's printer,
+    run as `term_str` runs without a memo, so no depth of nesting can
+    exhaust the Python stack."""
+    return _print(m, None)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, Optional, Union
 import warnings
 
-from .errors import MeasureZero, MissingVariableMeasure, PtqError
+from .errors import MissingVariableMeasure, PtqError
 from .syntax import (
     ETerm,
     KLam,
@@ -37,7 +37,6 @@ from .syntax import (
     _require_t_closed,
     free_pvars,
     sort_of,
-    term_str,
 )
 from .typecheck import infer_ptq
 
@@ -132,6 +131,4 @@ def control_length(u: ETerm, env=None) -> int:
                 IllTypedMeasureWarning,
                 stacklevel=2,
             )
-    if value == 0:
-        raise MeasureZero(term_str(u))
     return value - 1

@@ -24,6 +24,7 @@ import itertools
 import re
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
+from string import Formatter
 from typing import Container, Optional, Union
 
 from .errors import NotTClosed, ParseError, ReservedBaseType, TClosureError
@@ -88,9 +89,11 @@ def _union(a, b, what: str = "term") -> frozenset[str]:
     return fb if fa <= fb else fa if fb <= fa else fa | fb
 
 
-# `_Tree`'s tables for `==` and `hash`, over the node classes of both languages
+# `_Tree`'s tables for `==` and `hash`, and each class's declared text and
+# precedence, over the node classes of both languages
 _EQ_CHILDREN: dict = {}
 _EQ_FIELDS: dict = {}
+_TEXT: dict = {}
 
 
 class _Tree:
@@ -137,10 +140,10 @@ _SUBSTS: list = []
 
 
 def _language(what: str, children: dict, binds: dict, subst: dict, sorts: Optional[dict] = None):
-    """The class decorator `node(sort)` of one language, which declares a
-    node class and adds its rows to the language's walk tables (`sorts` for
-    the calculus only) and to `_Tree`'s; `what` names a term of the language
-    in the constructors' errors.
+    """The class decorator `node(sort, text=, prec=)` of one language, which
+    declares a node class and adds its rows to the language's walk tables
+    (`sorts` for the calculus only) and to `_Tree`'s, and the language's
+    `printer`; `what` names a term of the language in the errors.
 
     A class is declared once, by its annotated fields (strings, under `from
     __future__ import annotations`), and each field's role is read off its
@@ -180,6 +183,21 @@ def _language(what: str, children: dict, binds: dict, subst: dict, sorts: Option
     other languages to a row that raises `TypeError("not a <what>: …")`, so
     a stray node is reported at any depth while the walk indexes a plain
     `dict` (CPython 3.11 specializes the subscript of an exact `dict` only).
+
+    A class's `text` is a template in `str.format` syntax that names each
+    field once, such as `"{test:1} ; {proof:1}"`: a name prints as it is, an
+    annotation as `:` and its type (or nothing when it is None), and a child
+    as its own text, wrapped in parentheses when the child's class has a
+    `prec` below the minimum written after the child's field (0 when none
+    is). A class whose text changes with its annotations gives two
+    templates, the text when every annotation is None and the text
+    otherwise. `printer(esc)` compiles, from every class declared so far,
+    the language's printer `walk(term, memo)` (see `term_str`): one loop
+    over an explicit stack of nodes, with one branch per class that reads
+    the texts of the node's children from the memo, pushes the missing
+    ones, or formats the node with one f-string. `esc`, unless it is None,
+    escapes the names, the annotations and the template's literal text,
+    which is done once, here.
     """
 
     def stray(node, target, payload):
@@ -189,7 +207,7 @@ def _language(what: str, children: dict, binds: dict, subst: dict, sorts: Option
     _SUBSTS.append((subst, stray))
     scope = {"_setattr": _setattr, "_names": _names, "_union": _union, "_avoid": _avoid, "table": subst}
 
-    def node(sort: Optional[str] = None):
+    def node(sort: Optional[str] = None, *, text, prec: int):
         def declare(cls):
             constant = "_fv" in vars(cls)
             cls = dataclass(frozen=True, eq=False, repr=False, init=constant)(cls)
@@ -244,13 +262,90 @@ def _language(what: str, children: dict, binds: dict, subst: dict, sorts: Option
             subst[cls] = made["subst"]
             binds[cls] = None if var else (bound, tuple(n for n in rest if n not in bound))
             _EQ_FIELDS[cls] = ((), rest)
+            _TEXT[cls] = (text, prec)
             if sorts is not None:
                 sorts[cls] = sort
             return cls
 
         return declare
 
-    return node
+    def printer(esc=None):
+        def fstring(template, fields):
+            """The f-string literal of template, each field read from the
+            local that `fields` names."""
+            out = []
+            for literal, field, _, _ in Formatter().parse(template):
+                literal = literal if esc is None else esc(literal)
+                out.append(literal.replace("{", "{{").replace("}", "}}"))
+                if field is not None:
+                    out.append(f"{{{fields[field]}}}")
+            return "f" + repr("".join(out))
+
+        scope = {"__name__": next(iter(children)).__module__, "ann": _ann_text, "esc": esc}
+        branches = []
+        for cls in children:
+            names, anns = binds[cls] or (("name",), ())
+            branches.append((cls, [n for n in cls.__match_args__ if n not in names + anns], names, anns))
+        branches.sort(key=lambda b: -len(b[1]))  # a node with children is visited twice: test those first
+        source = [
+            "def walk(term, memo):\n",
+            "    keep = memo is not None\n",
+            "    if memo is None:\n",
+            "        memo = {}\n",
+            "    get, pop = memo.get, memo.pop\n",
+            "    stack = [term]\n",
+            "    while stack:\n",
+            "        node = stack[-1]\n",
+            "        key = id(node)\n",
+            "        if key in memo:\n",
+            "            stack.pop()\n",
+            "            continue\n",
+            "        cls = type(node)\n",
+        ]
+        for i, (cls, kids, names, anns) in enumerate(branches):
+            template, _ = _TEXT[cls]
+            fields = {n: f"s_{n}" for n in kids}
+            fields.update({n: f"a_{n}" for n in anns})
+            fields.update({n: f"v_{n}" if esc is None else f"esc(v_{n})" for n in names})
+            scope[cls.__name__] = cls
+            source.append(f"        {'elif' if i else 'if'} cls is {cls.__name__}:\n")
+            if kids:
+                source.append(f"            {', '.join(f'v_{k}' for k in kids)} = {', '.join(f'node.{k}' for k in kids)}\n")
+                source.append(f"            {', '.join(f's_{k}' for k in kids)} = {', '.join(f'get(id(v_{k}))' for k in kids)}\n")
+                source.append(f"            if {' or '.join(f's_{k} is None' for k in kids)}:\n")
+                for k in kids:
+                    if len(kids) > 1:
+                        source.append(f"                if s_{k} is None:\n    ")
+                    source.append(f"                stack.append(v_{k})\n")
+                source.append("                continue\n")
+            if names + anns:
+                source.append(f"            {', '.join(f'v_{n}' for n in names + anns)} = {', '.join(f'node.{n}' for n in names + anns)}\n")
+            for _, field, slot, _ in Formatter().parse(template if type(template) is str else template[1]):
+                if slot:
+                    scope[f"below_{slot}"] = frozenset(c for c in children if _TEXT[c][1] < int(slot))
+                    source.append(f"            if type(v_{field}) in below_{slot}:\n")
+                    source.append(f"                s_{field} = f'({{s_{field}}})'\n")
+            source += [f"            a_{n} = '' if v_{n} is None else ann(v_{n}, memo, esc)\n" for n in anns]
+            if type(template) is str:
+                source.append(f"            text = {fstring(template, fields)}\n")
+            else:
+                bare = " and ".join(f"v_{n} is None" for n in anns)
+                source.append(f"            text = {fstring(template[0], fields)} if {bare} else {fstring(template[1], fields)}\n")
+            if kids:
+                source.append("            if not keep:\n")
+                source += [f"                pop(id(v_{k}), None)\n" for k in kids]
+        source += [
+            "        else:\n",
+            f"            raise TypeError(f'not a {what}: {{node!r}}')\n",
+            "        stack.pop()\n",
+            "        memo[key] = text\n",
+            "    return memo[id(term)]\n",
+        ]
+        made = {}
+        exec(compile("".join(source), f"<{scope['__name__']}.print>", "exec"), scope, made)
+        return made["walk"]
+
+    return node, printer
 
 
 def _avoid(x: str, body: _Tree, avoid: frozenset[str], table: dict, var: type, shadowed: bool = False):
@@ -293,15 +388,15 @@ _CHILDREN: dict = {}
 _BINDS: dict = {}
 _SUBST: dict = {}
 _SORT: dict = {}
-_node = _language("term", _CHILDREN, _BINDS, _SUBST, _SORT)
+_node, _printer = _language("term", _CHILDREN, _BINDS, _SUBST, _SORT)
 
 
-@_node("p")
+@_node("p", text="{name}", prec=1)
 class PVar(_Node):
     name: str
 
 
-@_node("p")
+@_node("p", text=r"\({x}{xty}, k{kty}). {body}", prec=0)
 class PairLam(_Node):
     """Program abstraction \\(x:A, k:B). u over an argument and a test."""
 
@@ -311,7 +406,7 @@ class PairLam(_Node):
     body: ETerm
 
 
-@_node("p")
+@_node("p", text=r"\k{kty}. {body}", prec=0)
 class KLam(_Node):
     """Program abstraction \\k:A. u over the test alone."""
 
@@ -319,23 +414,23 @@ class KLam(_Node):
     body: ETerm
 
 
-@_node("t")
+@_node("t", text="*", prec=1)
 class Star(_Node):
     _fv = _NO_NAMES
 
 
-@_node("t")
+@_node("t", text="k", prec=1)
 class KVar(_Node):
     _fv = _NO_NAMES
 
 
-@_node("t")
+@_node("t", text="<{fst:1}, {snd:1}>", prec=1)
 class Pair(_Node):
     fst: PTerm
     snd: TTerm
 
 
-@_node("t")
+@_node("t", text=r"\{x}{xty}. {body}", prec=0)
 class XLam(_Node):
     """Test abstraction \\x:A. u binding a program variable."""
 
@@ -344,7 +439,7 @@ class XLam(_Node):
     body: ETerm
 
 
-@_node("q")
+@_node("q", text="%k{kty}. {body}", prec=0)
 class QLam(_Node):
     """Jump abstraction %k:A. u; applied to a test it resumes its body."""
 
@@ -352,7 +447,7 @@ class QLam(_Node):
     body: ETerm
 
 
-@_node("e")
+@_node("e", text="{test:1} ; {proof:1}", prec=1)
 class PApp(_Node):
     """Computation t ; p feeding the program p to the test t."""
 
@@ -360,7 +455,7 @@ class PApp(_Node):
     proof: PTerm
 
 
-@_node("e")
+@_node("e", text="({fn}) ! {test:1}", prec=1)
 class QApp(_Node):
     """Computation q ! t resuming the jump q with the test t."""
 
@@ -503,7 +598,9 @@ def subst_pvar(term: Term, name: str, payload: PTerm) -> Term:
     """Capture-avoiding term[payload/name] for a program variable."""
     if sort_of(payload) != "p":
         raise TypeError("payload must be a program term")
-    return _SUBST[type(term)](term, name, payload) if name in _names(term) else term
+    if type(term) not in _SORT:
+        raise TypeError(f"not a term: {term!r}")
+    return _SUBST[type(term)](term, name, payload) if name in term._fv else term
 
 
 def _require_test_payload(payload: Term, target: str) -> None:
@@ -633,52 +730,42 @@ def _alpha_eq(a, b, children: dict, binds: dict) -> bool:
 # printing
 
 
-def _ann(name: str, ty: Optional[Type]) -> str:
-    return f"{name}:{type_str(ty)}" if ty is not None else name
-
-
-# `term_str`'s two formats, each a binder sign and an escaper for names and
-# types: the canonical text, and the same text JSON-escaped (`json.dumps(text)`
-# without its quotes). `json.dumps` escapes each code point on its own, so a
-# node's escaped text joins the escaped pieces of its canonical text: `\\` for
-# the binder sign, the C escaper's output for names and annotations, and the
-# children's escaped texts. The rest of what `term_str` prints is printable
-# ASCII other than `"` and `\`, which JSON keeps as it is. The canonical
-# format prints a name as it is, with no call.
-_FORMAT = ("\\", None)
-_JSON_FORMAT = ("\\\\", lambda text: encode_basestring_ascii(text)[1:-1])
-
-# the node classes whose text is wrapped in parentheses inside a larger term:
-# those with a body
-_WRAPPED = frozenset(cls for cls in _SORT if "body" in cls.__match_args__)
-
-
-def _ann_text(ty: Optional[Type], memo: dict, esc) -> str:
-    """`:` and the text of the annotation ty ('' when there is none), kept in
-    the memo under id(ty) and escaped by esc unless it is None."""
-    if ty is None:
-        return ""
+def _ann_text(ty: Type, memo: dict, esc) -> str:
+    """`:` and the text of the annotation ty, kept in the memo under id(ty)
+    and escaped by esc unless it is None."""
     text = memo.get(id(ty))
     if text is None:
-        text = _ann("", ty)
+        text = ":" + type_str(ty)
         text = memo[id(ty)] = text if esc is None else esc(text)
     return text
 
 
+# `term_str`'s two formats and their printers: the canonical text, and the
+# same text JSON-escaped (`json.dumps(text)` without its quotes).
+# `json.dumps` escapes each code point on its own, so a node's escaped text
+# joins the escaped pieces of its canonical text: the template's literal
+# text, its names and annotations, and its children's escaped texts.
+_FORMAT, _JSON_FORMAT = "text", "json"
+_PRINT = {
+    _FORMAT: _printer(),
+    _JSON_FORMAT: _printer(lambda text: encode_basestring_ascii(text)[1:-1]),
+}
+
+
 def term_str(term: Term, memo: Optional[dict[int, str]] = None, *, _format=_FORMAT) -> str:
-    """The canonical text of a term, which `parse_term` reads back.
+    """The canonical text of a term, which `parse_term` reads back, as each
+    node class declares it (`_language`); a binder is wrapped in parentheses
+    inside a larger term.
 
     `memo` maps id(node) to the node's text and is filled bottom-up with an
-    explicit stack, so no depth of nesting can exhaust the Python stack. The
-    walk dispatches once per node on its class: it reads the texts of the
-    node's children from the memo and pushes the missing ones, or formats
-    the node. Each distinct node is formatted once per memo: the states of a
-    machine run share all but the nodes along the contracted paths, so
-    printing a whole trace with one memo costs one formatting per distinct
-    node, not one per node per state. The memo also maps the id of each
-    binder annotation's type to its text, so a type object is printed once
-    per memo. Ids are reused once an object dies, so every term printed with
-    a memo must stay alive as long as the memo is in use (its nodes keep
+    explicit stack, so no depth of nesting can exhaust the Python stack.
+    Each distinct node is formatted once per memo: the states of a machine
+    run share all but the nodes along the contracted paths, so printing a
+    whole trace with one memo costs one formatting per distinct node, not
+    one per node per state. The memo also maps the id of each binder
+    annotation's type to its text, so a type object is printed once per
+    memo. Ids are reused once an object dies, so every term printed with a
+    memo must stay alive as long as the memo is in use (its nodes keep
     their types alive). Without a memo the call uses a fresh one and frees
     each child's text as soon as its parent is formatted, so memory stays
     linear in the output; a subterm shared within the term may then be
@@ -688,72 +775,7 @@ def term_str(term: Term, memo: Optional[dict[int, str]] = None, *, _format=_FORM
     so a trace written as JSON (`machine._write_trace_json`) escapes each
     distinct node once, not once per state; a memo serves one format only.
     """
-    keep = memo is not None
-    if memo is None:
-        memo = {}
-    lam, esc = _format
-    get = memo.get
-    stack = [term]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in memo:
-            stack.pop()
-            continue
-        cls = type(node)
-        if cls is PApp or cls is Pair or cls is QApp:
-            if cls is PApp:
-                a, b = node.test, node.proof
-            elif cls is Pair:
-                a, b = node.fst, node.snd
-            else:
-                a, b = node.fn, node.test
-            sa, sb = get(id(a)), get(id(b))
-            if sa is None or sb is None:
-                if sa is None:
-                    stack.append(a)
-                if sb is None:
-                    stack.append(b)
-                continue
-            if type(b) in _WRAPPED:
-                sb = f"({sb})"
-            if cls is QApp:
-                text = f"({sa}) ! {sb}"
-            else:
-                if type(a) in _WRAPPED:
-                    sa = f"({sa})"
-                text = f"{sa} ; {sb}" if cls is PApp else f"<{sa}, {sb}>"
-            if not keep:
-                del memo[id(a)], memo[id(b)]
-        elif cls is PVar:
-            text = node.name if esc is None else esc(node.name)
-        elif cls is Star:
-            text = "*"
-        elif cls is KVar:
-            text = "k"
-        elif cls in _WRAPPED:
-            body = node.body
-            sbody = get(id(body))
-            if sbody is None:
-                stack.append(body)
-                continue
-            if cls is XLam or cls is PairLam:
-                x = node.x if esc is None else esc(node.x)
-                xann = _ann_text(node.xty, memo, esc)
-                if cls is XLam:
-                    text = f"{lam}{x}{xann}. {sbody}"
-                else:
-                    text = f"{lam}({x}{xann}, k{_ann_text(node.kty, memo, esc)}). {sbody}"
-            else:
-                kann = _ann_text(node.kty, memo, esc)
-                text = f"{lam}k{kann}. {sbody}" if cls is KLam else f"%k{kann}. {sbody}"
-            if not keep:
-                del memo[id(body)]
-        else:
-            raise TypeError(f"not a term: {node!r}")
-        stack.pop()
-        memo[key] = text
-    return memo[id(term)]
+    return _PRINT[_format](term, memo)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .errors import (
     UnboundVariable,
     UncurriedNeedsPairs,
 )
-from .lam import App, Hole, Lam, LamTerm, Var, _is_var, _parse_lam, lam_str
+from .lam import App, Hole, Lam, LamTerm, PairPatLam, PairTerm, Var, _is_var, _parse_lam, lam_str
 from .syntax import (
     Arrow,
     Base,
@@ -295,7 +295,9 @@ def _infer_lam(scope: dict, hole: list, m: LamTerm) -> Type:
             raise HoleTypeClash(f"{type_str(want)} against {type_str(seen)}")
         hole[0] = want
         return want
-    raise UncurriedNeedsPairs("pairs have no type translation here")
+    if cls is PairTerm or cls is PairPatLam:
+        raise UncurriedNeedsPairs("pairs have no type translation here")
+    raise TypeError(f"not a lambda term: {m!r}")
 
 
 @dataclass(frozen=True)

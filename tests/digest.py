@@ -8,7 +8,7 @@ label: the output, or the error class and message, of every operation run on
 it. Run the script on two trees and diff the lines to list the inputs whose
 outputs differ; the last line digests all the others. The inputs are
 
-  - the string constants of `tests/*.py`, read by every text entry of
+  - the texts of `tests/digest_corpus.json`, read by every text entry of
     `ptq.__all__` (the term, type, lambda and judgment readers);
   - terms: those texts that read as terms, `gen_typed_term` sizes 0-8
     (seeds 0-11, the tests' shared corpus) with their images by name and by
@@ -27,15 +27,16 @@ up to 200 is also run through substitution's two main callers: `normalize`
 (its rule sequence and printed final state) and `readback` of that state.
 Standard library only.
 
-The total also moves when a string constant is added to or removed from
-`tests/*.py`, since those constants are inputs; `tests/test_digest.py`, which
-pins the total, is left out of them.
+The corpus is a fixed list: the string constants that `tests/*.py` held
+(leaving out `tests/test_digest.py`) when it was written, in sorted order.
+Adding or removing a test's string literal does not move the total; editing
+the corpus does.
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -43,7 +44,7 @@ import ptq
 from ptq import lam, syntax
 from ptq.harness import gen_typed_term
 
-TESTS = Path(__file__).resolve().parent
+CORPUS = Path(__file__).resolve().with_name("digest_corpus.json")
 TEXT_ENTRIES = (
     "parse_term", "parse_pterm", "parse_tterm", "parse_qterm", "parse_eterm",
     "parse_type", "parse_lam", "parse_judgment", "parse_lam_judgment",
@@ -59,14 +60,7 @@ def outcome(fn, *args, show=repr) -> str:
 
 
 def constants() -> list[str]:
-    texts = set()
-    for path in sorted(TESTS.glob("*.py")):
-        if path.name == "test_digest.py":  # its pin is the total itself
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                texts.add(node.value)
-    return sorted(texts)
+    return json.loads(CORPUS.read_text())
 
 
 def church_text(n: int) -> str:

@@ -1,9 +1,10 @@
 """The differential digest (`tests/digest.py`) gives its pinned total.
 
 A refactor keeps the total. A change that alters an output on purpose, or
-the string constants of `tests/*.py`, which the digest reads as inputs,
-updates the pin: run the script with the parent commit's `src` and with the
-change's, both on the change's `tests` directory, and diff their lines.
+the fixed input texts of `tests/digest_corpus.json`, updates the pin: run
+the script with the parent commit's `src` and with the change's, both on the
+change's `tests` directory, and diff their lines. Test edits leave the
+total alone, since the digest reads no test file.
 """
 
 import os

@@ -176,20 +176,22 @@ class TestReservedAnswerType:
 
 
 class TestSubstitutionArguments:
-    """The substitution entries check both arguments, as `subst_k` does."""
+    """The substitution entries check both arguments, as `subst_k` does: a
+    non-term, or a node of the other language, whether or not the target is
+    free in the term."""
 
-    @pytest.mark.parametrize("bad", ["y", None, 3])
+    @pytest.mark.parametrize("bad", ["y", None, 3, Var("x"), Var("y")])
     def test_program_substitution(self, bad):
-        with pytest.raises(TypeError, match=rf"^not a term: {bad!r}$"):
+        with pytest.raises(TypeError, match=rf"^not a term: {re.escape(repr(bad))}$"):
             subst_pvar(bad, "x", PVar("z"))
-        with pytest.raises(TypeError, match=rf"^not a term: {bad!r}$"):
+        with pytest.raises(TypeError, match=rf"^not a term: {re.escape(repr(bad))}$"):
             subst_pvar(PApp(STAR, PVar("x")), "x", bad)
 
     @pytest.mark.parametrize("subst", [lambda m, n: lam_subst(m, "x", n), plug_hole])
-    @pytest.mark.parametrize("bad", ["y", None, 3])
+    @pytest.mark.parametrize("bad", ["y", None, 3, PVar("x"), PVar("y"), PApp(STAR, PVar("z"))])
     def test_lambda_substitution(self, subst, bad):
-        with pytest.raises(TypeError, match=rf"^not a lambda term: {bad!r}$"):
+        with pytest.raises(TypeError, match=rf"^not a lambda term: {re.escape(repr(bad))}$"):
             subst(bad, Var("z"))
-        for m in (App(Var("x"), HOLE), Var("w")):
-            with pytest.raises(TypeError, match=rf"^not a lambda term: {bad!r}$"):
+        for m in (App(Var("x"), HOLE), Var("x"), Var("w")):
+            with pytest.raises(TypeError, match=rf"^not a lambda term: {re.escape(repr(bad))}$"):
                 subst(m, bad)

@@ -4,6 +4,7 @@ formatted once per memo, and nesting deeper than the Python stack."""
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 
 import pytest
@@ -47,10 +48,13 @@ from ptq import (
 from test_syntax_properties import CLOSED_E, CLOSED_T, DEEP_E, NAMES, OPEN_T, P
 
 
+def ann(name, ty):
+    return f"{name}:{type_str(ty)}" if ty is not None else name
+
+
 def reference_str(term, top=True):
     """The recursive printer `term_str` replaced; it formats every node of
     every term it is given and recurses once per level of nesting."""
-    ann = ptq.syntax._ann
     match term:
         case PVar(name):
             return name
@@ -317,6 +321,24 @@ def annotated_lamterms(depth):
 @given(annotated_lamterms(5))
 def test_lam_str_same_text_as_reference(m):
     assert lam_str(m) == reference_lam_str(m)
+
+
+# each level holds the level below more than once, as one object
+SHARING = [
+    lambda v: App(v, v),
+    lambda v: PairTerm(v, v),
+    lambda v: Lam("x", A, App(v, v)),
+    lambda v: App(App(v, v), v),  # the inner App frees v's text, the outer prints it again
+]
+
+
+@pytest.mark.parametrize("leaf", [Var("v"), Hole(), Hole(A), Hole(Arrow(A, B))], ids=repr)
+def test_lam_str_siblings_share_a_node(leaf):
+    for levels in itertools.product(SHARING, repeat=3):
+        m = leaf
+        for level in levels:
+            m = level(m)
+        assert lam_str(m) == reference_lam_str(m)
 
 
 def test_lam_str_nesting_deeper_than_the_stack():

@@ -437,28 +437,33 @@ class TestAlphaEq:
 
     def test_every_node_class_keeps_its_declaration(self):
         # the reference: each class's fields, its children (by field), its
-        # `_BINDS` row and its sort
+        # `_BINDS` row, its sort, and its declared text and precedence
         x, u, v = PVar("x"), PApp(KVar(), PVar("x")), Var("x")
         q = QLam(A, u)
         tables = {
-            PVar(name="x"): (("name",), (), None, "p"),
-            PairLam("x", A, B, u): (("x", "xty", "kty", "body"), ("body",), (("x",), ("xty", "kty")), "p"),
-            KLam(A, u): (("kty", "body"), ("body",), ((), ("kty",)), "p"),
-            STAR: ((), (), ((), ()), "t"),
-            KVar(): ((), (), ((), ()), "t"),
-            Pair(x, KVar()): (("fst", "snd"), ("fst", "snd"), ((), ()), "t"),
-            XLam("x", A, u): (("x", "xty", "body"), ("body",), (("x",), ("xty",)), "t"),
-            q: (("kty", "body"), ("body",), ((), ("kty",)), "q"),
-            u: (("test", "proof"), ("test", "proof"), ((), ()), "e"),
-            QApp(q, STAR): (("fn", "test"), ("fn", "test"), ((), ()), "e"),
-            v: (("name",), (), None, None),
-            Lam("x", A, v): (("x", "xty", "body"), ("body",), (("x",), ("xty",)), None),
-            App(Var("f"), v): (("fn", "arg"), ("fn", "arg"), ((), ()), None),
-            Hole(A): (("ty",), (), ((), ("ty",)), None),
-            PairTerm(v, Var("y")): (("fst", "snd"), ("fst", "snd"), ((), ()), None),
-            PairPatLam("x", "h", Var("h")): (("x", "h", "body"), ("body",), (("x", "h"), ()), None),
+            PVar(name="x"): (("name",), (), None, "p", "{name}", 1),
+            PairLam("x", A, B, u): (
+                ("x", "xty", "kty", "body"), ("body",), (("x",), ("xty", "kty")), "p",
+                r"\({x}{xty}, k{kty}). {body}", 0,
+            ),
+            KLam(A, u): (("kty", "body"), ("body",), ((), ("kty",)), "p", r"\k{kty}. {body}", 0),
+            STAR: ((), (), ((), ()), "t", "*", 1),
+            KVar(): ((), (), ((), ()), "t", "k", 1),
+            Pair(x, KVar()): (("fst", "snd"), ("fst", "snd"), ((), ()), "t", "<{fst:1}, {snd:1}>", 1),
+            XLam("x", A, u): (("x", "xty", "body"), ("body",), (("x",), ("xty",)), "t", r"\{x}{xty}. {body}", 0),
+            q: (("kty", "body"), ("body",), ((), ("kty",)), "q", "%k{kty}. {body}", 0),
+            u: (("test", "proof"), ("test", "proof"), ((), ()), "e", "{test:1} ; {proof:1}", 1),
+            QApp(q, STAR): (("fn", "test"), ("fn", "test"), ((), ()), "e", "({fn}) ! {test:1}", 1),
+            v: (("name",), (), None, None, "{name}", 2),
+            Lam("x", A, v): (("x", "xty", "body"), ("body",), (("x",), ("xty",)), None, r"\{x}{xty}. {body}", 0),
+            App(Var("f"), v): (("fn", "arg"), ("fn", "arg"), ((), ()), None, "{fn:1} {arg:2}", 1),
+            Hole(A): (("ty",), (), ((), ("ty",)), None, ("[]", "([]{ty})"), 2),
+            PairTerm(v, Var("y")): (("fst", "snd"), ("fst", "snd"), ((), ()), None, "({fst}, {snd})", 2),
+            PairPatLam("x", "h", Var("h")): (
+                ("x", "h", "body"), ("body",), (("x", "h"), ()), None, r"\({x}, {h}). {body}", 0,
+            ),
         }
-        for node, (names, children, binds, sort) in tables.items():
+        for node, (names, children, binds, sort, text, prec) in tables.items():
             cls = type(node)
             module = ptq.syntax if isinstance(node, ptq.syntax._Node) else ptq.lam
             assert tuple(f.name for f in dataclasses.fields(cls)) == names == cls.__match_args__
@@ -472,9 +477,9 @@ class TestAlphaEq:
             assert ptq.syntax._EQ_CHILDREN[cls] is module._CHILDREN[cls]
             assert module._BINDS[cls] == binds
             assert ptq.syntax._EQ_FIELDS[cls] == ((), ("name",) if binds is None else binds[0] + binds[1])
+            assert ptq.syntax._TEXT[cls] == (text, prec)
             if sort is not None:
                 assert ptq.syntax._SORT[cls] == sort
-                assert (cls in ptq.syntax._WRAPPED) == (cls in (PairLam, KLam, XLam, QLam))
 
     def test_shadowed_binder_restored(self):
         assert alpha_eq(T(r"\x:A. (\x:A. * ; x) ; x"), T(r"\y:A. (\z:A. * ; z) ; y"))

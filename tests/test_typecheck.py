@@ -31,6 +31,7 @@ from ptq import (
     TypeClash,
     TypeEnv,
     UnboundVariable,
+    UncurriedNeedsPairs,
     Var,
     check_judgment,
     check_lambda_judgment,
@@ -282,6 +283,17 @@ class TestLambdaBox:
     def test_missing_binder_annotation(self):
         with pytest.raises(MissingAnnotation):
             infer_lambda_box(LamEnv(), parse_lam(r"\x. x"))
+
+    @pytest.mark.parametrize("text", [r"\(x, h). h x", "(x, y)", r"\x:A. (x, x)"])
+    def test_pairs_have_no_type(self, text):
+        with pytest.raises(UncurriedNeedsPairs, match="^pairs have no type translation here$"):
+            infer_lambda_box(LamEnv(), parse_lam(text))
+
+    @pytest.mark.parametrize("m", [PVar("x"), Lam("f", A, PApp(STAR, PVar("f")))])
+    def test_not_a_lambda_term(self, m):
+        stray = m if type(m) is PVar else m.body
+        with pytest.raises(TypeError, match=rf"^not a lambda term: {re.escape(repr(stray))}$"):
+            infer_lambda_box(LamEnv(), m)
 
     def test_claim_checked(self):
         j = parse_lam_judgment("x:A |- x : B")
