@@ -29,7 +29,7 @@ from .harness import VERIFY_PROPERTIES, run_property
 from .lam import _is_var, lam_str, parse_lam
 from .lambda_eval import DEFAULT_FUEL, EvalOrder, Strategy, eval_small
 from .machine import _write_trace_json, normalize, trace_to_json
-from .measure import control_length, measure, identity, o
+from .measure import measure, identity, o
 from .readback import readback, readback_judgment
 from .syntax import parse_term, parse_type, sort_of, term_str, type_str
 from .typecheck import (
@@ -217,7 +217,7 @@ def _cmd_measure(args) -> int:
         n = value(identity)
         print(f"measure {n}")
         if sort == "e":
-            print(f"control-length {control_length(term)}")
+            print(f"control-length {n - 1}")  # control_length(term), not measured again
     return 0
 
 

@@ -47,7 +47,7 @@ class _LamNode(_Tree):
 _CHILDREN: dict = {}
 _BINDS: dict = {}
 _SUBST: dict = {}
-_lam_node, _printer = _language("lambda term", _CHILDREN, _BINDS, _SUBST)
+_lam_node, _printer = _language("lambda term", {None: ("LamTerm", "lambda term")}, _CHILDREN, _BINDS, _SUBST)
 
 
 @_lam_node(text="{name}", prec=2)

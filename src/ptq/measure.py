@@ -104,7 +104,6 @@ def _measure(term: Term, sigma: Mapping[str, int]):
             qden = _measure(fn, sigma)
             tden = _measure(test, sigma)
             return lambda f: qden(tden(f)) + 1
-    raise TypeError(f"not a term: {term!r}")
 
 
 class IllTypedMeasureWarning(UserWarning):

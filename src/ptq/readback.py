@@ -32,14 +32,12 @@ from __future__ import annotations
 from .errors import IllTyped
 from .lam import App, HOLE, Lam, LamTerm, Var, lam_subst, plug_hole
 from .syntax import (
-    KLam,
     KVar,
     Pair,
     PairLam,
     PApp,
     PVar,
     QApp,
-    QLam,
     Star,
     Term,
     XLam,
@@ -91,7 +89,7 @@ def _image(term: Term) -> LamTerm:
     """The image of a program or jump node, built once and kept on the node
     (`_Node._image`). It takes no plug: these nodes bind every test position
     they hold."""
-    image = getattr(term, "_image", None)  # a non-term reaches the TypeError
+    image = term._image
     if image is not None:
         return image
     cls = type(term)
@@ -99,10 +97,8 @@ def _image(term: Term) -> LamTerm:
         image = Var(term.name)
     elif cls is PairLam:
         image = Lam(term.x, term.xty, _rb(term.body, HOLE))
-    elif cls is KLam or cls is QLam:
+    else:  # a KLam or a QLam
         image = _rb(term.body, HOLE)
-    else:
-        raise TypeError(f"not a term: {term!r}")
     object.__setattr__(term, "_image", image)  # the dataclasses are frozen
     return image
 

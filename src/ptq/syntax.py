@@ -71,24 +71,6 @@ _NO_NAMES: frozenset[str] = frozenset()
 _setattr = object.__setattr__  # the dataclasses are frozen
 
 
-def _names(child, what: str = "term") -> frozenset[str]:
-    """The free names of a child, which must be a term node."""
-    try:
-        return child._fv
-    except AttributeError:
-        raise TypeError(f"not a {what}: {child!r}") from None
-
-
-def _union(a, b, what: str = "term") -> frozenset[str]:
-    """The free names of two children, sharing one child's set when it holds
-    the other's."""
-    try:
-        fa, fb = a._fv, b._fv
-    except AttributeError:
-        fa, fb = _names(a, what), _names(b, what)  # raises for a non-term
-    return fb if fa <= fb else fa if fb <= fa else fa | fb
-
-
 # `_Tree`'s tables for `==` and `hash`, and each class's declared text and
 # precedence, over the node classes of both languages
 _EQ_CHILDREN: dict = {}
@@ -132,24 +114,19 @@ class _Tree:
         return "".join(out)
 
 
-# the annotations of the fields that hold a child, in either language
-_CHILD_TYPES = frozenset(("PTerm", "TTerm", "ETerm", "QLam", "LamTerm"))
-
-# each language's substitution table, and its row for a node of another language
-_SUBSTS: list = []
-
-
-def _language(what: str, children: dict, binds: dict, subst: dict, sorts: Optional[dict] = None):
+def _language(what: str, fits: dict, children: dict, binds: dict, subst: dict, sorts: Optional[dict] = None):
     """The class decorator `node(sort, text=, prec=)` of one language, which
     declares a node class and adds its rows to the language's walk tables
     (`sorts` for the calculus only) and to `_Tree`'s, and the language's
-    `printer`; `what` names a term of the language in the errors.
+    `printer`; `what` names a term of the language in the errors, and
+    `fits` maps each sort to the annotation of the fields that hold a node
+    of that sort and to what the errors call such a node.
 
     A class is declared once, by its annotated fields (strings, under `from
     __future__ import annotations`), and each field's role is read off its
     annotation:
 
-      a term type (`_CHILD_TYPES`)           a child
+      an annotation in `fits`                a child
       `name: str`, the class's only field    a variable occurrence
       any other `str`                        a bound name
       anything else                          an annotation, compared with ==
@@ -159,9 +136,14 @@ def _language(what: str, children: dict, binds: dict, subst: dict, sorts: Option
     every field that is not a child, so `==` compares names exactly. The
     class becomes a frozen dataclass with `_Tree`'s `==`, `hash` and `repr`.
     A class with a class-level `_fv` (a constant) keeps the dataclass
-    constructor; any other gets one that stores each field, then its free
-    names: a variable's name, or its children's (by `_names` or `_union`,
-    which reject a child that is not a node) less its bound names. The
+    constructor; any other gets one that checks that each child's class is
+    one its field's annotation admits, a class of that sort in the
+    language, then stores each field, then its free names: a variable's
+    name, or its children's less its bound names. So every tree is
+    well-sorted and holds one language only, and a walk that enters a
+    child never checks it again. The error for a node of the language
+    names the sort it lacks, as `not a program term: …`, and for anything
+    else names the language, as `not a term: …`. The
     constructor, the children function and the substitution are compiled
     once per class from generated source, as `dataclasses` compiles its own,
     so no call reads the declaration.
@@ -179,10 +161,8 @@ def _language(what: str, children: dict, binds: dict, subst: dict, sorts: Option
     from the nodes, so the same input always gets the same names (and never
     x, which is free in the body). A name bound again by a later field of
     the same node (`\\(x, x). …`) binds nothing in the body, which its rename
-    then leaves as it is. Each language's table also maps the classes of the
-    other languages to a row that raises `TypeError("not a <what>: …")`, so
-    a stray node is reported at any depth while the walk indexes a plain
-    `dict` (CPython 3.11 specializes the subscript of an exact `dict` only).
+    then leaves as it is. A child's class always has a row, since the
+    constructor admitted it.
 
     A class's `text` is a template in `str.format` syntax that names each
     field once, such as `"{test:1} ; {proof:1}"`: a name prints as it is, an
@@ -200,32 +180,39 @@ def _language(what: str, children: dict, binds: dict, subst: dict, sorts: Option
     which is done once, here.
     """
 
-    def stray(node, target, payload):
-        raise TypeError(f"not a {what}: {node!r}")
+    fit = {ann: set() for ann, _ in fits.values()}  # the classes each annotation admits
+    kinds = dict(fits.values())
 
-    subst.update(dict.fromkeys(_EQ_CHILDREN, stray))  # other languages' classes
-    _SUBSTS.append((subst, stray))
-    scope = {"_setattr": _setattr, "_names": _names, "_union": _union, "_avoid": _avoid, "table": subst}
+    def unfit(child, ann):
+        """The error for a child that a field annotated `ann` does not admit."""
+        return TypeError(f"not a {kinds[ann] if type(child) in children else what}: {child!r}")
+
+    # each set is bound as its own name, so a constructor does not index a dict
+    scope = {"_setattr": _setattr, "_avoid": _avoid, "table": subst, "unfit": unfit}
+    scope.update({f"fit_{ann}": classes for ann, classes in fit.items()})
 
     def node(sort: Optional[str] = None, *, text, prec: int):
         def declare(cls):
             constant = "_fv" in vars(cls)
             cls = dataclass(frozen=True, eq=False, repr=False, init=constant)(cls)
             names = cls.__match_args__
-            kids = [f.name for f in fields(cls) if f.type in _CHILD_TYPES]
-            bound = tuple(f.name for f in fields(cls) if f.type == "str")
+            types = {f.name: f.type for f in fields(cls)}
+            kids = [n for n in names if types[n] in fit]
+            bound = tuple(n for n in names if types[n] == "str")
             var = bound == names == ("name",)
             bound = () if var else bound
             rest = tuple(n for n in names if n not in kids)
             source = f"def children(t): return ({''.join(f't.{k}, ' for k in kids)})\n"
             if not constant:
-                fv = "frozenset((name,))" if var else f"_names({kids[0]}, {what!r})"
-                if len(kids) == 2:
-                    fv = f"_union({kids[0]}, {kids[1]}, {what!r})"
+                fv = "    fv = frozenset((name,))\n" if var else f"    fv = {kids[0]}._fv\n"
+                if len(kids) == 2:  # share one child's set when it holds the other's
+                    fv = f"    fa, fb = {kids[0]}._fv, {kids[1]}._fv\n"
+                    fv += "    fv = fb if fa <= fb else fa if fb <= fa else fa | fb\n"
                 source += "".join(
                     [f"def __init__(self, {', '.join(names)}):\n"]
+                    + [f"    if type({k}) not in fit_{types[k]}:\n        raise unfit({k}, {types[k]!r})\n" for k in kids]
                     + [f"    _setattr(self, {n!r}, {n})\n" for n in names]
-                    + [f"    fv = {fv}\n"]
+                    + [fv]
                     + [f"    fv = fv - {{{x}}} if {x} in fv else fv\n" for x in bound]
                     + ["    _setattr(self, '_fv', fv)\n"]
                 )
@@ -257,9 +244,8 @@ def _language(what: str, children: dict, binds: dict, subst: dict, sorts: Option
             if not constant:
                 made["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
                 cls.__init__ = made["__init__"]
-            for table, row in _SUBSTS:
-                table[cls] = row
             subst[cls] = made["subst"]
+            fit[fits[sort][0]].add(cls)
             binds[cls] = None if var else (bound, tuple(n for n in rest if n not in bound))
             _EQ_FIELDS[cls] = ((), rest)
             _TEXT[cls] = (text, prec)
@@ -388,7 +374,13 @@ _CHILDREN: dict = {}
 _BINDS: dict = {}
 _SUBST: dict = {}
 _SORT: dict = {}
-_node, _printer = _language("term", _CHILDREN, _BINDS, _SUBST, _SORT)
+_FITS = {
+    "p": ("PTerm", "program term"),
+    "t": ("TTerm", "test term"),
+    "q": ("QLam", "jump term"),
+    "e": ("ETerm", "computation"),
+}
+_node, _printer = _language("term", _FITS, _CHILDREN, _BINDS, _SUBST, _SORT)
 
 
 @_node("p", text="{name}", prec=1)

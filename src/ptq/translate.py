@@ -21,10 +21,10 @@ without types.
 Each entry point takes a strategy, an order or a pairing as its enum member
 or as its value ("cbn", "fn-first", "uncurried"), and raises ValueError on
 any other value. It checks the source once, before any clause runs: a plain
-lambda term (no hole, pair or foreign node at any depth) whose binder
-annotations and env types leave out o, the answer type of every image. So
-the clauses take a variable, then an abstraction, and anything else as an
-application.
+lambda term (no hole or pair at any depth, and not a foreign root, the one
+place the constructors leave a foreign node) whose binder annotations and
+env types leave out o, the answer type of every image. So the clauses take
+a variable, then an abstraction, and anything else as an application.
 """
 
 from __future__ import annotations

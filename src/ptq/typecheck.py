@@ -34,14 +34,10 @@ from .syntax import (
     Arrow,
     Base,
     ETerm,
-    KLam,
-    KVar,
     Pair,
     PairLam,
     PApp,
     PVar,
-    QApp,
-    QLam,
     Star,
     Term,
     TokenStream,
@@ -134,24 +130,19 @@ def _infer_p(scope: dict, p) -> Type:
             return scope[p.name]
         except KeyError:
             raise UnboundVariable(p.name) from None
-    # the class is tested first, so a jump's kept type is never returned here
-    if (cls is PairLam or cls is KLam) and p._type is not None:  # see `_kept`
+    if p._type is not None:  # see `_kept`
         return p._type
     if cls is PairLam:
         a = _need(p.xty, f"\\({p.x}, k)")
         b = _need(p.kty, f"\\({p.x}, k)")
         _infer_e({**scope, p.x: a}, "k", b, p.body)
         return _kept(p, Arrow(a, b))
-    if cls is KLam:
-        a = _need(p.kty, "\\k")
-        _infer_e(scope, "k", a, p.body)
-        return _kept(p, a)
-    raise TypeError(f"not a program term: {p!r}")
+    a = _need(p.kty, "\\k")  # a KLam
+    _infer_e(scope, "k", a, p.body)
+    return _kept(p, a)
 
 
 def _infer_q(scope: dict, q) -> Type:
-    if type(q) is not QLam:
-        raise TypeError(f"not a jump term: {q!r}")
     if q._type is not None:  # see `_kept`
         return q._type
     a = _need(q.kty, "%k")
@@ -172,23 +163,17 @@ def _infer_t(scope: dict, kind: str, aty: Type, t) -> Type:
         if kind != "star":
             raise AnchorMismatch("term uses * but the anchor is k")
         return aty
-    if cls is KVar:
-        if kind != "k":
-            raise AnchorMismatch("term uses k but the anchor is *")
-        return aty
-    raise TypeError(f"not a test term: {t!r}")
+    if kind != "k":  # a KVar
+        raise AnchorMismatch("term uses k but the anchor is *")
+    return aty
 
 
 def _infer_e(scope: dict, kind: str, aty: Type, u: ETerm) -> None:
-    cls = type(u)
-    if cls is PApp:
+    if type(u) is PApp:
         a = _infer_p(scope, u.proof)
-        b = _infer_t(scope, kind, aty, u.test)
-    elif cls is QApp:
+    else:  # a QApp
         a = _infer_q(scope, u.fn)
-        b = _infer_t(scope, kind, aty, u.test)
-    else:
-        raise TypeError(f"not a computation: {u!r}")
+    b = _infer_t(scope, kind, aty, u.test)
     if a is not b and a != b:
         raise TypeClash(
             f"{type_str(a)} against {type_str(b)} in {term_str(u)}"
@@ -209,7 +194,7 @@ def infer_ptq(env: TypeEnv, subject: Term) -> Union[PtqType, EMark]:
         infer = _infer_p if sort == "p" else _infer_q
         return PtqType(sort, infer(scope, subject))
     if env.anchor is None:
-        raise AnchorMismatch(f"a {sort}-judgment needs an anchor")
+        raise AnchorMismatch(f"{'an' if sort == 'e' else 'a'} {sort}-judgment needs an anchor")
     kind, aty = env.anchor
     if sort == "t":
         return PtqType("t", _infer_t(scope, kind, aty, subject))

@@ -1,12 +1,11 @@
 """The checks where a term enters, which the walks behind them trust.
 
 Each translation entry rejects, before any clause runs, a source with a
-hole, a pair or a foreign node at any depth, and one whose annotations or
+hole or a pair at any depth or a foreign root, and one whose annotations or
 env mention the answer type o. The substitution entries reject arguments
-that are not terms. (That node constructors reject a child that is not a
-term is checked in `test_syntax.py`.) The guards kept inside the walks are
-those a node of the other language reaches: it has free names, so the
-constructors of both languages take it as a child.
+that are not terms. A node of the other language can only be a root: each
+constructor refuses it as a child, so the walks behind the entries never
+meet one. (Every constructor's check of every child is in `test_syntax.py`.)
 """
 
 import re
@@ -36,7 +35,7 @@ from ptq import (
 )
 from ptq.errors import PtqError
 from ptq.lam import HOLE, App, Lam, PairTerm, Var
-from ptq.syntax import PApp, PVar, STAR, XLam
+from ptq.syntax import PApp, PVar, STAR
 
 A = Base("A")
 O = Base("o")
@@ -78,12 +77,7 @@ BAD_SOURCES = [
         "translation handles the plain language only",
         id="pair",
     ),
-    pytest.param(
-        App(Var("f"), PVar("x")),
-        TypeError,
-        "not a lambda term: PVar(name='x')",
-        id="calculus-node",
-    ),
+    pytest.param(PVar("x"), TypeError, "not a lambda term: PVar(name='x')", id="calculus-root"),
     pytest.param("y", TypeError, "not a lambda term: 'y'", id="non-term-root"),
 ]
 
@@ -108,47 +102,36 @@ def test_aux_translate_reports_a_hole_before_the_application(strategy):
 
 
 # ---------------------------------------------------------------------------
-# the guards a node of the other language reaches
-
-MIXED_CALCULUS = PApp(STAR, Var("x"))  # a lambda variable as a program
-MIXED_LAMBDA = App(Var("f"), PVar("x"))  # a program variable as an argument
+# a node of the other language, refused where it is built or at the root
 
 
-class TestKeptGuards:
-    def test_program_substitution(self):
-        with pytest.raises(TypeError, match=r"^not a term: Var\(name='x'\)$"):
-            subst_pvar(MIXED_CALCULUS, "x", PVar("z"))
-
-    def test_lambda_substitution(self):
-        with pytest.raises(TypeError, match=r"^not a lambda term: PVar\(name='x'\)$"):
-            lam_subst(MIXED_LAMBDA, "x", Var("z"))
-
-    # below a binder that must rename, since y is free in the payload: the
-    # second node holds y, so the rename's walk reaches it first
+class TestForeignNodes:
     @pytest.mark.parametrize("stray", [Var("x"), App(Var("x"), Var("y"))])
-    def test_program_substitution_below_a_binder(self, stray):
+    def test_a_lambda_node_as_a_program(self, stray):
         with pytest.raises(TypeError, match=rf"^not a term: {re.escape(repr(stray))}$"):
-            subst_pvar(XLam("y", None, PApp(STAR, stray)), "x", PVar("y"))
+            PApp(STAR, stray)
 
     @pytest.mark.parametrize("stray", [PVar("x"), PApp(STAR, PVar("y"))])
-    def test_lambda_substitution_below_a_binder(self, stray):
+    def test_a_calculus_node_as_an_argument(self, stray):
         with pytest.raises(TypeError, match=rf"^not a lambda term: {re.escape(repr(stray))}$"):
-            lam_subst(Lam("y", None, App(Var("x"), stray)), "x", Var("y"))
+            App(Var("x"), stray)
 
     @pytest.mark.parametrize("sigma", [None, {"x": 0}])
     def test_measure(self, sigma):
         with pytest.raises(TypeError, match=r"^not a term: Var\(name='x'\)$"):
-            measure(MIXED_CALCULUS, sigma)
+            measure(Var("x"), sigma)
 
     def test_readback(self):
         with pytest.raises(TypeError, match=r"^not a term: Var\(name='x'\)$"):
-            readback(MIXED_CALCULUS)
+            readback(Var("x"))
 
-    def test_types(self):
-        with pytest.raises(TypeError, match=r"^not a type: 'B'$"):
-            type_str(Arrow(A, "B"))
-        with pytest.raises(TypeError, match=r"^not a type: 'B'$"):
-            translate_type(Arrow(A, "B"), Strategy.CBN)
+
+def test_a_type_that_holds_a_non_type():
+    # `Arrow` checks nothing, so the type walks meet it at any depth
+    with pytest.raises(TypeError, match=r"^not a type: 'B'$"):
+        type_str(Arrow(A, "B"))
+    with pytest.raises(TypeError, match=r"^not a type: 'B'$"):
+        translate_type(Arrow(A, "B"), Strategy.CBN)
 
 
 # ---------------------------------------------------------------------------

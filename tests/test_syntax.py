@@ -171,40 +171,62 @@ class TestFreeVars:
             node = App(node, Var(f"y{i % 3}"))
         assert lam_free_vars(node) == {"x", "y0", "y1", "y2"}
 
-    # each node class with term children, a builder from its child list,
-    # and the children it is built with when every one is a term
-    NODES = [
-        (lambda c: PairLam("x", A, A, *c), [PApp(KVar(), PVar("x"))]),
-        (lambda c: KLam(A, *c), [PApp(KVar(), PVar("x"))]),
-        (lambda c: Pair(*c), [PVar("x"), STAR]),
-        (lambda c: XLam("x", A, *c), [PApp(KVar(), PVar("x"))]),
-        (lambda c: QLam(A, *c), [PApp(KVar(), PVar("x"))]),
-        (lambda c: PApp(*c), [STAR, PVar("x")]),
-        (lambda c: QApp(*c), [QLam(A, PApp(KVar(), PVar("x"))), STAR]),
-    ]
-    LAM_NODES = [
-        (lambda c: Lam("x", A, *c), [Var("x")]),
-        (lambda c: App(*c), [Var("f"), Var("x")]),
-        (lambda c: PairTerm(*c), [Var("x"), Var("y")]),
-        (lambda c: PairPatLam("x", "h", *c), [Var("x")]),
-    ]
+    # each annotation of a child field: the sort of the nodes it admits, None
+    # for the lambda language's, and what the error calls a node of its
+    # language of another sort
+    ADMITS = {
+        "PTerm": ("p", "program term"),
+        "TTerm": ("t", "test term"),
+        "QLam": ("q", "jump term"),
+        "ETerm": ("e", "computation"),
+        "LamTerm": (None, "lambda term"),
+    }
+    # a node of each sort, and of the lambda language under None
+    SAMPLES = {
+        "p": PVar("x"),
+        "t": STAR,
+        "q": QLam(A, PApp(KVar(), PVar("x"))),
+        "e": PApp(KVar(), PVar("x")),
+        None: Var("x"),
+    }
 
-    @staticmethod
-    def rejects_each_child_that_is_not_a_term(nodes, what):
-        # the walks trust these checks: only the root can be a non-term
-        for build, children in nodes:
-            build(children)
-            for i in range(len(children)):
-                for bad in ("y", None, 3):
+    def rejects_each_child_it_does_not_admit(self, children, what):
+        """Build every class of a language from its declared fields, then
+        put in each child field, in turn, every sample its annotation does
+        not admit and three values that are not nodes; return the fields
+        tried. The walks trust these checks: only the root can be foreign."""
+        tried = []
+        for cls in children:
+            fields = dataclasses.fields(cls)
+            good = {
+                f.name: self.SAMPLES[self.ADMITS[f.type][0]] if f.type in self.ADMITS
+                else "x" if f.type == "str" else A
+                for f in fields
+            }
+            cls(**good)
+            for f in fields:
+                if f.type not in self.ADMITS:
+                    continue
+                tried.append(f"{cls.__name__}.{f.name}")
+                sort, kind = self.ADMITS[f.type]
+                bad = [(s, node) for s, node in self.SAMPLES.items() if s != sort]
+                for bad_sort, value in bad + [(None, "y"), (None, None), (None, 3)]:
                     with pytest.raises(TypeError) as exc:
-                        build([bad if j == i else c for j, c in enumerate(children)])
-                    assert str(exc.value) == f"not a {what}: {bad!r}"
+                        cls(**{**good, f.name: value})
+                    same_language = sort is not None and bad_sort is not None
+                    assert str(exc.value) == f"not a {kind if same_language else what}: {value!r}"
+        return tried
 
     def test_a_child_that_is_not_a_term(self):
-        self.rejects_each_child_that_is_not_a_term(self.NODES, "term")
+        assert self.rejects_each_child_it_does_not_admit(ptq.syntax._CHILDREN, "term") == [
+            "PairLam.body", "KLam.body", "Pair.fst", "Pair.snd", "XLam.body",
+            "QLam.body", "PApp.test", "PApp.proof", "QApp.fn", "QApp.test",
+        ]
 
     def test_a_child_that_is_not_a_lambda_term(self):
-        self.rejects_each_child_that_is_not_a_term(self.LAM_NODES, "lambda term")
+        assert self.rejects_each_child_it_does_not_admit(ptq.lam._CHILDREN, "lambda term") == [
+            "Lam.body", "App.fn", "App.arg", "PairTerm.fst", "PairTerm.snd", "PairPatLam.body",
+        ]
 
 
 class TestSubstitution:

@@ -149,34 +149,47 @@ class TestJumpAndComputationRules:
                 infer_ptq(env(), subject)
         assert bad._type is None and holder._type is None
 
-    @pytest.mark.parametrize("subject", [
-        Pair(Var("x"), STAR),
-        PApp(STAR, Var("x")),
-        PApp(STAR, Lam("x", A, Var("x"))),
+    @pytest.mark.parametrize("build, child", [
+        (lambda c: Pair(c, STAR), Var("x")),
+        (lambda c: PApp(STAR, c), Var("x")),
+        (lambda c: PApp(STAR, c), Lam("x", A, Var("x"))),
     ], ids=["pair", "papp_var", "papp_lam"])
-    def test_lambda_child_is_not_a_program_term(self, subject):
-        with pytest.raises(TypeError, match="not a program term"):
-            infer_ptq(env("", ("star", A)), subject)
+    def test_lambda_child_is_not_a_program_term(self, build, child):
+        # a node of the other language is refused where the tree is built,
+        # so no typing walk ever meets one
+        with pytest.raises(TypeError) as exc:
+            build(child)
+        assert str(exc.value) == f"not a term: {child!r}"
 
     @pytest.mark.parametrize("typed_first", [False, True], ids=["fresh", "kept"])
     def test_kept_type_keeps_its_role(self, typed_first):
         # a closed jump in a program's place, and a closed program in a
-        # jump's, fail alike whether or not they keep a type from before
+        # jump's, are refused alike whether or not they keep a type from before
         q = parse_term(r"%k:A -> A. k ; \(x:A, k:A). k ; x")
         p = parse_term(r"\(x:A, k:A). k ; x")
         if typed_first:
             assert infer_ptq(env(), q) == PtqType("q", Arrow(A, A))
             assert infer_ptq(env(), p) == PtqType("p", Arrow(A, A))
             assert q._type is not None and p._type is not None
-        anchor = env("", ("star", Arrow(A, A)))
-        with pytest.raises(TypeError, match="not a program term"):
-            infer_ptq(anchor, PApp(STAR, q))
-        with pytest.raises(TypeError, match="not a jump term"):
-            infer_ptq(anchor, QApp(p, STAR))
+        with pytest.raises(TypeError, match=rf"^not a program term: {re.escape(repr(q))}$"):
+            PApp(STAR, q)
+        with pytest.raises(TypeError, match=rf"^not a jump term: {re.escape(repr(p))}$"):
+            QApp(p, STAR)
 
     def test_anchor_required(self):
         with pytest.raises(AnchorMismatch):
             infer_ptq(env("x:A"), parse_term("* ; x"))
+
+    @pytest.mark.parametrize("text, anchor, message", [
+        ("x", ("star", A), "a p-judgment carries no anchor"),
+        ("%k:A. k ; x", ("k", A), "a q-judgment carries no anchor"),
+        ("<x, *>", None, "a t-judgment needs an anchor"),
+        ("* ; x", None, "an e-judgment needs an anchor"),
+    ], ids=["p", "q", "t", "e"])
+    def test_anchor_messages(self, text, anchor, message):
+        with pytest.raises(AnchorMismatch) as exc:
+            infer_ptq(env("x:A", anchor), parse_term(text))
+        assert str(exc.value) == message
 
     def test_anchor_refused_for_programs(self):
         with pytest.raises(AnchorMismatch):
@@ -190,6 +203,16 @@ class TestJumpAndComputationRules:
             env("x:A", (kind, A))
         with pytest.raises(ValueError):
             env("x:A").with_anchor(kind, A)
+
+    def test_extend_shadows_and_keeps_the_anchor(self):
+        outer = env("x:A, y:B", ("star", B))
+        inner = outer.extend("x", X)
+        assert inner.gamma == outer.gamma + (("x", X),)
+        assert inner.anchor == outer.anchor
+        assert outer.gamma == env("x:A, y:B").gamma  # the outer env is unchanged
+        # the later x wins, and the kept anchor types the *
+        assert infer_ptq(inner, parse_term("<x, *>")) == PtqType("t", Arrow(X, B))
+        assert infer_ptq(outer, parse_term("<x, *>")) == PtqType("t", Arrow(A, B))
 
 
 class TestJudgmentChecker:
@@ -289,11 +312,13 @@ class TestLambdaBox:
         with pytest.raises(UncurriedNeedsPairs, match="^pairs have no type translation here$"):
             infer_lambda_box(LamEnv(), parse_lam(text))
 
-    @pytest.mark.parametrize("m", [PVar("x"), Lam("f", A, PApp(STAR, PVar("f")))])
-    def test_not_a_lambda_term(self, m):
-        stray = m if type(m) is PVar else m.body
+    def test_not_a_lambda_term(self):
+        # only the root can be foreign: a constructor refuses a foreign child
+        with pytest.raises(TypeError, match=r"^not a lambda term: PVar\(name='x'\)$"):
+            infer_lambda_box(LamEnv(), PVar("x"))
+        stray = PApp(STAR, PVar("f"))
         with pytest.raises(TypeError, match=rf"^not a lambda term: {re.escape(repr(stray))}$"):
-            infer_lambda_box(LamEnv(), m)
+            Lam("f", A, stray)
 
     def test_claim_checked(self):
         j = parse_lam_judgment("x:A |- x : B")
